@@ -42,6 +42,7 @@ from .convergence import (
     check_order_convergence,
     pointwise_limit,
     truncation_family,
+    verify_monotone_certificate,
     verify_order_certificate,
     verify_uniform_certificate,
 )
@@ -451,13 +452,19 @@ def cmd_verify(args) -> int:
                 f"stored uniform certificate does not replay: {exc}"
             ) from None
     elif isinstance(cert, MonotoneCertificate):
-        # re-run the certificate check; metadata verification already enforces
-        # the decrease, so replay the domination claim explicitly
+        # re-run the certificate check, then hold the stored bound itself to
+        # the declared bound and to every member the verdict covers
         verdict = check_buo_cauchy(family, CertificatePolicy())
         if verdict.outcome != "holds":
             raise InternalInvariantError(
                 "stored monotone certificate does not replay on this family"
             )
+        try:
+            verify_monotone_certificate(family, cert, verdict.horizon, strict=True)
+        except LatticeLabError as exc:
+            raise InternalInvariantError(
+                f"stored monotone certificate does not replay: {exc}"
+            ) from None
     print(f"certificate re-verified against {args.family}")
     return EXIT_OK
 

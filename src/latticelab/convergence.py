@@ -77,6 +77,7 @@ __all__ = [
     "norm_bound",
     "verify_order_certificate",
     "verify_uniform_certificate",
+    "verify_monotone_certificate",
 ]
 
 # most members a generator family will materialize for a single check
@@ -816,8 +817,9 @@ def _subsequences(count: int, max_len: int, seed: int, horizon: int):
                 gap = max(1, gap * ratio)
         else:
             k = min(max_len, horizon)
-            seq = sorted(int(v) for v in
-                         rng.choice(np.arange(1, horizon + 1), size=k, replace=False))
+            # the same draw as choosing from arange(1, horizon + 1), without
+            # materializing the range
+            seq = sorted(int(v) + 1 for v in rng.choice(horizon, size=k, replace=False))
         seq = _anchor([v for v in seq if v <= horizon], horizon, max_len)
         if len(seq) >= 2:
             subs.append(seq)
@@ -976,6 +978,28 @@ def verify_uniform_certificate(family: SequenceFamily, cert: UniformCauchyCertif
                         f"> eps_{j + 1} = {cert.eps[j]:.6g}"
                     )
                 return False
+    return True
+
+
+def verify_monotone_certificate(family: SequenceFamily, cert: MonotoneCertificate,
+                                upto: int, strict: bool = False) -> bool:
+    """Replay: the stored bound is the family's declared common bound and
+    dominates |x_n| for n = 1..upto, tails included."""
+    def fail(why: str) -> bool:
+        if strict:
+            raise MetadataError(f"certificate violated: {why}")
+        return False
+
+    declared = family.metadata.common_bound
+    if declared is None:
+        return fail("the family declares no common bound")
+    if not (_le_or_metadata_error(cert.bound, declared, "stored vs declared bound")
+            and _le_or_metadata_error(declared, cert.bound, "declared vs stored bound")):
+        return fail("the stored bound differs from the declared common bound")
+    for n in range(1, family.prefix_count(upto) + 1):
+        if not _le_or_metadata_error(abs_(family.member(n)), cert.bound,
+                                     f"member {n} vs the stored bound"):
+            return fail(f"member {n} exceeds the stored bound")
     return True
 
 

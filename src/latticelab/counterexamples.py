@@ -28,6 +28,7 @@ from .core import Carrier, LatticeElement, SpaceTag, meet, ones
 from .envelopes import ENVELOPE_TOL, EnvelopeResult, inf_convolution_ladder
 from .errors import InputError, InternalInvariantError
 from .metric import (
+    BLOCK_ENTRIES,
     FiniteMetricSpace,
     discreteness_constant,
     dist_to_set_all,
@@ -377,21 +378,25 @@ def lip_counterexample(refinement: RefinementFamily, n_max: int) -> LipCounterex
     g = LatticeElement(Carrier.points(space), np.minimum(np.sqrt(dist), 1.0))
 
     a_idx = np.array([space.index(a) for a in a_labels], dtype=np.intp)
-    blow_up, blow_pairs = [], []
-    for lab, t_val in zip(b_labels, t):
-        row = space.row(space.index(lab))
-        to_a = row[a_idx]
-        near = np.flatnonzero(to_a < 2.0 * t_val)
-        if near.size == 0:
+    b_idx = np.array([space.index(b) for b in b_labels], dtype=np.intp)
+    t_arr = np.asarray(t)
+    near_a = np.empty(b_idx.size, dtype=np.intp)  # position in A order
+    near_d = np.empty(b_idx.size)
+    step = max(1, BLOCK_ENTRIES // a_idx.size)
+    for lo in range(0, b_idx.size, step):
+        to_a = space.distances(b_idx[lo:lo + step], a_idx)
+        near = to_a < 2.0 * t_arr[lo:lo + step, None]
+        lost = np.flatnonzero(~near.any(axis=1))
+        if lost.size:
+            k = lo + int(lost[0])
             raise InternalInvariantError(
-                f"no A-point within 2t of {lab!r} despite dist(b, A) = {t_val:.6g}"
+                f"no A-point within 2t of {b_labels[k]!r} despite dist(b, A) = {t[k]:.6g}"
             )
-        j = int(near[0])
-        a_lab = a_labels[j]
-        d = float(to_a[j])
-        ratio = abs(float(g.values[space.index(lab)]) - float(g.values[a_idx[j]])) / d
-        blow_up.append(ratio)
-        blow_pairs.append((lab, a_lab))
+        first = near.argmax(axis=1)  # the first A-point in A order within 2t
+        near_a[lo:lo + step] = first
+        near_d[lo:lo + step] = to_a[np.arange(first.size), first]
+    blow_up = np.abs(g.values[b_idx] - g.values[a_idx[near_a]]) / near_d
+    blow_pairs = [(b, a_labels[j]) for b, j in zip(b_labels, near_a)]
 
     rows = []
     for level, lv_space in zip(refinement.levels, refinement.spaces):

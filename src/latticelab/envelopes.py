@@ -305,12 +305,13 @@ def _validate_envelope(g, env, n, alpha, achieved, lips, modulus) -> None:
 
 
 def inf_convolution_ladder(g: LatticeElement, ns, modulus: ModulusCurve | None = None):
-    """Envelopes g_n for every n in ``ns`` in one sweep over the pair blocks.
+    """Envelopes g_n for every n in ``ns`` in one sweep.
 
-    Each distance block is visited once and serves all parameters, so the
-    ladder costs one pass plus a Lipschitz scan per n.  Without a supplied
-    modulus, alpha_n is the exact pairwise supremum max(|g(x)-g(y)| - n*d),
-    accumulated in the same pass.
+    Line spaces run an exact two-pass distance transform; elsewhere each
+    distance block is visited once and serves all parameters.  Either way
+    the ladder costs one sweep plus a Lipschitz scan per n.  Without a
+    supplied modulus, alpha_n is the exact pairwise supremum
+    max(|g(x)-g(y)| - n*d), obtained in the same sweep.
     """
     if g.carrier.is_index_set:
         raise InputError("inf_convolution needs a metric-points carrier")
@@ -323,29 +324,17 @@ def inf_convolution_ladder(g: LatticeElement, ns, modulus: ModulusCurve | None =
     ns = [int(n) for n in ns]
     space = g.carrier.space
     gv = g.values
-    k_count, n_pts = len(ns), space.n
-
-    env = np.empty((k_count, n_pts))
-    alpha_raw = np.zeros(k_count)
     need_alpha = modulus is None
-    for lo, hi in space.block_rows():
-        block = space.row_block(lo, hi)
-        buf = np.empty_like(block)
-        gaps = np.abs(gv[lo:hi, None] - gv[None, :]) if need_alpha else None
-        for k, n in enumerate(ns):
-            np.multiply(block, float(n), out=buf)
-            buf += gv[None, :]
-            env[k, lo:hi] = buf.min(axis=1)
-            if need_alpha:
-                np.multiply(block, float(n), out=buf)
-                np.subtract(gaps, buf, out=buf)
-                alpha_raw[k] = max(alpha_raw[k], float(buf.max()))
+    if space.line_order is not None:
+        env, alpha_raw = _line_ladder(space, gv, ns, need_alpha)
+    else:
+        env, alpha_raw = _dense_ladder(space, gv, ns, need_alpha)
 
     results = []
     for k, n in enumerate(ns):
         alpha = error_bound(modulus, n).alpha if modulus is not None else float(alpha_raw[k])
         achieved = float((gv - env[k]).max())
-        if n_pts >= 2:
+        if space.n >= 2:
             lips, pair = _metric.max_slope(space, env[k])
         else:
             lips, pair = 0.0, None
@@ -361,6 +350,60 @@ def inf_convolution_ladder(g: LatticeElement, ns, modulus: ModulusCurve | None =
             )
         )
     return results
+
+
+def _dense_ladder(space, gv, ns, need_alpha):
+    """Envelopes and raw alphas from one pass over the distance row blocks."""
+    env = np.empty((len(ns), space.n))
+    alpha_raw = np.zeros(len(ns))
+    for lo, hi in space.block_rows():
+        block = space.row_block(lo, hi)
+        buf = np.empty_like(block)
+        gaps = np.abs(gv[lo:hi, None] - gv[None, :]) if need_alpha else None
+        for k, n in enumerate(ns):
+            np.multiply(block, float(n), out=buf)
+            buf += gv[None, :]
+            env[k, lo:hi] = buf.min(axis=1)
+            if need_alpha:
+                np.multiply(block, float(n), out=buf)
+                np.subtract(gaps, buf, out=buf)
+                alpha_raw[k] = max(alpha_raw[k], float(buf.max()))
+    return env, alpha_raw
+
+
+def _line_ladder(space, gv, ns, need_alpha):
+    """Envelopes and raw alphas on the line by a two-pass distance transform.
+
+    Over the sorted points, h_i = min(g_i, h_{i-1} + n*dx_i) forward and
+    then the mirror recurrence backward give g_n up to rounding
+    (Felzenszwalb & Huttenlocher, Distance Transforms of Sampled Functions,
+    ToC 2012).  Each step takes a min of rounded sums that grow with n, so
+    by induction the rungs stay exactly below g and exactly non-decreasing
+    in n; the closed form n*x + minimum.accumulate(g - n*x) does not keep
+    that order after rounding.  alpha_n is max(0, max(G_n - g)) for the
+    sup-convolution G_n = -(inf-convolution of -g), run as extra columns of
+    the same passes.
+    """
+    order = space.line_order
+    k_count = len(ns)
+    rates = np.array(ns, dtype=np.float64)
+    gs = gv[order]
+    cols = [gs] * k_count
+    if need_alpha:
+        cols += [-gs] * k_count
+        rates = np.concatenate([rates, rates])
+    h = np.stack(cols, axis=1)  # (points, columns): each step reads one row
+    step = np.diff(space.coords[order, 0])[:, None] * rates[None, :]
+    for i in range(1, h.shape[0]):
+        np.minimum(h[i], h[i - 1] + step[i - 1], out=h[i])
+    for i in range(h.shape[0] - 2, -1, -1):
+        np.minimum(h[i], h[i + 1] + step[i], out=h[i])
+    env = np.empty((k_count, space.n))
+    env[:, order] = h[:, :k_count].T
+    alpha_raw = np.zeros(k_count)
+    if need_alpha:
+        alpha_raw = np.maximum(0.0, (-h[:, k_count:] - gs[:, None]).max(axis=0))
+    return env, alpha_raw
 
 
 def inf_convolution(g: LatticeElement, n, modulus: ModulusCurve | None = None) -> EnvelopeResult:

@@ -5,6 +5,12 @@ coordinate-backed (points in R^k under the Euclidean distance, with distance
 rows generated on demand).  Coordinate backing is what makes the larger
 refinement levels tractable: a 10^4-point space never materialises its
 10^8-entry matrix, and all scans below run over bounded row blocks.
+
+One-column coordinate spaces lie on the real line, where every scan below
+has an exact sorted-order form: nearest neighbours, closest pairs and the
+steepest slope all sit at adjacent points of the sorted order.  Those
+spaces take that route (selected by geometry alone); the dense row-block
+scans serve matrix and k-dim spaces.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ TRIANGLE_CHECK_LIMIT = 2048
 #: Max recorded axiom violations before the report is truncated.
 VIOLATION_CAP = 1000
 
-_BLOCK_ENTRIES = 4_000_000
+#: Distance entries a scan holds at once.
+BLOCK_ENTRIES = 4_000_000
 
 
 def _default_labels(n: int) -> tuple[str, ...]:
@@ -50,6 +57,7 @@ class FiniteMetricSpace:
         self._matrix = matrix
         self._coords = coords
         self._index = {lab: i for i, lab in enumerate(self.labels)}
+        self._line_order = None
 
     # -- constructors ------------------------------------------------------
 
@@ -112,11 +120,13 @@ class FiniteMetricSpace:
         """Distance rows lo..hi-1 against every point, shape (hi-lo, n)."""
         if self._matrix is not None:
             return self._matrix[lo:hi]
-        a = self._coords[lo:hi]
-        if self._coords.shape[1] == 1:
-            return np.abs(a[:, 0][:, None] - self._coords[:, 0][None, :])
-        diff = a[:, None, :] - self._coords[None, :, :]
-        return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        return _coord_distances(self._coords[lo:hi], self._coords)
+
+    def distances(self, rows, cols) -> np.ndarray:
+        """Distances d(rows[r], cols[c]) for index arrays, shape (len(rows), len(cols))."""
+        if self._matrix is not None:
+            return self._matrix[np.ix_(rows, cols)]
+        return _coord_distances(self._coords[rows], self._coords[cols])
 
     def row(self, i: int) -> np.ndarray:
         return self.row_block(i, i + 1)[0]
@@ -147,9 +157,21 @@ class FiniteMetricSpace:
     def coords(self):
         return self._coords
 
+    @property
+    def line_order(self):
+        """Point indices by increasing coordinate for a one-column coordinate
+        space, else None.  Computed once; the coordinates are read-only."""
+        if self._coords is None or self._coords.shape[1] != 1:
+            return None
+        if self._line_order is None:
+            order = np.argsort(self._coords[:, 0], kind="stable")
+            order.setflags(write=False)
+            self._line_order = order
+        return self._line_order
+
     def block_rows(self):
         """Yield (lo, hi) row windows sized to bounded memory."""
-        step = max(1, _BLOCK_ENTRIES // max(1, self.n))
+        step = max(1, BLOCK_ENTRIES // max(1, self.n))
         for lo in range(0, self.n, step):
             yield lo, min(self.n, lo + step)
 
@@ -167,6 +189,34 @@ class FiniteMetricSpace:
     def __repr__(self):
         kind = "matrix" if self._matrix is not None else "coords"
         return f"FiniteMetricSpace(n={self.n}, backing={kind})"
+
+
+def _coord_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of two coordinate arrays."""
+    if a.shape[1] == 1:
+        return np.abs(a[:, 0][:, None] - b[:, 0][None, :])
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def _sorted_line(space: FiniteMetricSpace):
+    """(order, sorted coordinates) of a line space, or None off the line.
+
+    The coordinates are distinct, so the sorted ones increase strictly, and
+    float subtraction rounds monotonically: the distance from a point to any
+    other is at least its distance to the adjacent point on the same side.
+    """
+    order = space.line_order
+    if order is None:
+        return None
+    return order, space.coords[order, 0]
+
+
+def _smallest_pair(first: np.ndarray, second: np.ndarray):
+    """The lexicographically smallest (min, max) index pair of two arrays."""
+    lo, hi = np.minimum(first, second), np.maximum(first, second)
+    k = int(np.lexsort((hi, lo))[0])
+    return int(lo[k]), int(hi[k])
 
 
 def _duplicate_rows(coords: np.ndarray):
@@ -260,6 +310,12 @@ def isolation_radii(space: FiniteMetricSpace) -> np.ndarray:
     if space.n == 1:
         return np.array([np.inf])
     out = np.empty(space.n)
+    line = _sorted_line(space)
+    if line is not None:
+        order, xs = line
+        gaps = np.diff(xs)
+        out[order] = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))
+        return out
     for lo, hi in space.block_rows():
         block = space.row_block(lo, hi).copy()
         for r in range(lo, hi):
@@ -302,6 +358,14 @@ def dist_to_set_all(space: FiniteMetricSpace, targets) -> np.ndarray:
     if not targets:
         raise InputError("dist_to_set needs a non-empty target set")
     idx = np.array([space.index(t) for t in targets], dtype=np.intp)
+    if space.line_order is not None:
+        # the nearest target is the one just below or just above each point
+        ts = np.sort(space.coords[idx, 0])
+        xs = space.coords[:, 0]
+        pos = np.searchsorted(ts, xs)
+        below = ts[np.maximum(pos - 1, 0)]
+        above = ts[np.minimum(pos, ts.size - 1)]
+        return np.minimum(np.abs(xs - below), np.abs(xs - above))
     out = np.empty(space.n)
     for lo, hi in space.block_rows():
         out[lo:hi] = space.row_block(lo, hi)[:, idx].min(axis=1)
@@ -352,6 +416,9 @@ def find_close_pair(space: FiniteMetricSpace, excluded, eps: float):
         if allowed[i] and guard_dist[i] > theta and radii[i] < theta
     ]
     candidates.sort(key=lambda i: (radii[i], i))
+    line = _sorted_line(space)
+    if line is not None:
+        return _line_close_pair(space, line, allowed, candidates, radii, theta, eps)
     for i in candidates:
         row = space.row(i).copy()
         row[i] = np.inf
@@ -385,16 +452,68 @@ def find_close_pair(space: FiniteMetricSpace, excluded, eps: float):
     return space.labels[i], space.labels[j]
 
 
+def _line_close_pair(space, line, allowed, candidates, radii, theta, eps):
+    """Both stages of :func:`find_close_pair` over the sorted allowed points.
+
+    A candidate's nearest allowed point is an adjacent allowed one.  A
+    farther point could tie with it only through rounding, which needs two
+    allowed points much closer to each other than to the candidate: both
+    would be candidates of smaller radius.  The first candidate always
+    qualifies (a point nearer than theta is allowed, or the guard would
+    have failed), so comparing its two adjacent points by (distance,
+    index) matches the row scan.  The closest allowed pair is always
+    adjacent: a pair straddling an allowed point is more than twice as far
+    apart as one of its halves, even after rounding.
+    """
+    order, xs = line
+    keep = allowed[order]
+    idx, xa = order[keep], xs[keep]
+    pos = np.empty(space.n, dtype=np.intp)
+    pos[idx] = np.arange(idx.size)
+    for i in candidates:
+        p = int(pos[i])
+        near = []
+        if p > 0:
+            near.append((xa[p] - xa[p - 1], idx[p - 1]))
+        if p + 1 < idx.size:
+            near.append((xa[p + 1] - xa[p], idx[p + 1]))
+        d, j = min(near)
+        if d < min(radii[i] + theta, eps):
+            return space.labels[i], space.labels[int(j)]
+    gaps = np.diff(xa)
+    best = float(gaps.min())
+    if not best < eps:
+        return None
+    hits = np.flatnonzero(gaps == best)
+    i, j = _smallest_pair(idx[hits], idx[hits + 1])
+    return space.labels[i], space.labels[j]
+
+
 def max_slope(space: FiniteMetricSpace, values: np.ndarray):
     """Largest |f(x) - f(y)| / d(x, y) over distinct points, with its pair.
 
-    Ties resolve to the lexicographically smallest index pair.
+    Ties resolve to the lexicographically smallest index pair.  On the line
+    only adjacent pairs are compared: a chord spanning several of them can
+    read a few ulps above its steepest part after rounding, so the value
+    may sit that far below the all-pairs maximum.
     """
     if space.n < 2:
         raise InputError("max_slope needs at least two points")
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (space.n,):
         raise InputError("values length does not match the space")
+    if not np.all(np.isfinite(values)):
+        raise InputError("max_slope needs finite values")
+    line = _sorted_line(space)
+    if line is not None:
+        # a chord slope is a convex combination of the slopes between the
+        # consecutive points it spans, so the maximum sits at an adjacent pair
+        order, xs = line
+        slopes = np.abs(np.diff(values[order])) / np.diff(xs)
+        best = float(slopes.max())
+        hits = np.flatnonzero(slopes == best)
+        i, j = _smallest_pair(order[hits], order[hits + 1])
+        return best, (space.labels[i], space.labels[j])
     best = -np.inf
     best_pair = (0, 1)
     for lo, hi in space.block_rows():
@@ -404,9 +523,11 @@ def max_slope(space: FiniteMetricSpace, values: np.ndarray):
         ratio = np.abs(values[lo:hi][:, None] - values[None, :]) / d
         for r in range(lo, hi):
             ratio[r - lo, : r + 1] = -1.0  # upper triangle only, even on ties at 0
-        m = float(ratio.max(initial=-np.inf))
+        # the flat argmax is the first maximum in row-major order
+        flat = int(ratio.argmax())
+        m = float(ratio.flat[flat])
         if m > best:
-            r, j = np.argwhere(ratio == m)[0]
-            best, best_pair = m, (lo + int(r), int(j))
+            r, j = divmod(flat, space.n)
+            best, best_pair = m, (lo + r, j)
     i, j = best_pair
     return best, (space.labels[i], space.labels[j])

@@ -266,6 +266,23 @@ def test_verify_rejects_a_tampered_report(family_file, tmp_path):
                  "--report", str(out / "tampered.json")]) == 3
 
 
+def test_verify_rejects_a_monotone_report_with_a_rewritten_bound(tmp_path, capsys):
+    out = tmp_path / "h"
+    main(["generate", "hats", "--levels", "3,10,20", "--depth", "10", "--out", str(out)])
+    fam = str(out / "hat_family.json")
+    assert main(["check", "--family", fam, "--mode", "buo-cauchy", "--out", str(out)]) == 0
+    assert main(["verify", "--family", fam,
+                 "--report", str(out / "check_report.json")]) == 0
+    doc = json.loads((out / "check_report.json").read_text())
+    assert doc["certificate"]["type"] == "monotone"
+    bound = doc["certificate"]["bound"]
+    bound["values"] = [-5.0] * len(bound["values"])
+    write_json(out / "tampered.json", doc)
+    capsys.readouterr()
+    assert main(["verify", "--family", fam, "--report", str(out / "tampered.json")]) == 3
+    assert "stored monotone certificate does not replay" in capsys.readouterr().err
+
+
 def test_verify_refuses_buo_probe_replay(family_file, tmp_path, capsys):
     out = tmp_path / "r"
     main(["check", "--family", str(family_file), "--mode", "buo",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +25,8 @@ from latticelab.convergence import (
     norm_bound,
     pointwise_limit,
     truncation_family,
+    _subsequences,
+    verify_monotone_certificate,
     verify_order_certificate,
     verify_uniform_certificate,
 )
@@ -548,3 +551,31 @@ def test_uniform_certificate_replay_detects_violations():
         verify_uniform_certificate(fam, cert, strict=True)
     good = UniformCauchyCertificate(eps=(1.0, 1.0))
     assert verify_uniform_certificate(fam, good)
+
+
+def test_monotone_certificate_replay_checks_the_stored_bound_and_its_tail():
+    members = [seq([1.0 / n, 2.0 / n, 0.0], Tail.constant(1.0 / n)) for n in range(1, 6)]
+    declared = seq([1.0, 2.0, 1.0], Tail.constant(1.0))
+    fam = SequenceFamily(members=members, metadata=FamilyMetadata(
+        monotone_decreasing=True, common_bound=declared))
+    assert verify_monotone_certificate(fam, MonotoneCertificate(bound=declared), 5)
+    # same window, tail below the first member's: only the tail check can see it
+    low_tail = MonotoneCertificate(bound=seq([1.0, 2.0, 1.0], Tail.constant(0.5)))
+    assert not verify_monotone_certificate(fam, low_tail, 5)
+    with pytest.raises(MetadataError, match="differs from the declared common bound"):
+        verify_monotone_certificate(fam, low_tail, 5, strict=True)
+    bare = SequenceFamily(members=members)
+    assert not verify_monotone_certificate(bare, MonotoneCertificate(bound=declared), 5)
+
+
+def test_subsequence_draws_never_materialize_the_horizon():
+    _subsequences(64, 64, 3, 10**5)  # warm numpy's lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        subs = _subsequences(64, 64, 3, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert len(subs) == 64
+    assert all(list(s) == sorted(set(s)) and 1 <= s[0] and s[-1] <= 10**7 for s in subs)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticelab.convergence import FamilyMetadata, SequenceFamily, pointwise_limit
@@ -20,6 +20,7 @@ from latticelab.counterexamples import (
     running_meets,
     verify_escape,
 )
+from latticelab.envelopes import ENVELOPE_TOL
 from latticelab.errors import InputError
 from latticelab.metric import FiniteMetricSpace, discreteness_constant, max_slope
 
@@ -407,3 +408,33 @@ def test_lip_blow_up_always_clears_the_floor(levels):
         assert ratio > 1.0 / (2.0 * math.sqrt(t))
     rep = verify_escape(cex)
     assert rep.scale_fit[0] == pytest.approx(-0.5, abs=1e-9)
+
+
+def dense_refinement(ref):
+    """The same refinement with every level behind an explicit distance matrix."""
+    spaces = tuple(
+        FiniteMetricSpace.from_matrix(s.row_block(0, s.n), s.labels, validate=False)
+        for s in ref.spaces
+    )
+    return RefinementFamily(kind=ref.kind, levels=ref.levels, spaces=spaces,
+                            anchor=ref.anchor, pairs=ref.pairs)
+
+
+@settings(max_examples=20)  # each example runs the quadratic dense route
+@given(st.sampled_from(["accumulation", "pairs"]),
+       st.lists(st.integers(min_value=2, max_value=1024), min_size=1, max_size=3,
+                unique=True))
+def test_line_counterexample_agrees_with_the_dense_route(kind, levels):
+    ref = build_refinement(kind, levels)
+    line = lip_counterexample(ref, 4)
+    dense = lip_counterexample(dense_refinement(ref), 4)
+    assert line.blow_up == dense.blow_up
+    assert line.blow_up_pairs == dense.blow_up_pairs
+    np.testing.assert_array_equal(line.g.values, dense.g.values)
+    for (lv, sc, dl, slope), (lv_d, sc_d, dl_d, slope_d) in zip(line.level_rows,
+                                                                 dense.level_rows):
+        assert (lv, sc, dl) == (lv_d, sc_d, dl_d)
+        assert abs(slope - slope_d) <= 4 * np.spacing(slope_d)
+    for a, b in zip(line.envelopes, dense.envelopes):
+        assert np.abs(a.g_n.values - b.g_n.values).max() <= 1e-12
+        assert abs(a.alpha - b.alpha) <= ENVELOPE_TOL

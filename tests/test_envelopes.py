@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from latticelab.core import Carrier, LatticeElement
 from latticelab.envelopes import (
+    ENVELOPE_TOL,
     ClosedForm,
     ModulusCurve,
     error_bound,
@@ -287,3 +288,59 @@ def test_error_bound_decreases_to_zero_along_doubling(g):
 def test_achieved_error_never_exceeds_alpha(g):
     for res in inf_convolution_ladder(g, [1, 3, 9]):
         assert res.achieved_error <= res.alpha + 1e-9 * max(1.0, abs(g.values).max())
+
+
+# ---------------------------------------------------------------------------
+# the two-pass distance transform on the line against the dense sweep
+
+
+@st.composite
+def line_functions(draw):
+    # gaps of at least 2**-10 and |g| of at most ~100 keep the rounding of
+    # the envelope slopes (about ulp(|g|) / gap) far below the 1e-9 slack
+    # of the Lipschitz invariant, which the dense sweep needs as well
+    n = draw(st.integers(min_value=1, max_value=2048))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    step = 2.0 ** -draw(st.integers(min_value=0, max_value=10))
+    x = rng.choice(np.arange(-4 * n, 4 * n), size=n, replace=False) * step
+    kind = draw(st.sampled_from(["normal", "sqrt", "steps"]))
+    values = {
+        "normal": lambda: rng.standard_normal(n) * 10.0 ** draw(st.integers(-2, 1)),
+        "sqrt": lambda: np.minimum(np.sqrt(np.abs(x - x[0])), 1.0),
+        "steps": lambda: rng.integers(0, 2, size=n).astype(np.float64),
+    }[kind]()
+    return fn(x, values)
+
+
+def dense_twin(g):
+    """g on the same points behind an explicit |x_i - x_j| matrix."""
+    space = g.carrier.space
+    dense = FiniteMetricSpace.from_matrix(space.row_block(0, space.n), space.labels,
+                                          validate=False)
+    return LatticeElement(Carrier.points(dense), g.values)
+
+
+@given(line_functions(), st.lists(st.integers(min_value=1, max_value=512),
+                                  min_size=1, max_size=6))
+def test_line_ladder_agrees_with_the_dense_sweep(g, ns):
+    line = inf_convolution_ladder(g, ns)
+    dense = inf_convolution_ladder(dense_twin(g), ns)
+    scale = max(1.0, float(np.abs(g.values).max()))
+    for a, b in zip(line, dense):
+        assert np.abs(a.g_n.values - b.g_n.values).max() <= 1e-12 * scale
+        assert abs(a.alpha - b.alpha) <= ENVELOPE_TOL
+
+
+@given(line_functions())
+def test_line_rungs_sit_exactly_below_g_and_rise_exactly_with_n(g):
+    stack = np.stack([r.g_n.values for r in inf_convolution_ladder(g, range(1, 21))])
+    assert np.all(stack <= g.values)
+    assert np.all(np.diff(stack, axis=0) >= 0.0)
+
+
+def test_sqrt_ladder_rungs_keep_their_exact_order_on_the_accumulation_line():
+    xs = np.concatenate(([0.0], 1.0 / np.arange(1, 2001)))
+    g = fn(xs, np.minimum(np.sqrt(xs), 1.0))
+    stack = np.stack([r.g_n.values for r in inf_convolution_ladder(g, range(1, 21))])
+    assert np.all(stack <= g.values)
+    assert np.all(np.diff(stack, axis=0) >= 0.0)

@@ -346,3 +346,106 @@ def test_subspace_preserves_distances(space):
 @given(small_spaces())
 def test_coords_matrix_is_a_valid_metric(space):
     validate_matrix(space.matrix)
+
+
+# ---------------------------------------------------------------------------
+# the sorted-order route on the line against the dense row scans
+
+
+def dense_twin(space):
+    """The same points behind an explicit |x_i - x_j| matrix: the dense route."""
+    return FiniteMetricSpace.from_matrix(space.row_block(0, space.n), space.labels,
+                                         validate=False)
+
+
+@st.composite
+def line_spaces(draw):
+    n = draw(st.integers(min_value=2, max_value=2048))
+    kind = draw(st.sampled_from(["lattice", "uniform", "harmonic", "wide"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "lattice":  # exact distances and many equal gaps
+        x = rng.choice(np.arange(-4 * n, 4 * n), size=n, replace=False) * 0.125
+    elif kind == "uniform":
+        x = np.unique(rng.uniform(-1.0, 1.0, size=n))
+    elif kind == "harmonic":
+        x = np.concatenate(([0.0], 1.0 / np.arange(1, n)))
+    else:  # sixteen decades of magnitude, so rounding shapes the distances
+        x = np.unique(rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, size=n))
+    return FiniteMetricSpace.from_coords(rng.permutation(x))
+
+
+@given(line_spaces(), st.data())
+def test_line_scans_are_bitwise_equal_to_the_dense_route(space, data):
+    dense = dense_twin(space)
+    assert space.line_order is not None and dense.line_order is None
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    np.testing.assert_array_equal(isolation_radii(space), isolation_radii(dense))
+    delta = discreteness_constant(space)
+    assert delta == discreteness_constant(dense)
+    k = data.draw(st.integers(min_value=1, max_value=space.n))
+    targets = list(rng.choice(space.labels, size=k, replace=False))
+    np.testing.assert_array_equal(dist_to_set_all(space, targets),
+                                  dist_to_set_all(dense, targets))
+    n_excl = data.draw(st.sampled_from([0, 1, 2, space.n // 10, space.n // 2, space.n]))
+    excluded = set(rng.choice(space.labels, size=n_excl, replace=False))
+    eps = delta * data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 10.0, 1e3, 1e9]))
+    assert find_close_pair(space, excluded, eps) == find_close_pair(dense, excluded, eps)
+
+
+def test_line_close_pair_breaks_a_two_sided_tie_by_index():
+    # p0 sits midway between p1 and p2; the row scan takes the smaller index
+    space = FiniteMetricSpace.from_coords(np.array([1.0, 2.0, 0.0, 5.0]))
+    assert find_close_pair(space, set(), 10.0) == ("p0", "p1")
+    assert find_close_pair(dense_twin(space), set(), 10.0) == ("p0", "p1")
+
+
+@given(line_spaces(), st.data())
+def test_line_max_slope_agrees_with_the_dense_route(space, data):
+    dense = dense_twin(space)
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    x = space.coords[:, 0]
+    kind = data.draw(st.sampled_from(["normal", "linear", "steps", "sqrt"]))
+    values = {
+        "normal": lambda: rng.standard_normal(space.n),
+        "linear": lambda: 3.0 * x,  # every slope ties
+        "steps": lambda: rng.integers(0, 3, size=space.n).astype(np.float64),
+        "sqrt": lambda: np.sqrt(np.abs(x)),
+    }[kind]()
+    constant, (a, b) = max_slope(space, values)
+    oracle, _ = max_slope(dense, values)
+    assert abs(constant - oracle) <= 4 * np.spacing(oracle)
+    i, j = space.index(a), space.index(b)
+    assert i < j
+    assert abs(values[i] - values[j]) / dense.matrix[i, j] == constant
+
+
+def test_line_max_slope_ties_resolve_to_the_smallest_adjacent_pair():
+    # f = x: every chord has slope 1; the adjacent pairs are (1,3), (0,3), (0,2)
+    space = FiniteMetricSpace.from_coords(np.array([2.0, 0.0, 3.0, 1.0]))
+    values = space.coords[:, 0].copy()
+    assert max_slope(space, values) == (1.0, ("p0", "p2"))
+    assert max_slope(dense_twin(space), values) == (1.0, ("p0", "p1"))
+
+
+def test_dense_max_slope_takes_the_first_maximum_in_row_major_order():
+    # f(x, y) = x on the unit square's corners: both horizontal edges have slope 1
+    space = FiniteMetricSpace.from_coords(np.array([[0.0, 0.0], [1.0, 0.0],
+                                                    [0.0, 1.0], [1.0, 1.0]]))
+    assert space.line_order is None
+    constant, pair = max_slope(space, np.array([0.0, 1.0, 0.0, 1.0]))
+    assert constant == 1.0
+    assert pair == ("p0", "p1")
+
+
+def test_max_slope_rejects_non_finite_values():
+    with pytest.raises(InputError, match="finite"):
+        max_slope(grid_space(3), np.array([0.0, np.nan, 1.0]))
+
+
+def test_line_order_only_for_one_column_coordinates():
+    line = grid_space(4)
+    assert list(FiniteMetricSpace.from_coords(np.array([2.0, -1.0, 5.0])).line_order) == [1, 0, 2]
+    assert line.line_order is line.line_order
+    assert not line.line_order.flags.writeable
+    assert dense_twin(line).line_order is None
+    assert FiniteMetricSpace.from_coords(np.eye(3)).line_order is None
