@@ -20,7 +20,6 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -60,7 +59,6 @@ from .errors import (
 )
 from .metric import (
     FiniteMetricSpace,
-    discreteness_constant,
     dist_to_set_all,
     find_close_pair,
     isolation_profile,
@@ -232,7 +230,7 @@ def _ints(text: str):
 def cmd_metric(args) -> int:
     space = serialize.load_space(args.space, args.format)
     profile = isolation_profile(space)
-    delta = discreteness_constant(space)
+    delta = profile.delta
     pair = None
     if space.n >= 2 and np.isfinite(delta):
         pair = find_close_pair(space, excluded=(), eps=2.0 * delta)
@@ -418,17 +416,15 @@ def cmd_verify(args) -> int:
         raise InputError("verify needs exactly one of --witness or --report")
     family = serialize.load_family(args.family)
     if args.witness is not None:
-        with open(args.witness, encoding="utf-8") as fh:
-            witness = serialize.witness_from_json(json.load(fh), where=args.witness,
-                                                  strict_replay=True)
+        witness = serialize.witness_from_json(serialize.read_json(args.witness),
+                                              where=args.witness, strict_replay=True)
         if isinstance(witness, BlockWitness):
             verify_block_witness(witness, family)
         else:
             verify_jump_witness(witness, family)
         print(f"witness re-verified against {args.family}")
         return EXIT_OK
-    with open(args.report, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = serialize.read_json(args.report)
     if doc.get("type") != "verdict":
         raise InputError(f"{args.report}: not a check report")
     cert = serialize.certificate_from_json(doc.get("certificate"), family.carrier,

@@ -230,36 +230,21 @@ class SequenceFamily:
     def _verify_metadata(self) -> None:
         meta = self.metadata
         vh = self.verification_horizon
-        prefix = [self.member(n) for n in range(1, vh + 1)]
-        if meta.common_bound is not None:
-            if not self.carrier.compatible(meta.common_bound.carrier):
-                raise MetadataError("common bound lives on a different carrier")
-            for n, x in enumerate(prefix, start=1):
-                if not _le_or_metadata_error(abs_(x), meta.common_bound,
-                                             f"member {n} vs the common bound"):
-                    raise MetadataError(f"member {n} exceeds the declared common bound")
-        if meta.monotone_decreasing:
-            for n, (a, b) in enumerate(zip(prefix, prefix[1:]), start=1):
-                if not _le_or_metadata_error(b, a, f"members {n + 1} > {n}"):
-                    raise MetadataError(
-                        f"family declared decreasing but member {n + 1} exceeds member {n}"
-                    )
+        if meta.common_bound is not None and not self.carrier.compatible(
+                meta.common_bound.carrier):
+            raise MetadataError("common bound lives on a different carrier")
         if meta.limit is not None and not self.carrier.compatible(meta.limit.carrier):
             raise MetadataError("declared limit lives on a different carrier")
-        if meta.uniformly_cauchy_norms is not None:
+        breach = _monotone_breach(self, meta.common_bound, meta.monotone_decreasing, vh)
+        if breach is None and meta.uniformly_cauchy_norms is not None:
             eps = meta.uniformly_cauchy_norms
             if len(eps) < self.horizon:
                 raise MetadataError(
                     f"{len(eps)} uniform Cauchy norms declared for horizon {self.horizon}"
                 )
-            for j in range(len(prefix)):
-                for l in range(j + 1, len(prefix)):
-                    gap = _sup_gap(prefix[j], prefix[l])
-                    if gap > eps[j]:
-                        raise MetadataError(
-                            f"||x_{j + 1} - x_{l + 1}|| = {gap:.6g} exceeds the "
-                            f"declared eps_{j + 1} = {eps[j]:.6g}"
-                        )
+            breach = _uniform_breach(self, eps, vh)
+        if breach is not None:
+            raise MetadataError(breach)
 
 
 def _le_or_metadata_error(a, b, what: str) -> bool:
@@ -277,6 +262,36 @@ def _sup_gap(a: LatticeElement, b: LatticeElement) -> float:
             raise MetadataError("cannot bound a gap through undeclared tails")
         gap = max(gap, t.sup_abs(a.first_tail_index))
     return gap
+
+
+def _monotone_breach(family, bound, decreasing: bool, upto: int) -> str | None:
+    """First of |x_n| <= bound (when a bound is given) and x_n <= x_{n-1}
+    (when ``decreasing``) to fail over n = 1..upto, or None.  Construction,
+    the certificate route and certificate replay all run this one check."""
+    prev = None
+    for n in range(1, upto + 1):
+        x = family.member(n)
+        if bound is not None and not _le_or_metadata_error(
+                abs_(x), bound, f"member {n} vs the common bound"):
+            return f"member {n} exceeds the declared common bound"
+        if decreasing and prev is not None and not _le_or_metadata_error(
+                x, prev, f"members {n} vs {n - 1}"):
+            return f"family declared decreasing but member {n} exceeds member {n - 1}"
+        prev = x
+    return None
+
+
+def _uniform_breach(family, eps, upto: int) -> str | None:
+    """First pairwise sup-gap over members 1..upto above eps of its smaller
+    index, or None; shared by construction and certificate replay."""
+    members = [family.member(n) for n in range(1, upto + 1)]
+    for j in range(upto):
+        for l in range(j + 1, upto):
+            gap = _sup_gap(members[j], members[l])
+            if gap > eps[j]:
+                return (f"||x_{j + 1} - x_{l + 1}|| = {gap:.6g} exceeds the "
+                        f"declared eps_{j + 1} = {eps[j]:.6g}")
+    return None
 
 
 def truncation_family(exponent: float, coeff: float = 1.0, *, size: int = 64,
@@ -831,14 +846,13 @@ def _check_subsequence(family, indices, tolerance):
     when they vanish, else the stuck-coordinate witness."""
     rows = family.stacked(max(indices))[np.asarray(indices) - 1]
     diffs = np.abs(rows[1:] - rows[:-1])
-    reg = _suffix_sup(diffs)
-    final = float(reg[-1].max())
+    # the regulator's final level is the last difference itself
+    final = float(diffs[-1].max())
     if final <= tolerance:
         if family.carrier.is_index_set:
-            # the last difference is the regulator's final level on the tail too
             first = family.carrier.size + 1
-            tails = family.tails(max(indices))
-            t = tail_abs(tail_sub(tails[indices[-1] - 1], tails[indices[-2] - 1]))
+            t = tail_abs(tail_sub(family.member(indices[-1]).tail,
+                                  family.member(indices[-2]).tail))
             if t.decidable and t.sup_abs(first) > tolerance:
                 return SubsequenceWitness(
                     indices=tuple(indices),
@@ -847,7 +861,7 @@ def _check_subsequence(family, indices, tolerance):
                                           trace_start=len(indices), trace=()),
                 )
         return None
-    worst = int(np.argmax(reg[-1]))
+    worst = int(np.argmax(diffs[-1]))
     return SubsequenceWitness(
         indices=tuple(indices),
         stuck=_stuck(family, diffs, len(diffs), worst, final),
@@ -871,16 +885,9 @@ def check_buo_cauchy(family: SequenceFamily, policy, config: CheckConfig | None 
         if meta.monotone_decreasing and meta.common_bound is not None:
             # construction verified the declared prefix; re-verify the full
             # checked range so the certificate covers what the verdict claims
-            prev = family.member(1)
-            for n in range(2, upto + 1):
-                cur = family.member(n)
-                if not _le_or_metadata_error(cur, prev, f"members {n} vs {n - 1}"):
-                    raise MetadataError(f"declared decrease breaks at member {n}")
-                prev = cur
-            for n in range(1, upto + 1):
-                if not _le_or_metadata_error(abs_(family.member(n)), meta.common_bound,
-                                             f"member {n} vs the common bound"):
-                    raise MetadataError(f"common bound fails at member {n}")
+            breach = _monotone_breach(family, meta.common_bound, True, upto)
+            if breach is not None:
+                raise MetadataError(breach)
             cert = MonotoneCertificate(bound=meta.common_bound)
             return ConvergenceVerdict(
                 mode="buo_cauchy", outcome="holds", tolerance=cfg.tolerance,
@@ -963,44 +970,34 @@ def _bound_norm(y: LatticeElement) -> float:
     return sup_norm(y) if y.carrier.is_index_set else y.max_abs_prefix()
 
 
+def _replayed(breach: str | None, strict: bool) -> bool:
+    if breach is None:
+        return True
+    if strict:
+        raise MetadataError(f"certificate violated: {breach}")
+    return False
+
+
 def verify_uniform_certificate(family: SequenceFamily, cert: UniformCauchyCertificate,
                                strict: bool = False) -> bool:
     """Replay: every pairwise sup-gap with both indices >= m fits under eps_m."""
     upto = min(len(cert.eps), family.horizon)
-    members = [family.member(n) for n in range(1, upto + 1)]
-    for j in range(upto):
-        for l in range(j + 1, upto):
-            gap = _sup_gap(members[j], members[l])
-            if gap > cert.eps[j]:
-                if strict:
-                    raise MetadataError(
-                        f"certificate violated: ||x_{j + 1} - x_{l + 1}|| = {gap:.6g} "
-                        f"> eps_{j + 1} = {cert.eps[j]:.6g}"
-                    )
-                return False
-    return True
+    return _replayed(_uniform_breach(family, cert.eps, upto), strict)
 
 
 def verify_monotone_certificate(family: SequenceFamily, cert: MonotoneCertificate,
                                 upto: int, strict: bool = False) -> bool:
     """Replay: the stored bound is the family's declared common bound and
     dominates |x_n| for n = 1..upto, tails included."""
-    def fail(why: str) -> bool:
-        if strict:
-            raise MetadataError(f"certificate violated: {why}")
-        return False
-
     declared = family.metadata.common_bound
     if declared is None:
-        return fail("the family declares no common bound")
-    if not (_le_or_metadata_error(cert.bound, declared, "stored vs declared bound")
-            and _le_or_metadata_error(declared, cert.bound, "declared vs stored bound")):
-        return fail("the stored bound differs from the declared common bound")
-    for n in range(1, family.prefix_count(upto) + 1):
-        if not _le_or_metadata_error(abs_(family.member(n)), cert.bound,
-                                     f"member {n} vs the stored bound"):
-            return fail(f"member {n} exceeds the stored bound")
-    return True
+        breach = "the family declares no common bound"
+    elif not (_le_or_metadata_error(cert.bound, declared, "stored vs declared bound")
+              and _le_or_metadata_error(declared, cert.bound, "declared vs stored bound")):
+        breach = "the stored bound differs from the declared common bound"
+    else:
+        breach = _monotone_breach(family, cert.bound, False, family.prefix_count(upto))
+    return _replayed(breach, strict)
 
 
 # ---------------------------------------------------------------------------

@@ -220,8 +220,7 @@ def load_space(path, fmt: str) -> FiniteMetricSpace:
     if fmt == "coords-csv":
         return read_coords_csv(path)
     if fmt == "space-json":
-        with open(path, encoding="utf-8") as fh:
-            return space_from_json(json.load(fh), where=str(path))
+        return space_from_json(read_json(path), where=str(path))
     raise InputError(f"unknown space format {fmt!r}; "
                      "expected distance-csv, coords-csv or space-json")
 
@@ -398,13 +397,20 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
     return SequenceFamily(members=members, metadata=meta)
 
 
-def load_family(path) -> SequenceFamily:
+def read_json(path):
+    """Parse a JSON file; malformed JSON is an InputError naming the file
+    and the position of the damage."""
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    return family_from_json(doc, where=str(path))
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def load_family(path) -> SequenceFamily:
+    return family_from_json(read_json(path), where=str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ Two extraction routines, both replayable from the stored record:
   eps at every k_i, which no c0 element can do along an unbounded chain.
 * disjoint blocks: intervals I_1 < I_2 < ... on which consecutive member
   differences keep p-norm above 1.  Disjoint supports add in p-th power,
-  so any dominator's p-norm grows like count**(1/p).
+  so any dominator's p-norm grows like count**(1/p).  One greedy loop
+  extracts the blocks from two mass sources: the closed-form truncation
+  model, or an explicit family's stored prefix plus declared tails.
+  Replay re-runs the same source's masses on the stored boundaries.
 
 Selection is greedy with smallest-index tie-breaking throughout, so a
 record is a pure function of (family, parameters) and golden files stay
@@ -423,6 +426,97 @@ def _diff_mass(a: LatticeElement, b: LatticeElement, p: float):
     return _element_mass(diff, p)
 
 
+class _ModelMasses:
+    """Block p-masses of a truncation family from its closed-form model.
+
+    Member n is the limit cut off past coordinate n, so every mass is a
+    model mass over a window clipped to the member's support.
+    """
+
+    caveat = ("norms come from the family's closed-form model; blocks may reach "
+              "far past the stored prefix, where per-coordinate data is never "
+              "materialized")
+
+    def __init__(self, model, p: float):
+        self.model, self.p = model, p
+
+    def k_bracket(self, n: int, lo: int) -> int:
+        # past its support member n has no mass at all
+        return max(lo, n + 1)
+
+    def suffix(self, n: int, k: int) -> float:
+        return self.model.mass(self.p, k, n + 1)
+
+    def limit(self, k: int, end: int) -> float:
+        return self.model.mass(self.p, k, end)
+
+    def approx(self, n: int, k: int, end: int) -> float:
+        return self.model.mass(self.p, max(k, n + 1), end)
+
+    def diff(self, lo: int, hi: int, k: int, end: int) -> float:
+        return self.model.mass(self.p, max(k, lo + 1), min(end, hi + 1))
+
+    def first_approx(self, lo: int, hi: int, k: int, end: int, budget: float):
+        # the limit mass left past a member's support shrinks as n grows
+        return _least(lo, hi, lambda t: self.approx(t, k, end) < budget)
+
+
+class _ExplicitMasses:
+    """Block p-masses of an explicit family: stored prefix plus declared tails."""
+
+    caveat = "norms combine stored prefix values with declared tail closed forms"
+
+    def __init__(self, family: SequenceFamily, limit: LatticeElement, p: float):
+        self.family, self.limit_element, self.p = family, limit, p
+        self.limit_mass = _element_mass(limit, p)
+        self._member_mass = {}
+
+    def _mass_of(self, n: int):
+        got = self._member_mass.get(n)
+        if got is None:
+            got = self._member_mass[n] = _element_mass(self.family.member(n), self.p)
+        return got
+
+    def k_bracket(self, n: int, lo: int) -> int:
+        if not self._mass_of(n)(1, math.inf) < math.inf:
+            raise InputError(
+                f"member {n} has infinite lp(p={self.p:g}) mass; the family is "
+                "not inside the target space"
+            )
+        return max(lo, self.family.carrier.size + 1)
+
+    def suffix(self, n: int, k: int) -> float:
+        return self._mass_of(n)(k, math.inf)
+
+    def limit(self, k: int, end: int) -> float:
+        return self.limit_mass(k, end)
+
+    def approx(self, n: int, k: int, end: int) -> float:
+        return _diff_mass(self.family.member(n), self.limit_element, self.p)(k, end)
+
+    def diff(self, lo: int, hi: int, k: int, end: int) -> float:
+        return _diff_mass(self.family.member(hi), self.family.member(lo), self.p)(k, end)
+
+    def first_approx(self, lo: int, hi: int, k: int, end: int, budget: float):
+        # stored members need not approach the limit monotonically: scan
+        return next((n for n in range(lo, hi + 1) if self.approx(n, k, end) < budget),
+                    None)
+
+
+def _masses(family: SequenceFamily, limit: LatticeElement, p: float):
+    if family.model is not None:
+        return _ModelMasses(family.model, p)
+    return _ExplicitMasses(family, limit, p)
+
+
+def _block_norms(masses, n_lo: int, n_hi: int, k: int, end: int) -> tuple:
+    """(tail, limit, approximation, difference) p-norms of block [k, end)
+    framed by members n_lo < n_hi; extraction and replay both read these."""
+    root = 1.0 / masses.p
+    return (masses.suffix(n_lo, k) ** root, masses.limit(k, end) ** root,
+            masses.approx(n_hi, k, end) ** root, masses.diff(n_lo, n_hi, k, end) ** root)
+
+
 def extract_lp_block_witness(family: SequenceFamily, p: float, count: int,
                              constants: ProofConstants | None = None,
                              config: CheckConfig | None = None) -> BlockWitness:
@@ -452,108 +546,25 @@ def extract_lp_block_witness(family: SequenceFamily, p: float, count: int,
             "no block witness exists"
         )
 
-    if family.model is not None:
-        return _model_blocks(family, p, count, cons)
-    return _explicit_blocks(family, limit, p, count, cons)
-
-
-def _model_blocks(family: SequenceFamily, p: float, count: int,
-                  cons: ProofConstants) -> BlockWitness:
-    model = family.model
+    masses = _masses(family, limit, p)
     budget_mass = cons.tail_budget ** p
     need_mass = cons.block_mass ** p
     horizon = family.horizon
     n_cur = 1
     indices = [1]
-    blocks, norms, tail_norms, limit_norms, approx_norms = [], [], [], [], []
+    blocks, rows = [], []
 
     for i in range(1, count + 1):
         lo = blocks[-1][1] + 1 if blocks else 1
-        # member n_cur has support j <= n_cur, so its mass past k is the
-        # model mass over [k, n_cur + 1); shrinking in k, zero past support
-        k = _least(lo, max(lo, n_cur + 1),
-                   lambda t: model.mass(p, t, n_cur + 1) < budget_mass)
-        tail_mass = model.mass(p, k, n_cur + 1)
-
-        hi = k + 1
-        while model.mass(p, k, hi) <= need_mass:
-            if hi >= COORDINATE_CAP:
-                raise HorizonExhaustedError(
-                    f"block {i} starting at {k} would end beyond the coordinate "
-                    f"cap {COORDINATE_CAP}",
-                    found=i - 1, usable=(),
-                )
-            hi = min(hi * 2, COORDINATE_CAP)
-        end = _least(k + 1, hi, lambda t: model.mass(p, k, t) > need_mass)
-        block_mass = model.mass(p, k, end)
-
-        n_next = _least(n_cur + 1, horizon,
-                        lambda t: model.mass(p, max(k, t + 1), end) < budget_mass)
-        if n_next is None:
-            raise HorizonExhaustedError(
-                f"no member past {n_cur} within horizon {horizon} approximates "
-                f"the limit on block {i} = [{k}, {end})",
-                found=i - 1, usable=(),
-            )
-        approx_mass = model.mass(p, max(k, n_next + 1), end)
-        diff_mass = model.mass(p, max(k, n_cur + 1), min(end, n_next + 1))
-        norm = diff_mass ** (1.0 / p)
-        if not norm > 1.0:
-            raise InternalInvariantError(
-                f"block {i} difference norm {norm:.6g} failed the > 1 estimate"
-            )
-
-        indices.append(n_next)
-        blocks.append((k, end))
-        norms.append(norm)
-        tail_norms.append(tail_mass ** (1.0 / p))
-        limit_norms.append(block_mass ** (1.0 / p))
-        approx_norms.append(approx_mass ** (1.0 / p))
-        n_cur = n_next
-
-    return BlockWitness(
-        p=float(p), indices=tuple(indices), blocks=tuple(blocks),
-        norms=tuple(norms), tail_norms=tuple(tail_norms),
-        limit_norms=tuple(limit_norms), approx_norms=tuple(approx_norms),
-        tail_budget=cons.tail_budget, block_mass=cons.block_mass,
-        horizon=horizon,
-        caveat=(
-            "norms come from the family's closed-form model; blocks may reach "
-            "far past the stored prefix, where per-coordinate data is never "
-            "materialized"
-        ),
-    )
-
-
-def _explicit_blocks(family: SequenceFamily, limit: LatticeElement, p: float,
-                     count: int, cons: ProofConstants) -> BlockWitness:
-    budget_mass = cons.tail_budget ** p
-    need_mass = cons.block_mass ** p
-    horizon = family.horizon
-    limit_mass = _element_mass(limit, p)
-    n_cur = 1
-    indices = [1]
-    blocks, norms, tail_norms, limit_norms, approx_norms = [], [], [], [], []
-
-    for i in range(1, count + 1):
-        member = family.member(n_cur)
-        mmass = _element_mass(member, p)
-        if not mmass(1, math.inf) < math.inf:
-            raise InputError(
-                f"member {n_cur} has infinite lp(p={p:g}) mass; the family is "
-                "not inside the target space"
-            )
-        lo = blocks[-1][1] + 1 if blocks else 1
-        # limit of the shrinking suffix mass is 0, so some start qualifies;
-        # search brackets double until the predicate flips
-        hi = max(lo, family.carrier.size + 1)
-        while mmass(hi, math.inf) >= budget_mass:
+        # the member's suffix mass shrinks to 0 in k, so the search bracket
+        # doubles until the predicate flips
+        hi = masses.k_bracket(n_cur, lo)
+        while masses.suffix(n_cur, hi) >= budget_mass:
             hi *= 2
-        k = _least(lo, hi, lambda t: mmass(t, math.inf) < budget_mass)
-        tail_mass = mmass(k, math.inf)
+        k = _least(lo, hi, lambda t: masses.suffix(n_cur, t) < budget_mass)
 
         hi = k + 1
-        while limit_mass(k, hi) <= need_mass:
+        while masses.limit(k, hi) <= need_mass:
             if hi >= COORDINATE_CAP:
                 raise HorizonExhaustedError(
                     f"block {i} starting at {k} would end beyond the coordinate "
@@ -561,43 +572,32 @@ def _explicit_blocks(family: SequenceFamily, limit: LatticeElement, p: float,
                     found=i - 1, usable=(),
                 )
             hi = min(hi * 2, COORDINATE_CAP)
-        end = _least(k + 1, hi, lambda t: limit_mass(k, t) > need_mass)
-        block_mass = limit_mass(k, end)
+        end = _least(k + 1, hi, lambda t: masses.limit(k, t) > need_mass)
 
-        n_next = approx_mass = None
-        for n in range(n_cur + 1, horizon + 1):
-            a = _diff_mass(family.member(n), limit, p)(k, end)
-            if a < budget_mass:
-                n_next, approx_mass = n, a
-                break
+        n_next = masses.first_approx(n_cur + 1, horizon, k, end, budget_mass)
         if n_next is None:
             raise HorizonExhaustedError(
                 f"no member past {n_cur} within horizon {horizon} approximates "
                 f"the limit on block {i} = [{k}, {end})",
                 found=i - 1, usable=(),
             )
-        diff_mass = _diff_mass(family.member(n_next), family.member(n_cur), p)(k, end)
-        norm = diff_mass ** (1.0 / p)
-        if not norm > 1.0:
+        row = _block_norms(masses, n_cur, n_next, k, end)
+        if not row[3] > 1.0:
             raise InternalInvariantError(
-                f"block {i} difference norm {norm:.6g} failed the > 1 estimate"
+                f"block {i} difference norm {row[3]:.6g} failed the > 1 estimate"
             )
-
         indices.append(n_next)
         blocks.append((k, end))
-        norms.append(norm)
-        tail_norms.append(tail_mass ** (1.0 / p))
-        limit_norms.append(block_mass ** (1.0 / p))
-        approx_norms.append(approx_mass ** (1.0 / p))
+        rows.append(row)
         n_cur = n_next
 
+    tail_norms, limit_norms, approx_norms, norms = zip(*rows)
     return BlockWitness(
         p=float(p), indices=tuple(indices), blocks=tuple(blocks),
-        norms=tuple(norms), tail_norms=tuple(tail_norms),
-        limit_norms=tuple(limit_norms), approx_norms=tuple(approx_norms),
+        norms=norms, tail_norms=tail_norms,
+        limit_norms=limit_norms, approx_norms=approx_norms,
         tail_budget=cons.tail_budget, block_mass=cons.block_mass,
-        horizon=horizon,
-        caveat="norms combine stored prefix values with declared tail closed forms",
+        horizon=horizon, caveat=masses.caveat,
     )
 
 
@@ -613,23 +613,9 @@ def verify_block_witness(witness: BlockWitness, family: SequenceFamily) -> bool:
             f"witness was extracted at horizon {witness.horizon}, beyond the "
             f"family's {family.horizon}"
         )
-    limit = pointwise_limit(family)
-    p = witness.p
+    masses = _masses(family, pointwise_limit(family), witness.p)
     for i, (k, end) in enumerate(witness.blocks):
-        n_lo, n_hi = witness.indices[i], witness.indices[i + 1]
-        if family.model is not None:
-            model = family.model
-            tail_mass = model.mass(p, k, n_lo + 1)
-            block_mass = model.mass(p, k, end)
-            approx_mass = model.mass(p, max(k, n_hi + 1), end)
-            diff_mass = model.mass(p, max(k, n_lo + 1), min(end, n_hi + 1))
-        else:
-            tail_mass = _element_mass(family.member(n_lo), p)(k, math.inf)
-            block_mass = _element_mass(limit, p)(k, end)
-            approx_mass = _diff_mass(family.member(n_hi), limit, p)(k, end)
-            diff_mass = _diff_mass(family.member(n_hi), family.member(n_lo), p)(k, end)
-        got = (tail_mass ** (1.0 / p), block_mass ** (1.0 / p),
-               approx_mass ** (1.0 / p), diff_mass ** (1.0 / p))
+        got = _block_norms(masses, witness.indices[i], witness.indices[i + 1], k, end)
         want = (witness.tail_norms[i], witness.limit_norms[i],
                 witness.approx_norms[i], witness.norms[i])
         if got != want:

@@ -301,6 +301,26 @@ def test_verify_input_guards(family_file, capsys):
     assert "not a check report" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, where", [
+    (b"{not json", "line 1, column 2"),
+    (b"\xff{", "not UTF-8 text"),
+])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "{family}", "--witness", "{bad}"],
+    ["verify", "--family", "{family}", "--report", "{bad}"],
+    ["metric", "--space", "{bad}", "--format", "space-json"],
+])
+def test_invalid_json_exits_two_naming_the_file(argv, content, where, family_file,
+                                                tmp_path, capsys):
+    bad = tmp_path / "broken.json"
+    bad.write_bytes(content)
+    argv = [a.format(family=family_file, bad=bad) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: {where}" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # metric and envelope
 

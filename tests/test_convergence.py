@@ -407,6 +407,27 @@ def test_monotone_certificate_route_on_hats():
     assert v.policy == "certificate"
 
 
+def test_certificate_route_rechecks_claims_past_the_verification_horizon():
+    # construction only checks members 1..3; the certificate route covers
+    # every member its verdict claims, so breaks at 5 and 6 surface there
+    bound = seq([1.0, 1.0, 1.0], Tail.constant(1.0))
+
+    def family(values_at):
+        fam = SequenceFamily(
+            make=lambda n: seq(values_at(n)), horizon=8, verification_horizon=3,
+            metadata=FamilyMetadata(monotone_decreasing=True, common_bound=bound),
+        )
+        assert fam.verification_horizon == 3
+        return fam
+
+    rising = family(lambda n: [1.0 / n if n != 5 else 0.5, 0.0, 0.0])
+    with pytest.raises(MetadataError, match="declared decreasing but member 5 exceeds member 4"):
+        check_buo_cauchy(rising, CertificatePolicy())
+    escaping = family(lambda n: [1.0 / n, 0.0, -2.0 if n >= 6 else 0.0])
+    with pytest.raises(MetadataError, match="member 6 exceeds the declared common bound"):
+        check_buo_cauchy(escaping, CertificatePolicy())
+
+
 def test_uniform_certificate_route():
     # x_n = (1 - 2^(1-n)) * ones settles geometrically: eps_m = 2^(1-m)
     count = 32
@@ -461,6 +482,15 @@ def test_included_subsequence_replays_verbatim():
     )
     assert replay.outcome == "fails"
     assert replay.witness.indices == first.witness.indices
+
+
+def test_sampled_policy_sees_a_gap_that_lives_only_in_the_tails():
+    fam = SequenceFamily(members=[seq([0.0] * 3, Tail.constant(1.0 / n)) for n in range(1, 7)])
+    v = check_buo_cauchy(fam, SampledPolicy(count=1, include=((1, 2),)))
+    assert v.outcome == "fails"
+    assert v.witness.indices == (1, 2)
+    assert v.witness.stuck.coordinate == "tail(j>=4)"
+    assert v.witness.stuck.final_regulator == 0.5
 
 
 def test_included_subsequence_beyond_horizon_is_rejected():

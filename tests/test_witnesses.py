@@ -218,6 +218,16 @@ def test_tampered_block_norm_fails_replay():
         verify_block_witness(forged, fam)
 
 
+def test_tampered_block_norm_fails_explicit_replay():
+    fam = harmonic_truncations(size=96, depth=192)
+    w = extract_lp_block_witness(fam, p=1.0, count=2)
+    assert verify_block_witness(w, fam)
+    # the approximation norm is the one the explicit route's member scan reads
+    forged = dataclasses.replace(w, approx_norms=w.approx_norms[:1] + (w.approx_norms[1] / 2,))
+    with pytest.raises(InternalInvariantError, match="block 2 norms .* differ from the stored"):
+        verify_block_witness(forged, fam)
+
+
 def test_block_record_rejects_overlap():
     with pytest.raises(InputError, match="overlaps"):
         BlockWitness(
