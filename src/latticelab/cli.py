@@ -383,17 +383,15 @@ def cmd_generate(args) -> int:
             raise InputError(f"--eps must be positive, got {args.eps}")
         if args.depth > args.size:
             raise InputError("--depth beyond --size would freeze the plateau")
-        carrier = Carrier.index_set(args.size)
-        high = 4.0 * args.eps
-        members = []
-        for n in range(1, args.depth + 1):
-            values = np.where(np.arange(1, args.size + 1) <= n, high, 0.0)
-            members.append(LatticeElement(carrier, values, Tail.zero()))
+        # member n holds 4*eps on coordinates 1..n
+        values = np.where(np.arange(1, args.size + 1) <= np.arange(1, args.depth + 1)[:, None],
+                          4.0 * args.eps, 0.0)
         meta = FamilyMetadata(
             space_tag=SpaceTag.c0(), growth="bounded",
             notes=("plateau of height 4*eps spreading one coordinate per step",),
         )
-        family = SequenceFamily(members=members, metadata=meta)
+        family = SequenceFamily(values=values, tails=Tail.zero(),
+                                carrier=Carrier.index_set(args.size), metadata=meta)
         doc = serialize.family_to_json(family)
         doc["provenance"] = _provenance(args, {})
         _emit(args, "step_family.json", doc)
@@ -488,7 +486,7 @@ def main(argv=None) -> int:
     except (InputError, UndecidableTailError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission, ...
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except LatticeLabError as exc:

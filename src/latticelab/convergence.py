@@ -20,6 +20,7 @@ it was decided under.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -39,6 +40,7 @@ from .core import (
     pos_part,
     sup_norm,
     tail_abs,
+    tail_le,
     tail_max,
     tail_min,
     tail_sub,
@@ -154,78 +156,121 @@ class FamilyMetadata:
 class SequenceFamily:
     """A sequence of lattice elements on one carrier, indexed from n = 1.
 
-    Extensional families store every member; generator families hold a
-    closed form ``make(n)`` plus a horizon, and may attach a TruncationModel
-    so downstream analysis can reach coordinates the prefix never stores.
+    Members are one read-only (N, size) value matrix plus their tails: one
+    Tail shared by all, or one per member (none on metric-points carriers).
+    Pass ``members=`` (elements), ``values=`` with ``carrier=`` and
+    ``tails=`` (a Tail or a list; None is undeclared), or a generator
+    ``make(n)`` with a horizon, whose matrix fills lazily and which may
+    attach a TruncationModel so downstream analysis can reach coordinates
+    the prefix never stores.  ``member(n)`` wraps a read-only row.
     """
 
-    def __init__(self, *, members=None, make=None, horizon=None, metadata=None,
-                 verification_horizon=None, model=None, carrier=None):
-        if (members is None) == (make is None):
-            raise InputError("supply exactly one of members= or make=")
+    def __init__(self, *, members=None, values=None, tails=None, make=None, horizon=None,
+                 metadata=None, verification_horizon=None, model=None, carrier=None):
+        if sum(x is not None for x in (members, values, make)) != 1:
+            raise InputError("supply exactly one of members=, values= or make=")
         self.metadata = metadata if metadata is not None else FamilyMetadata()
-        self.model = model
-        self._cache: dict = {}
-        if members is not None:
-            members = tuple(members)
-            if not members:
-                raise InputError("a family needs at least one member")
-            self.members = members
-            self.make = None
-            self.horizon = len(members)
-            self.carrier = members[0].carrier
-            for m in members[1:]:
-                if not self.carrier.compatible(m.carrier):
-                    raise InputError("family members live on different carriers")
-            self.verification_horizon = self.horizon
-        else:
+        self.model, self.make = model, make
+        if make is not None:
             if horizon is None or horizon < 1:
                 raise InputError("generator families need a horizon >= 1")
-            self.members = None
-            self.make = make
             self.horizon = int(horizon)
             first = make(1)
             self.carrier = first.carrier if carrier is None else carrier
-            self._cache[1] = first
+            self._values = first.values[None, :]
+            self._tails = (first.tail,) if self.carrier.is_index_set else None
+            self._grow = threading.Lock()
             vh = verification_horizon if verification_horizon is not None else min(horizon, 64)
             self.verification_horizon = min(int(vh), self.horizon)
+        else:
+            if members is not None:
+                members = tuple(members)
+                if not members:
+                    raise InputError("a family needs at least one member")
+                carrier = members[0].carrier
+                if not all(carrier.compatible(m.carrier) for m in members):
+                    raise InputError("family members live on different carriers")
+                values = [m.values for m in members]
+                tails = [m.tail for m in members] if carrier.is_index_set else None
+            elif carrier is None:
+                raise InputError("a value matrix needs its carrier=")
+            self.carrier = carrier
+            self._values = np.array(values, dtype=np.float64)  # the family's own copy
+            if not len(self._values):
+                raise InputError("a family needs at least one member")
+            if self._values.ndim != 2 or self._values.shape[1] != carrier.size:
+                raise InputError(f"member values need shape (N, {carrier.size}), "
+                                 f"got {self._values.shape}")
+            if not np.isfinite(self._values).all():
+                n, k = np.argwhere(~np.isfinite(self._values))[0]
+                raise InputError(f"member {n + 1}: non-finite value at coordinate "
+                                 f"{carrier.coordinate_name(int(k))}")
+            self._values.setflags(write=False)
+            self.horizon = self.verification_horizon = len(self._values)
+            self._tails = None
+            if carrier.is_index_set:  # no tails means undeclared ones, as for an element
+                if not isinstance(tails, (list, tuple)):
+                    tails = [tails or Tail.none()] * self.horizon
+                self._tails = tuple(t or Tail.none() for t in tails)
+                if len(self._tails) != self.horizon:
+                    raise InputError(f"{len(self._tails)} tails for {self.horizon} members")
+                if self._tails.count(self._tails[0]) == self.horizon:
+                    self._tails = self._tails[0]  # one Tail shared by every member
+            elif tails is not None:
+                raise InputError("tail descriptors apply to index-set carriers only")
         self._verify_metadata()
 
     def member(self, n: int) -> LatticeElement:
         if not 1 <= n <= self.horizon:
             raise InputError(f"member index {n} outside 1..{self.horizon}")
-        if self.members is not None:
-            return self.members[n - 1]
-        got = self._cache.get(n)
-        if got is None:
-            got = self.make(n)
-            if not self.carrier.compatible(got.carrier):
-                raise InternalInvariantError(f"generator changed carriers at n={n}")
-            self._cache[n] = got
+        if n <= len(self._values):
+            return LatticeElement(self.carrier, self._values[n - 1], self.tail(n),
+                                  _family_row=True)
+        got = self.make(n)  # a generated member past the stacked prefix
+        if not self.carrier.compatible(got.carrier):
+            raise InternalInvariantError(f"generator changed carriers at n={n}")
         return got
+
+    @property
+    def members(self):
+        """Every member as a LatticeElement; None for generator families."""
+        return None if self.make else tuple(map(self.member, range(1, self.horizon + 1)))
 
     def prefix_count(self, upto: int) -> int:
         return min(upto, self.horizon)
 
     def stacked(self, upto: int) -> np.ndarray:
-        """Member values for n = 1..upto as an (upto, size) matrix."""
+        """Member values for n = 1..upto as a read-only (upto, size) matrix."""
         upto = self.prefix_count(upto)
-        cached = self._cache.get("stack")
-        if cached is None or cached.shape[0] < upto:
-            if self.members is None and upto > MEMBER_MATERIALIZE_LIMIT:
+        if upto > len(self._values):
+            if upto > MEMBER_MATERIALIZE_LIMIT:
                 raise InputError(
                     f"materializing {upto} generated members exceeds the limit "
                     f"{MEMBER_MATERIALIZE_LIMIT}; lower the horizon or use the model"
                 )
-            cached = np.stack([self.member(n).values for n in range(1, upto + 1)])
-            self._cache["stack"] = cached
-        return cached[:upto]
+            with self._grow:  # pool threads may stack one generator family at once
+                new = [self.member(n) for n in range(len(self._values) + 1, upto + 1)]
+                if new:  # tails go first: whoever sees the new rows finds their tails
+                    if self._tails is not None:
+                        self._tails += tuple(m.tail for m in new)
+                    grown = np.concatenate([self._values, [m.values for m in new]])
+                    grown.setflags(write=False)
+                    self._values = grown
+        return self._values[:upto]
+
+    def tail(self, n: int):
+        """Tail of member n, or None on metric-points carriers."""
+        if not isinstance(self._tails, tuple):
+            return self._tails
+        return self._tails[n - 1] if n <= len(self._tails) else self.make(n).tail
 
     def tails(self, upto: int):
         """Member tails for n = 1..upto, or None on metric-points carriers."""
-        if not self.carrier.is_index_set:
-            return None
-        return [self.member(n).tail for n in range(1, self.prefix_count(upto) + 1)]
+        upto = self.prefix_count(upto)
+        if not isinstance(self._tails, tuple):
+            return self._tails and (self._tails,) * upto
+        self.stacked(upto)
+        return self._tails[:upto]
 
     def _verify_metadata(self) -> None:
         meta = self.metadata
@@ -247,6 +292,23 @@ class SequenceFamily:
             raise MetadataError(breach)
 
 
+def _each_distinct(fn, items) -> list:
+    """[fn(t) for t in items], one call per distinct (hashable) item."""
+    memo = {}
+    return [memo[t] if t in memo else memo.setdefault(t, fn(t)) for t in items]
+
+
+def _running_max(tails, first: int) -> list:
+    """Running tail_max fold from the zero tail; since tail_max(tail_max(a,
+    t), t) == tail_max(a, t), a run of one tail object folds once."""
+    acc, prev, out = Tail.zero(), None, []
+    for t in tails:
+        if t is not prev:
+            acc, prev = tail_max(acc, t, first), t
+        out.append(acc)
+    return out
+
+
 def _le_or_metadata_error(a, b, what: str) -> bool:
     try:
         return le(a, b)
@@ -254,44 +316,107 @@ def _le_or_metadata_error(a, b, what: str) -> bool:
         raise MetadataError(f"cannot verify claim ({what}) through undeclared tails") from exc
 
 
-def _sup_gap(a: LatticeElement, b: LatticeElement) -> float:
-    gap = float(np.abs(a.values - b.values).max())
-    if a.carrier.is_index_set:
-        t = tail_abs(tail_sub(a.tail, b.tail))
-        if not t.decidable:
-            raise MetadataError("cannot bound a gap through undeclared tails")
-        gap = max(gap, t.sup_abs(a.first_tail_index))
-    return gap
+# tail_le verdicts as status codes: holds, fails, undecidable
+_STATUS = {True: 0, False: 1, None: 2}
 
 
 def _monotone_breach(family, bound, decreasing: bool, upto: int) -> str | None:
     """First of |x_n| <= bound (when a bound is given) and x_n <= x_{n-1}
-    (when ``decreasing``) to fail over n = 1..upto, or None.  Construction,
-    the certificate route and certificate replay all run this one check."""
-    prev = None
-    for n in range(1, upto + 1):
-        x = family.member(n)
-        if bound is not None and not _le_or_metadata_error(
-                abs_(x), bound, f"member {n} vs the common bound"):
-            return f"member {n} exceeds the declared common bound"
-        if decreasing and prev is not None and not _le_or_metadata_error(
-                x, prev, f"members {n} vs {n - 1}"):
-            return f"family declared decreasing but member {n} exceeds member {n - 1}"
-        prev = x
-    return None
+    (when ``decreasing``) to fail over n = 1..upto, or None; the bound goes
+    first, and tails decide only where the values hold.  Construction, the
+    certificate route and certificate replay all run this one check."""
+    x, tails = family.stacked(upto), family.tails(upto)
+    first = family.carrier.size + 1
+    status = np.zeros((upto, 2), dtype=np.int8)
+    if bound is not None:
+        status[:, 0] = ~np.all(np.abs(x) <= bound.values, axis=1)
+        if tails is not None:
+            status[:, 0] = np.where(status[:, 0], 1, _each_distinct(
+                lambda t: _STATUS[tail_le(tail_abs(t), bound.tail, first)], tails))
+    if decreasing and upto > 1:
+        status[1:, 1] = ~np.all(x[1:] <= x[:-1], axis=1)
+        if tails is not None:
+            status[1:, 1] = np.where(status[1:, 1], 1, _each_distinct(
+                lambda pair: _STATUS[tail_le(*pair, first)], zip(tails[1:], tails[:-1])))
+    hit = np.flatnonzero(status.any(axis=1))
+    if not len(hit):
+        return None
+    n = int(hit[0]) + 1
+    on_bound, on_decrease = status[n - 1]
+    if on_bound == 1:
+        return f"member {n} exceeds the declared common bound"
+    if 2 in (on_bound, on_decrease):
+        what = f"member {n} vs the common bound" if on_bound else f"members {n} vs {n - 1}"
+        raise MetadataError(f"cannot verify claim ({what}) through undeclared tails")
+    return f"family declared decreasing but member {n} exceeds member {n - 1}"
+
+
+def _later_gap(v: np.ndarray) -> np.ndarray:
+    """Entry j: max |v_l - v_j| over rows l > j and the columns of matrix v.
+    Float subtraction rounds monotonically, so max(sufmax_{j+1} - v_j,
+    v_j - sufmin_{j+1}) equals the pairwise maximum exactly."""
+    gap = np.maximum.accumulate(v[::-1], axis=0)[::-1][1:]
+    below = np.minimum.accumulate(v[::-1], axis=0)[::-1][1:]
+    gap -= v[:-1]  # in place: two (N - 1, size) temporaries in all
+    np.maximum(gap, np.subtract(v[:-1], below, out=below), out=gap)
+    return gap.max(axis=1)
 
 
 def _uniform_breach(family, eps, upto: int) -> str | None:
-    """First pairwise sup-gap over members 1..upto above eps of its smaller
-    index, or None; shared by construction and certificate replay."""
-    members = [family.member(n) for n in range(1, upto + 1)]
-    for j in range(upto):
-        for l in range(j + 1, upto):
-            gap = _sup_gap(members[j], members[l])
-            if gap > eps[j]:
-                return (f"||x_{j + 1} - x_{l + 1}|| = {gap:.6g} exceeds the "
-                        f"declared eps_{j + 1} = {eps[j]:.6g}")
-    return None
+    """First pair j < l of members 1..upto, row by row, whose sup-gap (tails
+    included) exceeds eps_j, or None; a pair whose tail difference is
+    undeclared raises where a pairwise scan would meet it first.
+    Construction and certificate replay share this check.
+
+    Each row's largest value gap to a later row comes from _later_gap.  The
+    tail gap of each pair of distinct tails is worked out once, by core's
+    tail_sub/tail_abs/sup_abs, and the tails after row j are those whose
+    last occurrence lies past j.  One pass finds the first row with a
+    breach or an undeclared gap, and a scan of that row finds l."""
+    if upto < 2:
+        return None
+    x, tails = family.stacked(upto), family.tails(upto)
+    row_gap = _later_gap(x)
+    limits = np.asarray(eps[:upto - 1], dtype=np.float64)
+    if tails is not None:
+        first = family.carrier.size + 1
+        ids = {}
+        code = [ids.setdefault(t, len(ids)) for t in tails]
+        distinct, memo = list(ids), {}
+
+        def tail_gap(a: int, b: int) -> float:
+            """sup |t_a - t_b| of distinct tails a, b; NaN when undeclared."""
+            if (a, b) not in memo:
+                t = tail_abs(tail_sub(distinct[a], distinct[b]))
+                memo[a, b] = t.sup_abs(first) if t.decidable else math.nan
+            return memo[a, b]
+
+        last = np.zeros(len(distinct), dtype=np.intp)
+        np.maximum.at(last, code, np.arange(upto))
+        order = np.argsort(last)
+        later = np.searchsorted(last[order], np.arange(upto - 1), side="right")
+        rows_of = np.asarray(code[:-1])
+        for a in set(code[:-1]):
+            rows = np.flatnonzero(rows_of == a)
+            start = later[rows[0]]  # order[start:] are the tails after a's first row
+            gaps = np.array([tail_gap(a, b) for b in order[start:].tolist()])
+            gaps = np.maximum.accumulate(np.where(np.isnan(gaps), np.inf, gaps)[::-1])[::-1]
+            row_gap[rows] = np.maximum(row_gap[rows], gaps[later[rows] - start])
+    breach = np.flatnonzero(row_gap > limits)
+    if not len(breach):
+        return None
+    j = int(breach[0])
+    gap = np.abs(x[j + 1:] - x[j]).max(axis=1)
+    undeclared = np.zeros(len(gap), dtype=bool)
+    if tails is not None:
+        tgap = np.array([tail_gap(code[j], b) for b in code[j + 1:]])
+        undeclared = np.isnan(tgap)
+        gap = np.fmax(gap, tgap)
+    l = int(np.flatnonzero(undeclared | (gap > limits[j]))[0])
+    if undeclared[l]:
+        raise MetadataError("cannot bound a gap through undeclared tails")
+    return (f"||x_{j + 1} - x_{j + l + 2}|| = {float(gap[l]):.6g} exceeds the "
+            f"declared eps_{j + 1} = {eps[j]:.6g}")
 
 
 def truncation_family(exponent: float, coeff: float = 1.0, *, size: int = 64,
@@ -458,13 +583,18 @@ def pointwise_limit(family: SequenceFamily, config: CheckConfig | None = None) -
         return meta.limit
 
     if meta.limit is not None and meta.monotone_decreasing:
-        for n in range(1, family.verification_horizon + 1):
-            if not _le_or_metadata_error(meta.limit, family.member(n),
-                                         "declared limit exceeds a member"):
-                raise MetadataError(
-                    f"declared limit exceeds member {n}; a decreasing family "
-                    "cannot pass below its limit"
-                )
+        vh, first = family.verification_horizon, family.carrier.size + 1
+        status = np.where(np.all(meta.limit.values <= family.stacked(vh), axis=1), 0, 1)
+        if family.carrier.is_index_set:  # tails decide only where the values hold
+            status = np.where(status, 1, _each_distinct(
+                lambda t: _STATUS[tail_le(meta.limit.tail, t, first)], family.tails(vh)))
+        hit = np.flatnonzero(status)
+        if len(hit) and status[hit[0]] == 2:
+            raise MetadataError("cannot verify claim (declared limit exceeds a member) "
+                                "through undeclared tails")
+        if len(hit):
+            raise MetadataError(f"declared limit exceeds member {hit[0] + 1}; a decreasing "
+                                "family cannot pass below its limit")
         return meta.limit
 
     if upto < 2:
@@ -488,8 +618,7 @@ def pointwise_limit(family: SequenceFamily, config: CheckConfig | None = None) -
                 f"{family.carrier.coordinate_name(bad)}"
             )
         return meta.limit
-    tail = family.member(upto).tail if family.carrier.is_index_set else None
-    return LatticeElement(family.carrier, x[-1], tail)
+    return LatticeElement(family.carrier, x[-1], family.tail(upto))
 
 
 def dominating_element(family: SequenceFamily) -> LatticeElement:
@@ -506,9 +635,8 @@ def dominating_element(family: SequenceFamily) -> LatticeElement:
     vals = np.abs(x).max(axis=0)
     tail = None
     if family.carrier.is_index_set:
-        tail = Tail.zero()
-        for t in family.tails(family.horizon):
-            tail = tail_max(tail, tail_abs(t), family.carrier.size + 1)
+        tail = _running_max(_each_distinct(tail_abs, family.tails(family.horizon)),
+                            family.carrier.size + 1)[-1]
         if not tail.decidable:
             warnings.warn(
                 "dominating element tail is undeclared; norm queries on it will refuse",
@@ -530,19 +658,14 @@ def _diff_tails(family, candidate, upto):
     if not family.carrier.is_index_set:
         return None
     c_tail = candidate.tail
-    return [tail_abs(tail_sub(t, c_tail)) for t in family.tails(upto)]
+    return _each_distinct(lambda t: tail_abs(tail_sub(t, c_tail)), family.tails(upto))
 
 
 def _fold_suffix_tails(dtails, first):
     """Suffix tail_max fold; entry m-1 covers members m..M."""
     if dtails is None:
         return None
-    out = [None] * len(dtails)
-    acc = Tail.zero()
-    for i in range(len(dtails) - 1, -1, -1):
-        acc = tail_max(acc, dtails[i], first)
-        out[i] = acc
-    return out
+    return _running_max(dtails[::-1], first)[::-1]
 
 
 def _stuck(family, per_member, upto, worst_idx, final) -> StuckCoordinate:
@@ -851,8 +974,7 @@ def _check_subsequence(family, indices, tolerance):
     if final <= tolerance:
         if family.carrier.is_index_set:
             first = family.carrier.size + 1
-            t = tail_abs(tail_sub(family.member(indices[-1]).tail,
-                                  family.member(indices[-2]).tail))
+            t = tail_abs(tail_sub(family.tail(indices[-1]), family.tail(indices[-2])))
             if t.decidable and t.sup_abs(first) > tolerance:
                 return SubsequenceWitness(
                     indices=tuple(indices),
@@ -1011,21 +1133,16 @@ def norm_bound(family: SequenceFamily, tag: SpaceTag) -> NormBound:
     upto = family.prefix_count(family.horizon)
     x = family.stacked(upto)
     tails = family.tails(upto)
-    values = []
+    first = family.carrier.size + 1
     if tag.kind == "lp":
         body = np.sum(np.abs(x) ** tag.p, axis=1)
-        for i in range(upto):
-            total = float(body[i])
-            if tails is not None:
-                total += tails[i].p_power_sum(tag.p, family.carrier.size + 1)
-            values.append(total ** (1.0 / tag.p) if total < math.inf else math.inf)
+        if tails is not None:
+            body += _each_distinct(lambda t: t.p_power_sum(tag.p, first), tails)
+        values = [t ** (1.0 / tag.p) if t < math.inf else math.inf for t in body.tolist()]
     else:
-        body = np.abs(x).max(axis=1)
-        for i in range(upto):
-            v = float(body[i])
-            if tails is not None:
-                v = max(v, tails[i].sup_abs(family.carrier.size + 1))
-            values.append(v)
+        values = np.abs(x).max(axis=1).tolist()
+        if tails is not None:
+            values = list(map(max, values, _each_distinct(lambda t: t.sup_abs(first), tails)))
     return NormBound(
         value=max(values),
         unbounded=family.metadata.growth == "unbounded",

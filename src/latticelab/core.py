@@ -14,7 +14,7 @@ introduced where the result must be exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -304,8 +304,11 @@ class LatticeElement:
     carrier: Carrier
     values: np.ndarray
     tail: Tail | None = None
+    # set only by SequenceFamily.member, whose values are a row view of the
+    # family's own read-only matrix: the element keeps that view uncopied
+    _family_row: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _family_row):
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 1:
             raise InputError(f"element values must be 1-d, got shape {vals.shape}")
@@ -318,8 +321,9 @@ class LatticeElement:
             raise InputError(
                 f"non-finite value at coordinate {self.carrier.coordinate_name(bad)}"
             )
-        vals = vals.copy()
-        vals.setflags(write=False)
+        if not _family_row:
+            vals = vals.copy()
+            vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         if self.carrier.is_index_set:
             if self.tail is None:

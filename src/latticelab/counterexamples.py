@@ -236,17 +236,14 @@ def hat_family(space: FiniteMetricSpace, x0: str, depth: int) -> SequenceFamily:
         raise InputError(f"hat depth must be >= 1, got {depth}")
     row = space.row(space.index(x0))
     carrier = Carrier.points(space)
-    members = []
-    for n in range(1, depth + 1):
-        vals = np.maximum(0.0, 1.0 - n * row)
-        f = LatticeElement(carrier, vals)
+    values = np.maximum(0.0, 1.0 - np.arange(1, depth + 1)[:, None] * row)
+    for n, vals in enumerate(values, start=1):
         if space.n > 1:
             slope, pair = max_slope(space, vals)
             if slope > n + ENVELOPE_TOL:
                 raise InternalInvariantError(
                     f"hat {n} has slope {slope:.6g} > {n} across {pair}"
                 )
-        members.append(f)
     indicator = LatticeElement(carrier, (row == 0.0).astype(np.float64))
     meta = FamilyMetadata(
         monotone_decreasing=True,
@@ -256,7 +253,7 @@ def hat_family(space: FiniteMetricSpace, x0: str, depth: int) -> SequenceFamily:
         growth="bounded",
         notes=(f"hats shrinking around {x0!r}",),
     )
-    return SequenceFamily(members=members, metadata=meta)
+    return SequenceFamily(values=values, carrier=carrier, metadata=meta)
 
 
 def running_meets(family: SequenceFamily) -> SequenceFamily:
@@ -429,7 +426,7 @@ def lip_counterexample(refinement: RefinementFamily, n_max: int) -> LipCounterex
         growth="bounded",
         notes=("square-root envelope ladder; uniform limit needs unbounded slope",),
     )
-    family = SequenceFamily(members=[res.g_n for res in envelopes], metadata=meta)
+    family = SequenceFamily(values=stack, carrier=g.carrier, metadata=meta)
 
     return LipCounterexample(
         refinement=refinement, a_labels=tuple(a_labels), b_labels=tuple(b_labels),

@@ -58,6 +58,7 @@ class FiniteMetricSpace:
         self._coords = coords
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._line_order = None
+        self._radii = None
 
     # -- constructors ------------------------------------------------------
 
@@ -306,21 +307,24 @@ class IsolationProfile:
 
 
 def isolation_radii(space: FiniteMetricSpace) -> np.ndarray:
-    """d(x) = min over y != x of d(x, y) for every point; inf for a singleton."""
-    if space.n == 1:
-        return np.array([np.inf])
-    out = np.empty(space.n)
+    """d(x) = min over y != x of d(x, y) for every point; inf for a singleton.
+    Computed once per space, like its line order; the array is read-only."""
+    if space._radii is not None:
+        return space._radii
+    out = np.full(space.n, np.inf)
     line = _sorted_line(space)
-    if line is not None:
+    if line is not None and space.n > 1:
         order, xs = line
         gaps = np.diff(xs)
         out[order] = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))
-        return out
-    for lo, hi in space.block_rows():
-        block = space.row_block(lo, hi).copy()
-        for r in range(lo, hi):
-            block[r - lo, r] = np.inf
-        out[lo:hi] = block.min(axis=1)
+    elif space.n > 1:
+        for lo, hi in space.block_rows():
+            block = space.row_block(lo, hi).copy()
+            for r in range(lo, hi):
+                block[r - lo, r] = np.inf
+            out[lo:hi] = block.min(axis=1)
+    out.setflags(write=False)
+    space._radii = out
     return out
 
 

@@ -69,7 +69,9 @@ SCHEMA_VERSION = 1
 def _py(x):
     """Recursively convert numpy scalars/arrays so json can render them."""
     if isinstance(x, np.ndarray):
-        return [_py(v) for v in x.tolist()]
+        if x.dtype.kind in "biuf" and np.isfinite(x).all():
+            return x.tolist()
+        return [_py(v) for v in x.tolist()]  # names the first non-finite entry
     if isinstance(x, (np.floating,)):
         return float(x)
     if isinstance(x, (np.integer,)):
@@ -162,11 +164,20 @@ def _parse_float(text: str, line: int, field: int) -> float:
         ) from None
 
 
+def _csv_rows(path) -> list:
+    """The non-blank rows of a UTF-8 CSV file; other bytes are an InputError
+    naming the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            return [row for row in csv.reader(fh) if row and any(f.strip() for f in row)]
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def read_distance_csv(path) -> FiniteMetricSpace:
     """Header row of labels, then a symmetric numeric body (an optional
     leading label column is accepted and checked against the header)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(f.strip() for f in row)]
+    rows = _csv_rows(path)
     if len(rows) < 2:
         raise InputError(f"{path}: a distance csv needs a header and at least one row")
     header = [f.strip() for f in rows[0]]
@@ -197,8 +208,7 @@ def read_distance_csv(path) -> FiniteMetricSpace:
 
 def read_coords_csv(path) -> FiniteMetricSpace:
     """Header ``label,x1,...``, then one labeled coordinate row per point."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(f.strip() for f in row)]
+    rows = _csv_rows(path)
     if len(rows) < 2:
         raise InputError(f"{path}: a coords csv needs a header and at least one row")
     width = len(rows[0]) - 1
@@ -311,10 +321,9 @@ def family_to_json(family: SequenceFamily) -> dict:
             "p": None if tag is None else tag.p,
         }
         return doc
-    members = [family.member(n) for n in range(1, family.horizon + 1)]
-    doc["members"] = [m.values for m in members]
+    doc["members"] = family.stacked(family.horizon)
     if car.is_index_set:
-        doc["tails"] = [tail_to_json(m.tail) for m in members]
+        doc["tails"] = [tail_to_json(t) for t in family.tails(family.horizon)]
     doc["metadata"] = _metadata_to_json(family.metadata)
     return doc
 
@@ -383,18 +392,36 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
         raise InputError(
             f"{where}: {len(tails)} tails for {len(rows)} members"
         )
-    members = []
-    for i, row in enumerate(rows, start=1):
-        values = np.asarray(row, dtype=np.float64)
-        if values.ndim != 1 or values.shape[0] != carrier.size:
-            raise InputError(
-                f"{where}: member {i} has {values.shape[0] if values.ndim == 1 else '?'} "
-                f"values for a carrier of size {carrier.size}"
-            )
-        tail = tail_from_json(tails[i - 1], f"{where}.tails[{i}]") if tails else None
-        members.append(LatticeElement(carrier, values, tail))
+    try:
+        values = np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError):
+        values = None
+    if (values is None or values.shape != (len(rows), carrier.size)
+            or not np.isfinite(values).all()):
+        # walk the rows in order to name the first bad member: its length, its tail,
+        # then its values
+        for i, row in enumerate(rows, start=1):
+            row = np.asarray(row, dtype=np.float64)
+            if row.ndim != 1 or row.shape[0] != carrier.size:
+                raise InputError(
+                    f"{where}: member {i} has {row.shape[0] if row.ndim == 1 else '?'} "
+                    f"values for a carrier of size {carrier.size}"
+                )
+            LatticeElement(carrier, row, tail_from_json(tails[i - 1], f"{where}.tails[{i}]")
+                           if tails else None)
+    if tails:
+        tails = _tails_from_json(tails, lambda i: f"{where}.tails[{i}]")
     meta = _metadata_from_json(obj.get("metadata"), carrier, f"{where}.metadata")
-    return SequenceFamily(members=members, metadata=meta)
+    return SequenceFamily(values=values, tails=tails or None, carrier=carrier, metadata=meta)
+
+
+def _tails_from_json(docs, where_of) -> list:
+    """Tails of tail documents, ``where_of(i)`` naming document i; a
+    document equal to the one before it reuses that one's Tail."""
+    out = []
+    for i, doc in enumerate(docs, start=1):
+        out.append(out[-1] if i > 1 and doc == docs[i - 2] else tail_from_json(doc, where_of(i)))
+    return out
 
 
 def read_json(path):
@@ -453,7 +480,7 @@ def certificate_from_json(obj, carrier: Carrier, where: str = "certificate"):
             regulator_values=np.asarray(_require(obj, "regulator_values", where),
                                         dtype=np.float64),
             regulator_tails=(None if tails is None else
-                             tuple(tail_from_json(t, where) for t in tails)),
+                             tuple(_tails_from_json(tails, lambda i: where))),
             thresholds=tuple(int(t) for t in _require(obj, "thresholds", where)),
             final_sup=float(_require(obj, "final_sup", where)),
         )

@@ -321,6 +321,34 @@ def test_invalid_json_exits_two_naming_the_file(argv, content, where, family_fil
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["coords-csv", "distance-csv"])
+def test_csv_that_is_not_utf8_exits_two_naming_the_file(fmt, tmp_path, capsys):
+    bad = tmp_path / "space.csv"
+    bad.write_bytes(b"\xfflabel,x1\na,0.0\nb,1.0\n")
+    assert main(["metric", "--space", str(bad), "--format", fmt,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--family", "{folder}", "--mode", "order"],
+    ["metric", "--space", "{folder}", "--format", "coords-csv"],
+    ["verify", "--family", "{family}", "--witness", "{folder}"],
+    ["verify", "--family", "{family}", "--report", "{folder}"],
+])
+def test_a_directory_given_as_an_input_file_exits_two_naming_it(argv, family_file,
+                                                                tmp_path, capsys):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = [a.format(family=family_file, folder=folder) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert str(folder) in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # metric and envelope
 

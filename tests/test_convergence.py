@@ -1,12 +1,17 @@
+import contextlib
+import io
 import math
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latticelab.cli import main
 from latticelab.config import CheckConfig
 from latticelab.convergence import (
     CertificatePolicy,
@@ -29,14 +34,30 @@ from latticelab.convergence import (
     verify_monotone_certificate,
     verify_order_certificate,
     verify_uniform_certificate,
+    _monotone_breach,
+    _running_max,
+    _uniform_breach,
 )
-from latticelab.core import Carrier, LatticeElement, SpaceTag, Tail, sup_norm
+from latticelab.core import (
+    Carrier,
+    LatticeElement,
+    SpaceTag,
+    Tail,
+    abs_,
+    le,
+    sup_norm,
+    tail_abs,
+    tail_max,
+    tail_sub,
+)
 from latticelab.counterexamples import build_refinement, hat_family
+from latticelab.serialize import family_to_json, write_json
 from latticelab.errors import (
     InputError,
     InternalInvariantError,
     MetadataError,
     PointwiseDivergenceError,
+    UndecidableTailError,
 )
 
 CAR3 = Carrier.index_set(3)
@@ -114,6 +135,50 @@ def test_family_needs_members_or_generator():
         SequenceFamily(members=[])
     with pytest.raises(InputError):
         SequenceFamily(make=lambda n: seq([0.0] * 3))
+    with pytest.raises(InputError, match="exactly one"):
+        SequenceFamily(values=[[0.0] * 3], members=[seq([0.0] * 3)])
+    with pytest.raises(InputError, match="carrier"):
+        SequenceFamily(values=[[0.0] * 3])
+
+
+def test_value_matrix_families_are_validated():
+    with pytest.raises(InputError, match="shape"):
+        SequenceFamily(values=[[0.0, 1.0]], carrier=CAR3)
+    with pytest.raises(InputError, match="a family needs at least one member"):
+        SequenceFamily(values=np.zeros((0, 3)), carrier=CAR3)
+    with pytest.raises(InputError, match="member 2: non-finite value at coordinate 3"):
+        SequenceFamily(values=[[0.0] * 3, [0.0, 0.0, np.inf]], carrier=CAR3)
+    with pytest.raises(InputError, match="1 tails for 2 members"):
+        SequenceFamily(values=[[0.0] * 3] * 2, tails=[Tail.zero()], carrier=CAR3)
+    points = hats(levels=5, depth=2).carrier
+    with pytest.raises(InputError, match="index-set carriers only"):
+        SequenceFamily(values=np.zeros((2, points.size)), tails=Tail.zero(), carrier=points)
+
+
+def test_members_are_read_only_rows_of_one_matrix():
+    values = np.array([[3.0, 2.0, 1.0], [2.0, 1.0, 0.0]])
+    fam = SequenceFamily(values=values, tails=[Tail.constant(1.0), Tail.constant(1.0)],
+                         carrier=CAR3)
+    values[0, 0] = 99.0  # the family holds its own copy
+    matrix = fam.stacked(2)
+    assert matrix[0, 0] == 3.0 and not matrix.flags.writeable
+    second = fam.member(2)
+    assert np.shares_memory(second.values, matrix) and not second.values.flags.writeable
+    assert second.tail == Tail.constant(1.0)
+    assert fam.tails(2)[0] is fam.tails(2)[1]  # equal tails are stored once
+    same = SequenceFamily(members=fam.members)
+    assert np.array_equal(same.stacked(2), matrix) and same.tails(2) == fam.tails(2)
+    # elements and families copy what a caller passes, even a frozen array,
+    # whose owner may make it writable again
+    for frozen in (False, True):
+        row, rows = np.zeros(3), np.zeros((1, 3))
+        row.setflags(write=not frozen)
+        rows.setflags(write=not frozen)
+        x, one = seq(row), SequenceFamily(values=rows, carrier=CAR3)
+        for raw in (row, rows):
+            raw.setflags(write=True)
+            raw[...] = 1.0
+        assert not x.values.any() and not one.stacked(1).any()
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +316,10 @@ def test_order_failure_on_the_tail_alone():
     v = check_order_convergence(fam, seq([0.0] * 3))
     assert v.outcome == "fails"
     assert v.witness.coordinate == "tail(j>=4)"
+    # against a candidate with the members' tail the tail differences vanish
+    v = check_order_convergence(fam, seq([0.0] * 3, Tail.constant(1.0)))
+    assert v.outcome == "holds"
+    assert v.certificate.regulator_tails == (Tail.zero(),) * 4
 
 
 def test_order_inconclusive_on_undeclared_tails():
@@ -524,6 +593,31 @@ def test_certificate_soundness_on_settled_windows(levels, seed):
     assert sampled.outcome != "fails"
 
 
+def test_sampled_route_under_threads_matches_serial(monkeypatch):
+    # Pool threads stack one generator family at once, each subsequence up
+    # to its own last index; row n of the stacked matrix must still be
+    # member n.  A short switch interval makes the threads interleave.
+    policy = SampledPolicy(count=32, max_len=8, seed=5,
+                           include=tuple((1, k) for k in range(3, 400, 7)))
+    cfg = CheckConfig(horizon=600, tolerance=1e-3)
+    monkeypatch.setenv("LATTICELAB_THREADS", "1")
+    serial = check_buo_cauchy(truncation_family(1.0, size=512, horizon=600), policy, cfg)
+    monkeypatch.setenv("LATTICELAB_THREADS", "4")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            fam = truncation_family(1.0, size=512, horizon=600)
+            threaded = check_buo_cauchy(fam, policy, cfg)
+            assert threaded == serial
+            fresh = truncation_family(1.0, size=512, horizon=600)
+            assert np.array_equal(fam.stacked(600), np.stack(
+                [fresh.make(n).values for n in range(1, 601)]))
+            assert fam.tails(600) == tuple(fresh.make(n).tail for n in range(1, 601))
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # ---------------------------------------------------------------------------
 # norm bounds
 
@@ -609,3 +703,217 @@ def test_subsequence_draws_never_materialize_the_horizon():
     assert peak < 1_000_000
     assert len(subs) == 64
     assert all(list(s) == sorted(set(s)) and 1 <= s[0] and s[-1] <= 10**7 for s in subs)
+
+
+# ---------------------------------------------------------------------------
+# vectorized metadata checks against the pairwise loops they replaced
+
+
+def _oracle_sup_gap(a, b):
+    gap = float(np.abs(a.values - b.values).max())
+    t = tail_abs(tail_sub(a.tail, b.tail))
+    if not t.decidable:
+        raise MetadataError("cannot bound a gap through undeclared tails")
+    return max(gap, t.sup_abs(a.first_tail_index))
+
+
+def _oracle_uniform_breach(family, eps, upto):
+    members = [family.member(n) for n in range(1, upto + 1)]
+    for j in range(upto):
+        for l in range(j + 1, upto):
+            gap = _oracle_sup_gap(members[j], members[l])
+            if gap > eps[j]:
+                return (f"||x_{j + 1} - x_{l + 1}|| = {gap:.6g} exceeds the "
+                        f"declared eps_{j + 1} = {eps[j]:.6g}")
+    return None
+
+
+def _oracle_le(a, b, what):
+    try:
+        return le(a, b)
+    except UndecidableTailError:
+        raise MetadataError(f"cannot verify claim ({what}) through undeclared tails") from None
+
+
+def _oracle_monotone_breach(family, bound, decreasing, upto):
+    prev = None
+    for n in range(1, upto + 1):
+        x = family.member(n)
+        if bound is not None and not _oracle_le(abs_(x), bound,
+                                                f"member {n} vs the common bound"):
+            return f"member {n} exceeds the declared common bound"
+        if decreasing and prev is not None and not _oracle_le(x, prev,
+                                                              f"members {n} vs {n - 1}"):
+            return f"family declared decreasing but member {n} exceeds member {n - 1}"
+        prev = x
+    return None
+
+
+def _oracle_declared_limit(family):
+    limit = family.metadata.limit
+    for n in range(1, family.verification_horizon + 1):
+        if not _oracle_le(limit, family.member(n), "declared limit exceeds a member"):
+            raise MetadataError(f"declared limit exceeds member {n}; a decreasing family "
+                                "cannot pass below its limit")
+    return limit
+
+
+def _oracle_running_max(tails, first):
+    acc, out = Tail.zero(), []
+    for t in tails:
+        acc = tail_max(acc, t, first)
+        out.append(acc)
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return "returned", fn(*args)
+    except MetadataError as exc:
+        return "raised", str(exc)
+
+
+# a few shared levels make ties, equal tails and exact breaches common;
+# arbitrary floats exercise the rounding of the differences
+_LEVELS = st.one_of(st.sampled_from([-1.5, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0]),
+                    st.floats(-4.0, 4.0, allow_nan=False))
+_TAILS = st.one_of(
+    st.just(Tail.zero()),
+    st.just(Tail.none()),
+    st.builds(Tail.constant, _LEVELS),
+    st.builds(Tail.power, st.sampled_from([0.5, 1.0, 2.0]), _LEVELS),
+)
+
+
+@st.composite
+def _tailed_families(draw):
+    count, size = draw(st.integers(1, 9)), draw(st.integers(1, 3))
+    carrier = Carrier.index_set(size)
+    rows = st.lists(_LEVELS, min_size=size, max_size=size)
+    # members sharing one row leave every gap to the tails
+    values = draw(st.one_of(st.lists(rows, min_size=count, max_size=count),
+                            rows.map(lambda row: [row] * count)))
+    # members draw from a small palette, so compatible mixes are common, and
+    # leading zero tails put rows ahead of a clash between two groups
+    palette = draw(st.lists(_TAILS, min_size=1, max_size=3))
+    tails = draw(st.lists(st.sampled_from(palette), min_size=count, max_size=count))
+    if draw(st.booleans()):
+        tails = ([Tail.zero()] * draw(st.integers(0, count)) + tails)[:count]
+    family = SequenceFamily(values=values, tails=tails, carrier=carrier)
+    eps = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 4.0]),
+                                  st.floats(0.0, 8.0)), min_size=count, max_size=count))
+    bound = None
+    if draw(st.booleans()):
+        bound = LatticeElement(carrier, [abs(v) for v in draw(
+            st.lists(_LEVELS, min_size=size, max_size=size))], draw(_TAILS))
+    limit = LatticeElement(carrier, draw(st.lists(_LEVELS, min_size=size, max_size=size)),
+                           draw(_TAILS))
+    return family, tuple(eps), bound, draw(st.booleans()), tails, limit
+
+
+def _zero_rows_ahead_of_a_clash():
+    """Two zero-tailed rows whose tail gaps to the later power tails (1/2
+    and 1/4 at j >= 2) stay under eps, then two exponents that clash."""
+    carrier = Carrier.index_set(1)
+    tails = [Tail.zero(), Tail.zero(), Tail.power(1.0, 1.0), Tail.power(2.0, 1.0)]
+    family = SequenceFamily(values=[[0.0]] * 4, tails=tails, carrier=carrier)
+    return family, (0.75,) * 4, None, False, tails, LatticeElement(carrier, [0.0], Tail.zero())
+
+
+def _a_tail_only_between_two_rows():
+    """Rows 1 and 3 share a tail; the far tail of row 2 is past row 3, so
+    row 3's gaps stay under its smaller eps."""
+    carrier = Carrier.index_set(1)
+    tails = [Tail.constant(0.0), Tail.constant(5.0), Tail.constant(0.0), Tail.constant(0.0)]
+    family = SequenceFamily(values=[[0.0]] * 4, tails=tails, carrier=carrier)
+    return (family, (8.0, 8.0, 1.0, 1.0), None, False, tails,
+            LatticeElement(carrier, [0.0], Tail.zero()))
+
+
+@settings(max_examples=400)
+@given(_tailed_families())
+@example(_zero_rows_ahead_of_a_clash())
+@example(_a_tail_only_between_two_rows())
+def test_vectorized_metadata_checks_match_the_pairwise_loops(case):
+    family, eps, bound, decreasing, tails, limit = case
+    upto = family.horizon
+    assert (_outcome(_uniform_breach, family, eps, upto)
+            == _outcome(_oracle_uniform_breach, family, eps, upto))
+    assert (_outcome(_monotone_breach, family, bound, decreasing, upto)
+            == _outcome(_oracle_monotone_breach, family, bound, decreasing, upto))
+    # reach the declared-limit check of a decreasing family without the
+    # construction checks the drawn values would fail
+    family.metadata = FamilyMetadata(limit=limit, monotone_decreasing=True)
+    assert _outcome(pointwise_limit, family) == _outcome(_oracle_declared_limit, family)
+    first = family.carrier.size + 1
+    assert _running_max(tails, first) == _oracle_running_max(tails, first)
+    assert list(family.tails(upto)) == tails
+    assert _running_max(tails[::-1], first) == _oracle_running_max(tails[::-1], first)
+
+
+# ---------------------------------------------------------------------------
+# family and report bytes against files written by the per-member code
+
+
+REFERENCE_BYTES = Path(__file__).parent / "data" / "reference_bytes"
+
+
+def _pairing_bytes_family():
+    rng = np.random.default_rng(20240611)
+    carrier = Carrier.index_set(4)
+    limit = rng.uniform(-5.0, 5.0, 4)
+    noise = rng.uniform(-3.0, 3.0, 4)
+    members = [LatticeElement(carrier, limit + noise * 2.0**-n, Tail.zero())
+               for n in range(1, 41)]
+    bound = np.abs(limit) + np.abs(noise)
+    meta = FamilyMetadata(
+        limit=LatticeElement(carrier, limit, Tail.zero()),
+        common_bound=LatticeElement(carrier, bound, Tail.constant(float(bound.max()))))
+    return SequenceFamily(members=members, metadata=meta)
+
+
+def _uniform_bytes_family():
+    rng = np.random.default_rng(20240612)
+    carrier = Carrier.index_set(3)
+    limit = rng.uniform(-2.0, 2.0, 3)
+    v = rng.uniform(-1.0, 1.0, 3)
+    members = [LatticeElement(carrier, limit + v * 0.5**n, Tail.power(2.0, 0.5**n))
+               for n in range(1, 41)]
+    vmax = max(float(np.abs(v).max()), 0.5 * 0.25)
+    eps = tuple(2 * vmax * 0.5**j for j in range(1, 41))
+    return SequenceFamily(members=members, metadata=FamilyMetadata(uniformly_cauchy_norms=eps))
+
+
+def test_family_and_report_bytes_match_the_per_member_code(tmp_path, monkeypatch):
+    """tests/data/reference_bytes holds the files the per-member family code
+    wrote for these exact commands; reports name their inputs by the
+    relative paths used here."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LATTICELAB_THREADS", raising=False)
+    write_json("pairing.json", family_to_json(_pairing_bytes_family()))
+    write_json("uniform.json", family_to_json(_uniform_bytes_family()))
+    runs = [
+        ["check", "--family", "pairing.json", "--mode", "buo-equals-order",
+         "--out", "pairing-paired"],
+        ["check", "--family", "pairing.json", "--mode", "order", "--out", "pairing-order"],
+        ["verify", "--family", "pairing.json",
+         "--report", "pairing-order/check_report.json", "--out", "v"],
+        ["check", "--family", "uniform.json", "--mode", "buo-cauchy", "--out", "uniform-check"],
+        ["verify", "--family", "uniform.json",
+         "--report", "uniform-check/check_report.json", "--out", "v"],
+        ["generate", "ladder", "--levels", "10,20,40", "--n-max", "4", "--out", "ladder"],
+        ["check", "--family", "ladder/ladder_family.json", "--mode", "buo-cauchy",
+         "--out", "ladder-check"],
+        ["verify", "--family", "ladder/ladder_family.json",
+         "--report", "ladder-check/check_report.json", "--out", "v"],
+    ]
+    for argv in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0, argv
+        if argv[0] == "verify":
+            assert "certificate re-verified" in out.getvalue()
+    stored = sorted(p.relative_to(REFERENCE_BYTES) for p in REFERENCE_BYTES.rglob("*.json"))
+    assert len(stored) == 7
+    for rel in stored:
+        assert (tmp_path / rel).read_bytes() == (REFERENCE_BYTES / rel).read_bytes(), rel

@@ -442,6 +442,13 @@ def test_max_slope_rejects_non_finite_values():
         max_slope(grid_space(3), np.array([0.0, np.nan, 1.0]))
 
 
+@pytest.mark.parametrize("space", [grid_space(5), dense_twin(grid_space(5))])
+def test_isolation_radii_are_scanned_once_per_space(space):
+    radii = isolation_radii(space)
+    assert isolation_radii(space) is radii and not radii.flags.writeable
+    assert isolation_profile(space).radii is radii
+
+
 def test_line_order_only_for_one_column_coordinates():
     line = grid_space(4)
     assert list(FiniteMetricSpace.from_coords(np.array([2.0, -1.0, 5.0])).line_order) == [1, 0, 2]

@@ -90,6 +90,9 @@ def test_canonical_json_rejects_non_finite_numbers():
         canonical_json({"x": float("inf")})
     with pytest.raises(InputError, match="non-finite"):
         canonical_json({"x": [float("nan")]})
+    with pytest.raises(InputError, match="non-finite number -inf"):
+        canonical_json({"x": np.array([[1.0, -np.inf], [np.nan, 0.0]])})
+    assert canonical_json({"x": np.array([[1.0, 2.5]])}) == canonical_json({"x": [[1.0, 2.5]]})
 
 
 def test_write_json_bytes_are_reproducible(tmp_path):
@@ -168,6 +171,12 @@ def test_family_round_trip_preserves_tails_and_metadata():
     assert meta.common_bound.tail == Tail.constant(1.0)
     assert meta.growth == "bounded"
     assert meta.notes == ("demo",)
+    # tails that differ member to member, some repeating non-adjacently
+    mixed = [Tail.constant(1.0), Tail.power(1.0, 2.0), Tail.constant(1.0), Tail.none()]
+    fam = SequenceFamily(members=[LatticeElement(Carrier.index_set(2), [0.0, 0.0], t)
+                                  for t in mixed])
+    back = family_from_json(json.loads(canonical_json(family_to_json(fam))))
+    assert list(back.tails(4)) == mixed
 
 
 def test_family_round_trip_on_a_points_carrier():
@@ -208,6 +217,12 @@ def test_family_json_diagnostics():
     with pytest.raises(InputError, match="1 tails for 2 members"):
         family_from_json(dict(base, members=[[0.0, 0.0], [0.0, 0.0]],
                               tails=[{"kind": "zero"}]))
+    with pytest.raises(InputError, match="^non-finite value at coordinate 2$"):
+        family_from_json(dict(base, members=[[0.0, 0.0], [0.0, float("nan")]]))
+    # members are checked in order, each row before its tail and its values
+    with pytest.raises(InputError, match=r"tails\[1\]: unknown tail kind 'weird'"):
+        family_from_json(dict(base, members=[[0.0, 0.0], [0.0, float("nan")]],
+                              tails=[{"kind": "weird"}, {"kind": "zero"}]))
     with pytest.raises(InputError, match=r"unknown tail kind 'weird'"):
         family_from_json(dict(base, members=[[0.0, 0.0]],
                               tails=[{"kind": "weird"}]))
