@@ -1,6 +1,7 @@
 """Run the acceptance gate (or the full suite) and optionally keep a transcript."""
 
 import argparse
+import os
 import pathlib
 import subprocess
 import sys
@@ -15,9 +16,13 @@ def main(argv=None):
 
     root = pathlib.Path(__file__).resolve().parents[1]
     target = "tests" if args.full else "tests/test_acceptance.py"
+    # the package is imported from src/ of this checkout, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-v", target],
-        cwd=root, capture_output=True, text=True,
+        cwd=root, env=env, capture_output=True, text=True,
     )
     sys.stdout.write(proc.stdout)
     sys.stderr.write(proc.stderr)

@@ -237,13 +237,10 @@ def hat_family(space: FiniteMetricSpace, x0: str, depth: int) -> SequenceFamily:
     row = space.row(space.index(x0))
     carrier = Carrier.points(space)
     values = np.maximum(0.0, 1.0 - np.arange(1, depth + 1)[:, None] * row)
-    for n, vals in enumerate(values, start=1):
-        if space.n > 1:
-            slope, pair = max_slope(space, vals)
-            if slope > n + ENVELOPE_TOL:
-                raise InternalInvariantError(
-                    f"hat {n} has slope {slope:.6g} > {n} across {pair}"
-                )
+    slopes = max_slope(space, values) if space.n > 1 else []
+    for n, (slope, pair) in enumerate(slopes, start=1):
+        if slope > n + ENVELOPE_TOL:
+            raise InternalInvariantError(f"hat {n} has slope {slope:.6g} > {n} across {pair}")
     indicator = LatticeElement(carrier, (row == 0.0).astype(np.float64))
     meta = FamilyMetadata(
         monotone_decreasing=True,
@@ -370,8 +367,8 @@ def lip_counterexample(refinement: RefinementFamily, n_max: int) -> LipCounterex
         top = refinement.levels[-1]
         a_labels = tuple(a for a, _ in refinement.pairs[:top])
 
-    b_labels, t = _approach_points(refinement, space, a_labels)
     dist = dist_to_set_all(space, a_labels)
+    b_labels, t = _approach_points(refinement, space, a_labels, dist)
     g = LatticeElement(Carrier.points(space), np.minimum(np.sqrt(dist), 1.0))
 
     a_idx = np.array([space.index(a) for a in a_labels], dtype=np.intp)
@@ -435,14 +432,10 @@ def lip_counterexample(refinement: RefinementFamily, n_max: int) -> LipCounterex
     )
 
 
-def _approach_points(refinement, space, a_labels):
+def _approach_points(refinement, space, a_labels, dist):
     if refinement.kind == "pairs":
-        top = refinement.levels[-1]
-        labs = [b for _, b in refinement.pairs[:top]]
-        dist = dist_to_set_all(space, a_labels)
-        t = [float(dist[space.index(b)]) for b in labs]
-        return tuple(labs), tuple(t)
-    dist = dist_to_set_all(space, a_labels)
+        labs = [b for _, b in refinement.pairs[:refinement.levels[-1]]]
+        return tuple(labs), tuple(float(dist[space.index(b)]) for b in labs)
     order = []
     for i, lab in enumerate(space.labels):
         if lab not in a_labels and 0.0 < dist[i] < 1.0:

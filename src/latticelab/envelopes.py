@@ -43,6 +43,9 @@ MODULUS_EXACT_LIMIT = 2048
 # additive slack, scaled by data magnitude, for the envelope invariants
 ENVELOPE_TOL = 1e-9
 
+# ulps of max|g| an envelope value may carry from rounding (about 1 is seen)
+SLOPE_ULPS = 4
+
 
 @dataclass(frozen=True)
 class ClosedForm:
@@ -299,9 +302,14 @@ def _validate_envelope(g, env, n, alpha, achieved, lips, modulus) -> None:
             f"achieved error {achieved:.6g} exceeds alpha {alpha:.6g}{hint}"
         )
     if lips > n + ENVELOPE_TOL:
-        raise InternalInvariantError(
-            f"envelope Lipschitz constant {lips:.6g} exceeds the parameter {n}"
-        )
+        # rounding moves each envelope value by about ulp(max|g|), and so a
+        # slope by that much over the smallest pair distance, whose radii are
+        # read only once the absolute slack alone is exceeded
+        delta = _metric.discreteness_constant(g.carrier.space)
+        if lips > n + ENVELOPE_TOL + SLOPE_ULPS * np.spacing(g.max_abs_prefix()) / delta:
+            raise InternalInvariantError(
+                f"envelope Lipschitz constant {lips:.6g} exceeds the parameter {n}"
+            )
 
 
 def inf_convolution_ladder(g: LatticeElement, ns, modulus: ModulusCurve | None = None):
@@ -309,7 +317,7 @@ def inf_convolution_ladder(g: LatticeElement, ns, modulus: ModulusCurve | None =
 
     Line spaces run an exact two-pass distance transform; elsewhere each
     distance block is visited once and serves all parameters.  Either way
-    the ladder costs one sweep plus a Lipschitz scan per n.  Without a
+    the ladder costs one sweep plus one batched Lipschitz scan.  Without a
     supplied modulus, alpha_n is the exact pairwise supremum
     max(|g(x)-g(y)| - n*d), obtained in the same sweep.
     """
@@ -330,14 +338,13 @@ def inf_convolution_ladder(g: LatticeElement, ns, modulus: ModulusCurve | None =
     else:
         env, alpha_raw = _dense_ladder(space, gv, ns, need_alpha)
 
+    # every rung's slope from one pass over the distance blocks
+    slopes = _metric.max_slope(space, env) if space.n >= 2 else [(0.0, None)] * len(ns)
     results = []
     for k, n in enumerate(ns):
         alpha = error_bound(modulus, n).alpha if modulus is not None else float(alpha_raw[k])
         achieved = float((gv - env[k]).max())
-        if space.n >= 2:
-            lips, pair = _metric.max_slope(space, env[k])
-        else:
-            lips, pair = 0.0, None
+        lips, pair = slopes[k]
         _validate_envelope(g, env[k], n, alpha, achieved, lips, modulus)
         results.append(
             EnvelopeResult(

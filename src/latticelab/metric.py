@@ -137,9 +137,7 @@ class FiniteMetricSpace:
             i = self.index(i)
         if isinstance(j, str):
             j = self.index(j)
-        if self._matrix is not None:
-            return float(self._matrix[i, j])
-        return float(self.row(i)[j])
+        return float(self.distances([i], [j])[0, 0])
 
     @property
     def matrix(self) -> np.ndarray:
@@ -193,11 +191,18 @@ class FiniteMetricSpace:
 
 
 def _coord_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of two coordinate arrays."""
+    """Euclidean distances between the rows of two coordinate arrays, summed
+    one column at a time: the block costs itself plus one scratch array."""
+    out = np.subtract.outer(a[:, 0], b[:, 0])
     if a.shape[1] == 1:
-        return np.abs(a[:, 0][:, None] - b[:, 0][None, :])
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        return np.abs(out, out=out)
+    np.multiply(out, out, out=out)
+    tmp = np.empty_like(out)
+    for c in range(1, a.shape[1]):
+        np.subtract.outer(a[:, c], b[:, c], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        out += tmp
+    return np.sqrt(out, out=out)
 
 
 def _sorted_line(space: FiniteMetricSpace):
@@ -218,6 +223,17 @@ def _smallest_pair(first: np.ndarray, second: np.ndarray):
     lo, hi = np.minimum(first, second), np.maximum(first, second)
     k = int(np.lexsort((hi, lo))[0])
     return int(lo[k]), int(hi[k])
+
+
+def _upper_blocks(space: FiniteMetricSpace):
+    """Yield (lo, writable row block) with inf on and below the diagonal, so
+    each unordered pair appears once, as (i, j) with i < j."""
+    cols = np.arange(space.n)
+    for lo, hi in space.block_rows():
+        block = space.row_block(lo, hi)
+        block = block if block.flags.writeable else block.copy()  # matrix rows are views
+        np.copyto(block, np.inf, where=cols[None, :] <= np.arange(lo, hi)[:, None])
+        yield lo, block
 
 
 def _duplicate_rows(coords: np.ndarray):
@@ -319,9 +335,9 @@ def isolation_radii(space: FiniteMetricSpace) -> np.ndarray:
         out[order] = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))
     elif space.n > 1:
         for lo, hi in space.block_rows():
-            block = space.row_block(lo, hi).copy()
-            for r in range(lo, hi):
-                block[r - lo, r] = np.inf
+            block = space.row_block(lo, hi)
+            block = block if block.flags.writeable else block.copy()
+            np.fill_diagonal(block[:, lo:], np.inf)  # each point to itself
             out[lo:hi] = block.min(axis=1)
     out.setflags(write=False)
     space._radii = out
@@ -351,9 +367,8 @@ def dist_to_set(space: FiniteMetricSpace, label: str, targets) -> float:
     targets = list(targets)
     if not targets:
         raise InputError("dist_to_set needs a non-empty target set")
-    row = space.row(space.index(label))
     idx = np.array([space.index(t) for t in targets], dtype=np.intp)
-    return float(row[idx].min())
+    return float(space.distances([space.index(label)], idx).min())
 
 
 def dist_to_set_all(space: FiniteMetricSpace, targets) -> np.ndarray:
@@ -370,9 +385,12 @@ def dist_to_set_all(space: FiniteMetricSpace, targets) -> np.ndarray:
         below = ts[np.maximum(pos - 1, 0)]
         above = ts[np.minimum(pos, ts.size - 1)]
         return np.minimum(np.abs(xs - below), np.abs(xs - above))
+    # only the target columns: blocks of n x |A| distances
     out = np.empty(space.n)
-    for lo, hi in space.block_rows():
-        out[lo:hi] = space.row_block(lo, hi)[:, idx].min(axis=1)
+    step = max(1, BLOCK_ENTRIES // idx.size)
+    for lo in range(0, space.n, step):
+        rows = np.arange(lo, min(space.n, lo + step))
+        out[rows] = space.distances(rows, idx).min(axis=1)
     return out
 
 
@@ -414,12 +432,8 @@ def find_close_pair(space: FiniteMetricSpace, excluded, eps: float):
     else:
         guard_dist = np.full(space.n, np.inf)
 
-    candidates = [
-        i
-        for i in range(space.n)
-        if allowed[i] and guard_dist[i] > theta and radii[i] < theta
-    ]
-    candidates.sort(key=lambda i: (radii[i], i))
+    candidates = np.flatnonzero(allowed & (guard_dist > theta) & (radii < theta))
+    candidates = candidates[np.argsort(radii[candidates], kind="stable")].tolist()
     line = _sorted_line(space)
     if line is not None:
         return _line_close_pair(space, line, allowed, candidates, radii, theta, eps)
@@ -432,28 +446,32 @@ def find_close_pair(space: FiniteMetricSpace, excluded, eps: float):
         if d < min(radii[i] + theta, eps):
             return space.labels[i], space.labels[j]
 
-    # Exhaustive fallback: smallest admissible distance, ties by index pair.
-    # Blocks are visited in increasing row order, so taking the first
-    # row-major argmin within each block keeps the tie-break deterministic.
+    if excl_idx.size:
+        pair = _scan_close_pair(space, allowed, eps)
+    else:
+        # every pair at distance delta has both ends at radius delta, so the
+        # first point of radius delta and its first neighbour at delta form
+        # the pair the scan would find (smallest distance, then i, then j)
+        i = int(radii.argmin())
+        hits = np.flatnonzero(space.row(i) == radii[i])
+        pair = (i, int(hits[hits != i][0])) if radii[i] < eps else None
+    return None if pair is None else (space.labels[pair[0]], space.labels[pair[1]])
+
+
+def _scan_close_pair(space, allowed, eps):
+    """Exhaustive fallback: the allowed index pair (i < j) of smallest
+    distance below eps, ties by index pair, or None.  Blocks are visited in
+    increasing row order and the flat argmin is the first minimum in
+    row-major order, so the tie-break is deterministic."""
     best = None
-    for lo, hi in space.block_rows():
-        block = space.row_block(lo, hi).copy()
-        block[:, ~allowed] = np.inf
-        for r in range(lo, hi):
-            if not allowed[r]:
-                block[r - lo, :] = np.inf
-            else:
-                block[r - lo, : r + 1] = np.inf  # keep i < j only
-        bmin = float(block.min(initial=np.inf))
-        if bmin < eps:
-            r, j = np.argwhere(block == bmin)[0]
-            key = (bmin, lo + int(r), int(j))
-            if best is None or key < best:
-                best = key
-    if best is None:
-        return None
-    _, i, j = best
-    return space.labels[i], space.labels[j]
+    for lo, block in _upper_blocks(space):
+        np.copyto(block, np.inf, where=~allowed[None, :] | ~allowed[lo:lo + len(block), None])
+        flat = int(block.argmin())
+        bmin = float(block.flat[flat])
+        if bmin < eps and (best is None or bmin < best[0]):
+            r, j = divmod(flat, space.n)
+            best = (bmin, lo + r, j)
+    return None if best is None else best[1:]
 
 
 def _line_close_pair(space, line, allowed, candidates, radii, theta, eps):
@@ -496,42 +514,48 @@ def _line_close_pair(space, line, allowed, candidates, radii, theta, eps):
 def max_slope(space: FiniteMetricSpace, values: np.ndarray):
     """Largest |f(x) - f(y)| / d(x, y) over distinct points, with its pair.
 
-    Ties resolve to the lexicographically smallest index pair.  On the line
-    only adjacent pairs are compared: a chord spanning several of them can
-    read a few ulps above its steepest part after rounding, so the value
-    may sit that far below the all-pairs maximum.
+    ``values`` may also be a (K, n) stack of functions: the result is then
+    a list of K (slope, pair) results from one pass over the distance
+    blocks.  Ties resolve to the lexicographically smallest index pair.  On
+    the line only adjacent pairs are compared: a chord spanning several of
+    them can read a few ulps above its steepest part after rounding, so the
+    value may sit that far below the all-pairs maximum.
     """
     if space.n < 2:
         raise InputError("max_slope needs at least two points")
     values = np.asarray(values, dtype=np.float64)
-    if values.shape != (space.n,):
+    if values.ndim not in (1, 2) or values.shape[-1] != space.n:
         raise InputError("values length does not match the space")
     if not np.all(np.isfinite(values)):
         raise InputError("max_slope needs finite values")
+    stack = np.atleast_2d(values)
     line = _sorted_line(space)
     if line is not None:
         # a chord slope is a convex combination of the slopes between the
         # consecutive points it spans, so the maximum sits at an adjacent pair
         order, xs = line
-        slopes = np.abs(np.diff(values[order])) / np.diff(xs)
-        best = float(slopes.max())
-        hits = np.flatnonzero(slopes == best)
-        i, j = _smallest_pair(order[hits], order[hits + 1])
-        return best, (space.labels[i], space.labels[j])
-    best = -np.inf
-    best_pair = (0, 1)
-    for lo, hi in space.block_rows():
-        d = space.row_block(lo, hi).copy()
-        for r in range(lo, hi):
-            d[r - lo, : r + 1] = np.inf
-        ratio = np.abs(values[lo:hi][:, None] - values[None, :]) / d
-        for r in range(lo, hi):
-            ratio[r - lo, : r + 1] = -1.0  # upper triangle only, even on ties at 0
-        # the flat argmax is the first maximum in row-major order
-        flat = int(ratio.argmax())
-        m = float(ratio.flat[flat])
-        if m > best:
-            r, j = divmod(flat, space.n)
-            best, best_pair = m, (lo + r, j)
-    i, j = best_pair
-    return best, (space.labels[i], space.labels[j])
+        slopes = np.abs(np.diff(stack[:, order], axis=1)) / np.diff(xs)
+        top = slopes.max(axis=1)
+        lo, hi = np.minimum(order[:-1], order[1:]), np.maximum(order[:-1], order[1:])
+        rank = np.empty(lo.size, dtype=np.intp)
+        rank[np.lexsort((hi, lo))] = np.arange(lo.size)
+        # per row, the smallest index pair among its steepest adjacent pairs
+        at = np.where(slopes == top[:, None], rank, lo.size).argmin(axis=1)
+        best = [(float(m), (int(lo[p]), int(hi[p]))) for m, p in zip(top, at)]
+    else:
+        best = [(-np.inf, (0, 1))] * len(stack)
+        for lo, d in _upper_blocks(space):
+            ratio = np.empty_like(d)
+            for k, v in enumerate(stack):
+                np.subtract.outer(v[lo:lo + d.shape[0]], v, out=ratio)
+                np.abs(ratio, out=ratio)
+                ratio /= d  # 0 on and below the diagonal
+                # the flat argmax is the first maximum in row-major order; a
+                # zero maximum ties every pair, whose first is (lo, lo + 1)
+                flat = int(ratio.argmax())
+                m = float(ratio.flat[flat])
+                if m > best[k][0]:
+                    r, j = divmod(flat, space.n) if m > 0.0 else (0, lo + 1)
+                    best[k] = (m, (lo + r, j))
+    out = [(m, (space.labels[i], space.labels[j])) for m, (i, j) in best]
+    return out if values.ndim == 2 else out[0]

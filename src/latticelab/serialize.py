@@ -117,10 +117,38 @@ def sha256_of(path) -> str:
     return h.hexdigest()
 
 
+def _object(obj, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise InputError(f"{where}: expected an object, got {type(obj).__name__}")
+    return obj
+
+
 def _require(obj: dict, key: str, where: str):
-    if key not in obj:
+    if key not in _object(obj, where):
         raise InputError(f"{where}: missing required field {key!r}")
     return obj[key]
+
+
+def _parsed(cast, value, where: str):
+    """cast(value); a value of the wrong type or form is an InputError naming
+    the field ``where``."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{where}: malformed value ({exc})") from None
+
+
+def _number(obj: dict, key: str, where: str) -> float:
+    """obj[key] as a finite float, else an InputError naming the field."""
+    out = _parsed(float, _require(obj, key, where), f"{where}.{key}")
+    if not math.isfinite(out):
+        raise InputError(f"{where}.{key}: {out!r} is not a finite number")
+    return out
+
+
+def _floats(value) -> np.ndarray:
+    """A JSON list of numbers as a 1-d array; other shapes raise."""
+    return np.asarray(value, dtype=np.float64).reshape(len(value))
 
 
 def _check_version(obj: dict, where: str) -> None:
@@ -144,7 +172,7 @@ def space_to_json(space: FiniteMetricSpace) -> dict:
 
 def space_from_json(obj: dict, where: str = "space json") -> FiniteMetricSpace:
     _check_version(obj, where)
-    labels = _require(obj, "labels", where)
+    labels = _parsed(list, _require(obj, "labels", where), f"{where}.labels")
     if "coords" in obj:
         coords = np.asarray(obj["coords"], dtype=np.float64)
         if coords.ndim == 1:
@@ -260,10 +288,9 @@ def tail_from_json(obj, where: str) -> Tail | None:
     if kind == "none":
         return Tail.none()
     if kind == "constant":
-        return Tail.constant(float(_require(obj, "value", where)))
+        return Tail.constant(_number(obj, "value", where))
     if kind == "power":
-        return Tail.power(float(_require(obj, "exponent", where)),
-                          float(_require(obj, "scale", where)))
+        return Tail.power(_number(obj, "exponent", where), _number(obj, "scale", where))
     raise InputError(f"{where}: unknown tail kind {kind!r}")
 
 
@@ -276,7 +303,7 @@ def element_to_json(x: LatticeElement | None):
 def element_from_json(obj, carrier: Carrier, where: str) -> LatticeElement | None:
     if obj is None:
         return None
-    values = np.asarray(_require(obj, "values", where), dtype=np.float64)
+    values = _parsed(_floats, _require(obj, "values", where), f"{where}.values")
     if values.shape[0] != carrier.size:
         raise InputError(
             f"{where}: {values.shape[0]} values for a carrier of size {carrier.size}"
@@ -295,7 +322,7 @@ def tag_from_json(obj, where: str) -> SpaceTag | None:
         return None
     kind = _require(obj, "kind", where)
     p = obj.get("p")
-    return SpaceTag(kind, None if p is None else float(p))
+    return SpaceTag(kind, None if p is None else _parsed(float, p, f"{where}.p"))
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +371,17 @@ def _metadata_to_json(meta: FamilyMetadata) -> dict:
 def _metadata_from_json(obj, carrier: Carrier, where: str) -> FamilyMetadata:
     if obj is None:
         return FamilyMetadata()
-    ucn = obj.get("uniformly_cauchy_norms")
+    ucn = _object(obj, where).get("uniformly_cauchy_norms")
     return FamilyMetadata(
         monotone_decreasing=bool(obj.get("monotone_decreasing", False)),
         common_bound=element_from_json(obj.get("common_bound"), carrier,
                                        f"{where}.common_bound"),
-        uniformly_cauchy_norms=None if ucn is None else tuple(float(e) for e in ucn),
+        uniformly_cauchy_norms=None if ucn is None else tuple(
+            float(e) for e in _parsed(_floats, ucn, f"{where}.uniformly_cauchy_norms")),
         space_tag=tag_from_json(obj.get("space_tag"), f"{where}.space_tag"),
         limit=element_from_json(obj.get("limit"), carrier, f"{where}.limit"),
         growth=obj.get("growth"),
-        notes=tuple(str(n) for n in obj.get("notes", ())),
+        notes=tuple(str(n) for n in _parsed(list, obj.get("notes", ()), f"{where}.notes")),
     )
 
 
@@ -362,7 +390,8 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
     car_doc = _require(obj, "carrier", where)
     kind = _require(car_doc, "kind", f"{where}.carrier")
     if kind == "index_set":
-        carrier = Carrier.index_set(int(_require(car_doc, "size", f"{where}.carrier")))
+        size = _require(car_doc, "size", f"{where}.carrier")
+        carrier = Carrier.index_set(_parsed(int, size, f"{where}.carrier.size"))
     elif kind == "points":
         space = space_from_json(_require(obj, "space", where), f"{where}.space")
         carrier = Carrier.points(space)
@@ -371,27 +400,28 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
 
     gen = obj.get("generator")
     if gen is not None:
-        if _require(gen, "kind", f"{where}.generator") != "truncation":
-            raise InputError(f"{where}.generator: unknown kind {gen.get('kind')!r}")
+        w = f"{where}.generator"
+        if _require(gen, "kind", w) != "truncation":
+            raise InputError(f"{w}: unknown kind {gen.get('kind')!r}")
         p = gen.get("p")
         return truncation_family(
-            float(_require(gen, "exponent", f"{where}.generator")),
-            float(gen.get("coeff", 1.0)),
-            size=int(_require(gen, "size", f"{where}.generator")),
-            horizon=int(_require(gen, "horizon", f"{where}.generator")),
-            p=None if p is None else float(p),
+            _number(gen, "exponent", w),
+            _parsed(float, gen.get("coeff", 1.0), f"{w}.coeff"),
+            size=_parsed(int, _require(gen, "size", w), f"{w}.size"),
+            horizon=_parsed(int, _require(gen, "horizon", w), f"{w}.horizon"),
+            p=None if p is None else _parsed(float, p, f"{w}.p"),
         )
 
-    rows = _require(obj, "members", where)
+    rows = _parsed(list, _require(obj, "members", where), f"{where}.members")
     if not rows:
         raise InputError(f"{where}: members is empty")
     tails = obj.get("tails")
     if tails is None and "tail" in obj:
         tails = [obj["tail"]] * len(rows)
-    if tails is not None and len(tails) != len(rows):
-        raise InputError(
-            f"{where}: {len(tails)} tails for {len(rows)} members"
-        )
+    if tails is not None:
+        tails = _parsed(list, tails, f"{where}.tails")
+        if len(tails) != len(rows):
+            raise InputError(f"{where}: {len(tails)} tails for {len(rows)} members")
     try:
         values = np.asarray(rows, dtype=np.float64)
     except (TypeError, ValueError):
@@ -401,12 +431,10 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
         # walk the rows in order to name the first bad member: its length, its tail,
         # then its values
         for i, row in enumerate(rows, start=1):
-            row = np.asarray(row, dtype=np.float64)
-            if row.ndim != 1 or row.shape[0] != carrier.size:
-                raise InputError(
-                    f"{where}: member {i} has {row.shape[0] if row.ndim == 1 else '?'} "
-                    f"values for a carrier of size {carrier.size}"
-                )
+            row = _parsed(_floats, row, f"{where}.members[{i}]")
+            if row.shape[0] != carrier.size:
+                raise InputError(f"{where}: member {i} has {row.shape[0]} values "
+                                 f"for a carrier of size {carrier.size}")
             LatticeElement(carrier, row, tail_from_json(tails[i - 1], f"{where}.tails[{i}]")
                            if tails else None)
     if tails:

@@ -5,6 +5,7 @@ Exit code contract: 0 holds / success, 1 legitimate failure or refusal,
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -346,6 +347,35 @@ def test_a_directory_given_as_an_input_file_exits_two_naming_it(argv, family_fil
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert str(folder) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("members", 2, 3), "x", ".members[3]: malformed value"),
+    (("carrier",), 5, ".carrier: expected an object"),
+    (("carrier", "size"), "x", ".carrier.size: malformed value"),
+    (("tails",), 7, ".tails: malformed value"),
+    (("metadata",), [1], ".metadata: expected an object"),
+    (("metadata", "uniformly_cauchy_norms"), "abc",
+     ".metadata.uniformly_cauchy_norms: malformed value"),
+    (("tails", 4), {"kind": "constant", "value": math.inf},
+     ".tails[5].value: inf is not a finite number"),
+])
+def test_a_damaged_family_file_exits_two_naming_the_field(path, value, field, tmp_path,
+                                                          capsys):
+    assert main(["generate", "steps", "--out", str(tmp_path / "gen")]) == 0
+    doc = json.loads((tmp_path / "gen" / "step_family.json").read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "damaged.json"
+    bad.write_text(json.dumps(doc))  # an infinite tail value is written as Infinity
+    capsys.readouterr()
+    assert main(["check", "--family", str(bad), "--mode", "order", "--candidate", "zero",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}{field}" in err
     assert "Traceback" not in err
 
 

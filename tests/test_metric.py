@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from latticelab import metric
 from latticelab.errors import InputError, MetricValidationError
 from latticelab.metric import (
     FiniteMetricSpace,
+    _coord_distances,
     discreteness_constant,
     dist_to_set,
     dist_to_set_all,
@@ -456,3 +459,140 @@ def test_line_order_only_for_one_column_coordinates():
     assert not line.line_order.flags.writeable
     assert dense_twin(line).line_order is None
     assert FiniteMetricSpace.from_coords(np.eye(3)).line_order is None
+
+
+# ---------------------------------------------------------------------------
+# one distance block per scan: each route against the route it replaced
+
+
+def einsum_distances(a, b):
+    """The distance formula the column-at-a-time kernel replaced."""
+    if a.shape[1] == 1:
+        return np.abs(a[:, 0][:, None] - b[:, 0][None, :])
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_column_kernel_matches_the_einsum_formula(k):
+    rng = np.random.default_rng(k)
+    for scale in (1e-6, 1.0, 1e6):
+        a = rng.standard_normal((97, k)) * scale
+        b = rng.standard_normal((131, k)) * scale
+        got, want = _coord_distances(a, b), einsum_distances(a, b)
+        if k <= 2:
+            np.testing.assert_array_equal(got, want)
+        else:  # einsum sums three terms in its own order
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
+
+def test_a_coordinate_row_block_peaks_below_two_and_a_half_blocks():
+    space = FiniteMetricSpace.from_coords(np.random.default_rng(0).uniform(size=(3000, 2)))
+    lo, hi = next(space.block_rows())
+    tracemalloc.start()
+    try:
+        block = space.row_block(lo, hi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.nbytes >= 8 * metric.BLOCK_ENTRIES * 0.99
+    assert peak < 2.5 * block.nbytes
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Scans over many row windows, so the block seams are exercised."""
+    monkeypatch.setattr(metric, "BLOCK_ENTRIES", 100)
+
+
+def spaces_off_the_line(rng):
+    """A 2-D coordinate space on a coarse lattice (many tied distances) and
+    its explicit-matrix twin; neither takes the line route."""
+    pts = np.unique(rng.integers(0, 6, size=(40, 2)), axis=0) * 0.5
+    space = FiniteMetricSpace.from_coords(pts)
+    return [space, dense_twin(space)]
+
+
+def slope_oracle(space, values):
+    """Steepest pair by a scan of the strict upper triangle in row-major
+    order; the first maximum wins."""
+    i, j = np.triu_indices(space.n, 1)
+    ratio = np.abs(values[i] - values[j]) / space.row_block(0, space.n)[i, j]
+    k = int(ratio.argmax())
+    return float(ratio[k]), (space.labels[i[k]], space.labels[j[k]])
+
+
+def line_slope_oracle(space, values):
+    """Steepest adjacent pair of the sorted order, as one vector at a time."""
+    order = space.line_order
+    slopes = np.abs(np.diff(values[order])) / np.diff(space.coords[order, 0])
+    best = float(slopes.max())
+    hits = np.flatnonzero(slopes == best)
+    pairs = sorted((min(a, b), max(a, b)) for a, b in zip(order[hits], order[hits + 1]))
+    return best, (space.labels[pairs[0][0]], space.labels[pairs[0][1]])
+
+
+def value_stack(rng, space):
+    """Rows with distinct, tied and all-zero slopes."""
+    x = space.coords[:, 0] if space.coords is not None else np.arange(space.n, dtype=float)
+    return np.stack([
+        rng.standard_normal(space.n),
+        rng.integers(0, 3, size=space.n).astype(np.float64),  # many tied slopes
+        3.0 * x,  # every slope ties on the line
+        np.zeros(space.n),  # every slope is 0
+        rng.standard_normal(space.n) * 1e3,
+    ])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_max_slope_equals_one_scan_per_vector(seed, small_blocks):
+    rng = np.random.default_rng(seed)
+    line = FiniteMetricSpace.from_coords(rng.permutation(np.arange(30) * 0.25))
+    for space in spaces_off_the_line(rng) + [line]:
+        stack = value_stack(rng, space)
+        batched = max_slope(space, stack)
+        assert batched == [max_slope(space, v) for v in stack]
+        oracle = line_slope_oracle if space.line_order is not None else slope_oracle
+        assert batched == [oracle(space, v) for v in stack]
+
+
+def test_batched_max_slope_checks_the_stack_shape():
+    with pytest.raises(InputError, match="length"):
+        max_slope(grid_space(3), np.zeros((2, 4)))
+    assert max_slope(grid_space(3), np.zeros((0, 3))) == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_closest_pair_from_the_radii_equals_the_block_scan(seed, small_blocks):
+    rng = np.random.default_rng(seed)
+    for space in spaces_off_the_line(rng):
+        full = space.row_block(0, space.n) + np.diag(np.full(space.n, np.inf))
+        np.testing.assert_array_equal(isolation_radii(space), full.min(axis=1))
+        delta = discreteness_constant(space)
+        everyone = np.ones(space.n, dtype=bool)
+        # up to 4 delta no point is a guarded-radius candidate, so both
+        # routes come down to the closest pair
+        for eps in (0.5 * delta, delta, 1.5 * delta, 2.0 * delta, 4.0 * delta):
+            scan = metric._scan_close_pair(space, everyone, eps)
+            want = None if scan is None else (space.labels[scan[0]], space.labels[scan[1]])
+            assert find_close_pair(space, set(), eps) == want
+
+
+def test_closest_pair_ties_go_to_the_smallest_index_pair():
+    # every side of the square is a closest pair; (p0, p1) comes first
+    square = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
+    for space in (FiniteMetricSpace.from_coords(square),
+                  dense_twin(FiniteMetricSpace.from_coords(square))):
+        assert find_close_pair(space, set(), 2.0) == ("p0", "p1")
+        assert find_close_pair(space, set(), 1.0) is None
+        assert metric._scan_close_pair(space, np.ones(4, dtype=bool), 2.0) == (0, 1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_target_columns_give_the_full_row_minimum(seed, small_blocks):
+    rng = np.random.default_rng(seed)
+    for space in spaces_off_the_line(rng):
+        idx = rng.choice(space.n, size=int(rng.integers(1, 6)), replace=False)
+        full = space.row_block(0, space.n)[:, idx].min(axis=1)
+        got = dist_to_set_all(space, [space.labels[i] for i in idx])
+        np.testing.assert_array_equal(got, full)
