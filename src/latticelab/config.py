@@ -1,9 +1,8 @@
-"""Run configuration: tolerances, horizons, seeds, proof constants, threads."""
+"""Run configuration: tolerances, horizons, seeds and proof constants."""
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .errors import InputError
 
@@ -18,7 +17,7 @@ DEFAULT_SEED = 0
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """Knobs shared by the convergence and witness machinery.
+    """Settings shared by the convergence and witness machinery.
 
     tolerance is absolute; every verdict records the values actually used
     so stored reports can be replayed bit-for-bit.
@@ -33,9 +32,6 @@ class CheckConfig:
             raise InputError(f"tolerance must be positive, got {self.tolerance}")
         if self.horizon < 1:
             raise InputError(f"horizon must be >= 1, got {self.horizon}")
-
-    def with_(self, **kw) -> "CheckConfig":
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -73,21 +69,10 @@ class ProofConstants:
 
 DEFAULT_CONSTANTS = ProofConstants()
 
-THREADS_ENV_VAR = "LATTICELAB_THREADS"
-
 
 def thread_count() -> int:
-    """Worker cap taken from LATTICELAB_THREADS; defaults to 1 (serial)."""
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise InputError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise InputError(f"{THREADS_ENV_VAR} must be >= 1, got {n}")
-    return n
+    """Always 1: every check runs serially in the calling thread."""
+    return 1
 
 
 def parse_constants(spec: str) -> ProofConstants:

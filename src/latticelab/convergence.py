@@ -20,14 +20,12 @@ it was decided under.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import CheckConfig, thread_count
+from .config import CheckConfig
 from .core import (
     Carrier,
     LatticeElement,
@@ -179,7 +177,6 @@ class SequenceFamily:
             self.carrier = first.carrier if carrier is None else carrier
             self._values = first.values[None, :]
             self._tails = (first.tail,) if self.carrier.is_index_set else None
-            self._grow = threading.Lock()
             vh = verification_horizon if verification_horizon is not None else min(horizon, 64)
             self.verification_horizon = min(int(vh), self.horizon)
         else:
@@ -248,14 +245,12 @@ class SequenceFamily:
                     f"materializing {upto} generated members exceeds the limit "
                     f"{MEMBER_MATERIALIZE_LIMIT}; lower the horizon or use the model"
                 )
-            with self._grow:  # pool threads may stack one generator family at once
-                new = [self.member(n) for n in range(len(self._values) + 1, upto + 1)]
-                if new:  # tails go first: whoever sees the new rows finds their tails
-                    if self._tails is not None:
-                        self._tails += tuple(m.tail for m in new)
-                    grown = np.concatenate([self._values, [m.values for m in new]])
-                    grown.setflags(write=False)
-                    self._values = grown
+            new = [self.member(n) for n in range(len(self._values) + 1, upto + 1)]
+            if self._tails is not None:
+                self._tails += tuple(m.tail for m in new)
+            grown = np.concatenate([self._values, [m.values for m in new]])
+            grown.setflags(write=False)
+            self._values = grown
         return self._values[:upto]
 
     def tail(self, n: int):
@@ -752,16 +747,18 @@ def check_order_convergence(family: SequenceFamily, candidate: LatticeElement,
 
 
 def verify_order_certificate(family: SequenceFamily, candidate: LatticeElement,
-                             cert: OrderCertificate, tolerance: float) -> bool:
+                             cert: OrderCertificate, tolerance: float) -> None:
     """Replay: recompute the regulator and require exact agreement."""
     upto = len(cert.thresholds)
     diffs = np.abs(family.stacked(upto) - candidate.values[None, :])
     reg = _suffix_sup(diffs)
     if reg.shape != cert.regulator_values.shape or not np.array_equal(reg, cert.regulator_values):
-        return False
+        raise MetadataError("certificate violated: regulator mismatch")
     if np.any(np.diff(cert.regulator_values, axis=0) > 0):
-        return False
-    return cert.final_sup <= tolerance
+        raise MetadataError("certificate violated: the regulator increases")
+    if not cert.final_sup <= tolerance:
+        raise MetadataError(f"certificate violated: final_sup {cert.final_sup!r} "
+                            f"is above the tolerance {tolerance!r}")
 
 
 def _uo_probes(family: SequenceFamily, dominator: LatticeElement | None, seed: int):
@@ -1027,7 +1024,7 @@ def check_buo_cauchy(family: SequenceFamily, policy, config: CheckConfig | None 
                     horizon=upto, policy="certificate",
                     notes=(f"declared norms stop at {eps[-1]:.6g}, above tolerance",),
                 )
-            verify_uniform_certificate(family, UniformCauchyCertificate(eps), strict=True)
+            verify_uniform_certificate(family, UniformCauchyCertificate(eps))
             y = dominating_element(family)
             return ConvergenceVerdict(
                 mode="buo_cauchy", outcome="holds", tolerance=cfg.tolerance,
@@ -1056,14 +1053,8 @@ def check_buo_cauchy(family: SequenceFamily, policy, config: CheckConfig | None 
     pol_desc = f"sampled(count={policy.count},max_len={policy.max_len})"
     if policy.include:
         pol_desc += f"+{len(policy.include)} included"
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda s: _check_subsequence(family, s, cfg.tolerance), subs))
-    else:
-        results = [_check_subsequence(family, s, cfg.tolerance) for s in subs]
-    for witness in results:  # first failure in draw order wins: deterministic
+    for seq in subs:  # the first failure in draw order wins; later draws never run
+        witness = _check_subsequence(family, seq, cfg.tolerance)
         if witness is not None:
             return ConvergenceVerdict(
                 mode="buo_cauchy", outcome="fails", tolerance=cfg.tolerance,
@@ -1092,23 +1083,21 @@ def _bound_norm(y: LatticeElement) -> float:
     return sup_norm(y) if y.carrier.is_index_set else y.max_abs_prefix()
 
 
-def _replayed(breach: str | None, strict: bool) -> bool:
-    if breach is None:
-        return True
-    if strict:
+# Every replay returns None when the record holds and otherwise raises
+# MetadataError("certificate violated: ...") naming what broke.
+def _replayed(breach: str | None) -> None:
+    if breach is not None:
         raise MetadataError(f"certificate violated: {breach}")
-    return False
 
 
-def verify_uniform_certificate(family: SequenceFamily, cert: UniformCauchyCertificate,
-                               strict: bool = False) -> bool:
+def verify_uniform_certificate(family: SequenceFamily, cert: UniformCauchyCertificate) -> None:
     """Replay: every pairwise sup-gap with both indices >= m fits under eps_m."""
     upto = min(len(cert.eps), family.horizon)
-    return _replayed(_uniform_breach(family, cert.eps, upto), strict)
+    _replayed(_uniform_breach(family, cert.eps, upto))
 
 
 def verify_monotone_certificate(family: SequenceFamily, cert: MonotoneCertificate,
-                                upto: int, strict: bool = False) -> bool:
+                                upto: int) -> None:
     """Replay: the stored bound is the family's declared common bound and
     dominates |x_n| for n = 1..upto, tails included."""
     declared = family.metadata.common_bound
@@ -1119,7 +1108,7 @@ def verify_monotone_certificate(family: SequenceFamily, cert: MonotoneCertificat
         breach = "the stored bound differs from the declared common bound"
     else:
         breach = _monotone_breach(family, cert.bound, False, family.prefix_count(upto))
-    return _replayed(breach, strict)
+    _replayed(breach)
 
 
 # ---------------------------------------------------------------------------

@@ -93,16 +93,6 @@ class Tail:
     def decidable(self) -> bool:
         return self.kind != "none"
 
-    def value_at(self, j: int) -> float:
-        """Coordinate j of the tail (j is the global 1-based index)."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "power":
-            return self.scale * float(j) ** (-self.exponent)
-        raise UndecidableTailError("tail is undeclared")
-
     def sup_abs(self, first: int) -> float:
         """sup of |tail coordinate| over j >= first."""
         if self.kind == "zero":
@@ -334,9 +324,6 @@ class LatticeElement:
     @property
     def first_tail_index(self) -> int:
         return self.carrier.size + 1
-
-    def with_values(self, values, tail=None) -> "LatticeElement":
-        return LatticeElement(self.carrier, values, tail if tail is not None else self.tail)
 
     def max_abs_prefix(self) -> float:
         return float(np.abs(self.values).max())

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 
-import mpmath
 import numpy as np
 
 from .errors import InputError
@@ -47,11 +46,13 @@ def power_sum(s: float, start: int, stop: float) -> float:
     if math.isinf(stop):
         if s <= 1.0:
             return math.inf
+        import mpmath  # the closed forms only: most runs never load it
         with mpmath.workdps(30):
             return float(mpmath.zeta(s, start))
     stop = int(stop)
     if stop - start <= DIRECT_SUM_LIMIT:
         return _direct_power_sum(s, start, stop)
+    import mpmath
     with mpmath.workdps(30):
         if s == 1.0:
             val = mpmath.digamma(stop) - mpmath.digamma(start)

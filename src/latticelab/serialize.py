@@ -505,21 +505,25 @@ def certificate_from_json(obj, carrier: Carrier, where: str = "certificate"):
     if kind == "order":
         tails = obj.get("regulator_tails")
         return OrderCertificate(
-            regulator_values=np.asarray(_require(obj, "regulator_values", where),
-                                        dtype=np.float64),
+            regulator_values=_parsed(lambda v: np.asarray(v, dtype=np.float64),
+                                     _require(obj, "regulator_values", where),
+                                     f"{where}.regulator_values"),
             regulator_tails=(None if tails is None else
                              tuple(_tails_from_json(tails, lambda i: where))),
-            thresholds=tuple(int(t) for t in _require(obj, "thresholds", where)),
-            final_sup=float(_require(obj, "final_sup", where)),
+            thresholds=_parsed(lambda v: tuple(map(int, v)), _require(obj, "thresholds", where),
+                               f"{where}.thresholds"),
+            final_sup=_number(obj, "final_sup", where),
         )
     if kind == "monotone":
+        bound = _object(_require(obj, "bound", where), f"{where}.bound")
         return MonotoneCertificate(
-            bound=element_from_json(_require(obj, "bound", where), carrier, where),
+            bound=element_from_json(bound, carrier, f"{where}.bound"),
             note=obj.get("note", ""),
         )
     if kind == "uniform_cauchy":
         return UniformCauchyCertificate(
-            eps=tuple(float(e) for e in _require(obj, "eps", where))
+            eps=_parsed(lambda v: tuple(map(float, v)), _require(obj, "eps", where),
+                        f"{where}.eps")
         )
     raise InputError(f"{where}: cannot replay certificate type {kind!r}")
 
@@ -617,11 +621,10 @@ def witness_to_json(w) -> dict:
     raise InputError(f"cannot serialize witness of type {type(w).__name__}")
 
 
-def witness_from_json(obj: dict, where: str = "witness json", strict_replay: bool = False):
+def witness_from_json(obj: dict, where: str = "witness json"):
     """Rebuild a stored witness; construction re-runs every recorded
-    inequality.  With ``strict_replay`` a record that fails its own
-    arithmetic is an invariant breach (a tampered or stale file), not a
-    schema problem."""
+    inequality.  A record that fails its own arithmetic is an invariant
+    breach (a tampered or stale file), not a schema problem."""
     _check_version(obj, where)
     kind = _require(obj, "type", where)
     try:
@@ -656,16 +659,14 @@ def witness_from_json(obj: dict, where: str = "witness json", strict_replay: boo
             cls = BlockWitness
         else:
             raise InputError(f"{where}: unknown witness type {kind!r}")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{where}: malformed field ({exc})") from None
     try:
         return cls(**fields)
     except InputError as exc:
-        if strict_replay:
-            raise InternalInvariantError(
-                f"{where}: stored record fails its own inequalities: {exc}"
-            ) from None
-        raise
+        raise InternalInvariantError(
+            f"{where}: stored record fails its own inequalities: {exc}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

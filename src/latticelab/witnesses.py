@@ -67,8 +67,9 @@ class JumpWitness:
     ``coordinates[i]`` carries the jump between ``indices[i]`` and
     ``indices[i+1]``; the pairing needs no realignment because each
     coordinate is selected at the member index it is later paired with.
-    ``index_shift`` stays 0 for records produced here and flags any record
-    whose arrays were realigned after selection.
+    ``index_shift`` stays 0 for records produced here; a non-zero value
+    flags a record whose arrays were realigned after selection, and such a
+    record is refused.
     """
 
     eps: float
@@ -119,6 +120,8 @@ def _check_jump_record(w: JumpWitness) -> None:
         raise InputError("member indices must be strictly increasing and >= 1")
     if w.coordinates[0] < 1 or not _strictly_increasing(w.coordinates):
         raise InputError("coordinates must be strictly increasing and >= 1")
+    if w.index_shift != 0:
+        raise InputError(f"index_shift {w.index_shift} marks a realigned record")
     if w.horizon < w.indices[-1]:
         raise InputError("witness horizon cannot precede its last member index")
     big = w.factor * w.eps

@@ -6,6 +6,10 @@ Exit code contract: 0 holds / success, 1 legitimate failure or refusal,
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -51,6 +55,17 @@ def family_file(tmp_path):
     path = tmp_path / "fam.json"
     write_json(path, family_to_json(halving_family()))
     return path
+
+
+def test_importing_the_cli_loads_neither_mpmath_nor_a_thread_pool():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, latticelab.cli; "
+            "print(sorted({'mpmath', 'concurrent.futures'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +224,21 @@ def test_tampered_witness_replay_exits_three(tmp_path, capsys):
     assert "invariant breach" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shift", [5, -1, 1e308])
+def test_a_realigned_jump_witness_does_not_replay(shift, tmp_path, capsys):
+    out = tmp_path / "w"
+    main(["generate", "steps", "--out", str(out)])
+    fam = str(out / "step_family.json")
+    main(["witness", "jumps", "--family", fam, "--eps", "0.25",
+          "--count", "5", "--out", str(out)])
+    doc = json.loads((out / "witness.json").read_text())
+    doc["index_shift"] = shift
+    write_json(out / "shifted.json", doc)
+    capsys.readouterr()
+    assert main(["verify", "--family", fam, "--witness", str(out / "shifted.json")]) == 3
+    assert "marks a realigned record" in capsys.readouterr().err
+
+
 def test_witness_blocks_and_the_convergent_refusal(tmp_path, capsys):
     t1 = tmp_path / "div"
     main(["generate", "truncation", "--exponent", "1.0", "--p", "1.0",
@@ -292,6 +322,30 @@ def test_verify_refuses_buo_probe_replay(family_file, tmp_path, capsys):
                  "--report", str(out / "check_report.json")])
     assert code == 2
     assert "cannot replay certificate type 'buo'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage, field", [
+    (lambda doc: [doc], ": expected an object, got list"),
+    (lambda doc: "report", ": expected an object, got str"),
+    (lambda doc: dict(doc, certificate={"type": "monotone", "bound": None}),
+     ".certificate.bound: expected an object, got NoneType"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "tolerance"},
+     ": missing required field 'tolerance'"),
+    (lambda doc: dict(doc, tolerance="abc"), ".tolerance: malformed value"),
+    (lambda doc: dict(doc, schema_version=99), ": schema_version 99 unsupported"),
+], ids=["list", "string", "null-bound", "no-tolerance", "text-tolerance", "version-99"])
+def test_a_damaged_report_exits_two_naming_the_field(damage, field, family_file, tmp_path,
+                                                     capsys):
+    out = tmp_path / "r"
+    main(["check", "--family", str(family_file), "--mode", "order",
+          "--tolerance", "1e-6", "--out", str(out)])
+    bad = tmp_path / "damaged.json"
+    write_json(bad, damage(json.loads((out / "check_report.json").read_text())))
+    capsys.readouterr()
+    assert main(["verify", "--family", str(family_file), "--report", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}{field}" in err
+    assert "Traceback" not in err
 
 
 def test_verify_input_guards(family_file, capsys):

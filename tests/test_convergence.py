@@ -1,7 +1,6 @@
 import contextlib
 import io
 import math
-import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 from latticelab.cli import main
 from latticelab.config import CheckConfig
 from latticelab.convergence import (
+    MEMBER_MATERIALIZE_LIMIT,
     CertificatePolicy,
     FamilyMetadata,
     MonotoneCertificate,
@@ -267,6 +267,15 @@ def test_model_dominator_is_the_full_limit():
     y = dominating_element(fam)
     assert y.values[0] == 1.0
     assert y.tail == Tail.power(1.0, 1.0)
+    # sampled draws stack the generated prefix lazily, each up to its own
+    # last index; row n of the matrix is still member n, tails included
+    fam = truncation_family(1.0, size=512, horizon=600)
+    check_buo_cauchy(fam, SampledPolicy(count=32, max_len=8, seed=5,
+                                        include=tuple((1, k) for k in range(3, 400, 7))),
+                     CheckConfig(horizon=600, tolerance=1e-3))
+    assert np.array_equal(fam.stacked(600), np.stack([fam.make(n).values
+                                                      for n in range(1, 601)]))
+    assert fam.tails(600) == tuple(fam.make(n).tail for n in range(1, 601))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +287,7 @@ def test_constant_family_order_converges_with_zero_regulator():
     v = check_order_convergence(const_family(x), x)
     assert v.outcome == "holds"
     assert v.certificate.final_sup == 0.0
-    assert verify_order_certificate(const_family(x), x, v.certificate, v.tolerance)
+    verify_order_certificate(const_family(x), x, v.certificate, v.tolerance)
 
 
 def test_harmonic_scaling_family_holds_at_loose_tolerance():
@@ -357,10 +366,15 @@ def test_certificate_replay_rejects_tampering():
         thresholds=cert.thresholds,
         final_sup=cert.final_sup,
     )
-    assert not verify_order_certificate(fam, x, hacked, v.tolerance)
+    with pytest.raises(MetadataError, match="certificate violated: regulator mismatch"):
+        verify_order_certificate(fam, x, hacked, v.tolerance)
     # a certificate replayed against the wrong family also fails
     other = const_family(seq([9.0, 9.0, 9.0]))
-    assert not verify_order_certificate(other, x, cert, v.tolerance)
+    with pytest.raises(MetadataError, match="certificate violated: regulator mismatch"):
+        verify_order_certificate(other, x, cert, v.tolerance)
+    loose = type(cert)(cert.regulator_values, cert.regulator_tails, cert.thresholds, 1.0)
+    with pytest.raises(MetadataError, match="final_sup 1.0 is above the tolerance 1e-09"):
+        verify_order_certificate(fam, x, loose, v.tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -593,29 +607,16 @@ def test_certificate_soundness_on_settled_windows(levels, seed):
     assert sampled.outcome != "fails"
 
 
-def test_sampled_route_under_threads_matches_serial(monkeypatch):
-    # Pool threads stack one generator family at once, each subsequence up
-    # to its own last index; row n of the stacked matrix must still be
-    # member n.  A short switch interval makes the threads interleave.
-    policy = SampledPolicy(count=32, max_len=8, seed=5,
-                           include=tuple((1, k) for k in range(3, 400, 7)))
-    cfg = CheckConfig(horizon=600, tolerance=1e-3)
-    monkeypatch.setenv("LATTICELAB_THREADS", "1")
-    serial = check_buo_cauchy(truncation_family(1.0, size=512, horizon=600), policy, cfg)
-    monkeypatch.setenv("LATTICELAB_THREADS", "4")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            fam = truncation_family(1.0, size=512, horizon=600)
-            threaded = check_buo_cauchy(fam, policy, cfg)
-            assert threaded == serial
-            fresh = truncation_family(1.0, size=512, horizon=600)
-            assert np.array_equal(fam.stacked(600), np.stack(
-                [fresh.make(n).values for n in range(1, 601)]))
-            assert fam.tails(600) == tuple(fresh.make(n).tail for n in range(1, 601))
-    finally:
-        sys.setswitchinterval(interval)
+def test_sampled_route_returns_at_the_first_failing_draw():
+    # the included (1, 2) fails; every later draw ends at the horizon, past
+    # the materialize limit, and would raise if it were evaluated
+    horizon = MEMBER_MATERIALIZE_LIMIT + 1
+    fam = SequenceFamily(make=lambda n: seq([(-1.0) ** n] * 3), horizon=horizon)
+    v = check_buo_cauchy(fam, SampledPolicy(count=4, include=((1, 2),)),
+                         CheckConfig(horizon=horizon))
+    assert v.outcome == "fails" and v.witness.indices == (1, 2)
+    with pytest.raises(InputError, match="exceeds the limit"):
+        fam.stacked(horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -670,11 +671,10 @@ def test_uniform_certificate_replay_detects_violations():
     members = [seq([0.0] * 3), seq([1.0] * 3)]
     fam = SequenceFamily(members=members)
     cert = UniformCauchyCertificate(eps=(0.5, 0.5))
-    assert not verify_uniform_certificate(fam, cert)
     with pytest.raises(MetadataError, match=r"\|\|x_1 - x_2\|\| = 1"):
-        verify_uniform_certificate(fam, cert, strict=True)
+        verify_uniform_certificate(fam, cert)
     good = UniformCauchyCertificate(eps=(1.0, 1.0))
-    assert verify_uniform_certificate(fam, good)
+    verify_uniform_certificate(fam, good)
 
 
 def test_monotone_certificate_replay_checks_the_stored_bound_and_its_tail():
@@ -682,14 +682,14 @@ def test_monotone_certificate_replay_checks_the_stored_bound_and_its_tail():
     declared = seq([1.0, 2.0, 1.0], Tail.constant(1.0))
     fam = SequenceFamily(members=members, metadata=FamilyMetadata(
         monotone_decreasing=True, common_bound=declared))
-    assert verify_monotone_certificate(fam, MonotoneCertificate(bound=declared), 5)
+    verify_monotone_certificate(fam, MonotoneCertificate(bound=declared), 5)
     # same window, tail below the first member's: only the tail check can see it
     low_tail = MonotoneCertificate(bound=seq([1.0, 2.0, 1.0], Tail.constant(0.5)))
-    assert not verify_monotone_certificate(fam, low_tail, 5)
     with pytest.raises(MetadataError, match="differs from the declared common bound"):
-        verify_monotone_certificate(fam, low_tail, 5, strict=True)
+        verify_monotone_certificate(fam, low_tail, 5)
     bare = SequenceFamily(members=members)
-    assert not verify_monotone_certificate(bare, MonotoneCertificate(bound=declared), 5)
+    with pytest.raises(MetadataError, match="declares no common bound"):
+        verify_monotone_certificate(bare, MonotoneCertificate(bound=declared), 5)
 
 
 def test_subsequence_draws_never_materialize_the_horizon():
@@ -889,7 +889,6 @@ def test_family_and_report_bytes_match_the_per_member_code(tmp_path, monkeypatch
     wrote for these exact commands; reports name their inputs by the
     relative paths used here."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("LATTICELAB_THREADS", raising=False)
     write_json("pairing.json", family_to_json(_pairing_bytes_family()))
     write_json("uniform.json", family_to_json(_uniform_bytes_family()))
     runs = [

@@ -318,7 +318,7 @@ def test_order_verdict_serializes_and_its_certificate_replays():
     cert = certificate_from_json(doc["certificate"], fam.carrier)
     assert cert.final_sup == verdict.certificate.final_sup
     assert cert.thresholds == verdict.certificate.thresholds
-    assert verify_order_certificate(fam, cand, cert, 1e-6)
+    verify_order_certificate(fam, cand, cert, 1e-6)
 
 
 def test_verdict_documents_are_byte_deterministic():
@@ -398,11 +398,9 @@ def test_tampered_witness_records_fail_reconstruction():
     doc = witness_to_json(extract_big_jump_witness(fam, range(1, 65),
                                                    eps=0.25, count=5))
     doc["jumps"] = [j * 0.5 for j in doc["jumps"]]
-    with pytest.raises(InputError):
-        witness_from_json(doc)
-    # on replay of a previously-verified file the same failure is a breach
+    # a stored record that fails its own arithmetic is a breach, not bad input
     with pytest.raises(InternalInvariantError, match="fails its own inequalities"):
-        witness_from_json(doc, strict_replay=True)
+        witness_from_json(doc)
 
 
 def test_witness_schema_diagnostics():
@@ -410,13 +408,15 @@ def test_witness_schema_diagnostics():
     doc = witness_to_json(extract_big_jump_witness(fam, range(1, 65),
                                                    eps=0.25, count=3))
     stale = dict(doc, schema_version=0)
-    # a version mismatch is a schema problem even in strict mode
+    # a version mismatch is a schema problem, not a breach
     with pytest.raises(InputError, match="schema_version 0 unsupported"):
-        witness_from_json(stale, strict_replay=True)
+        witness_from_json(stale)
     with pytest.raises(InputError, match="unknown witness type 'hunch'"):
         witness_from_json(dict(doc, type="hunch"))
     with pytest.raises(InputError, match="malformed field"):
         witness_from_json(dict(doc, indices=["two", 3]))
+    with pytest.raises(InputError, match="malformed field"):
+        witness_from_json(dict(doc, index_shift=float("inf")))
     with pytest.raises(InputError, match="missing required field 'eps'"):
         witness_from_json({k: v for k, v in doc.items() if k != "eps"})
 
