@@ -7,7 +7,7 @@ envelope   inf-convolution ladder under g = sqrt(dist(., SET)) ∧ 1
 check      convergence verdicts on a stored family
 witness    big-jump / disjoint-block extraction plus refutation certificate
 generate   reference scenarios (hats, envelope ladder, steps, truncations)
-verify     replay a stored witness or certificate against raw data
+verify     replay a stored witness or check report against raw data
 
 Exit codes: 0 success / property holds; 1 a property legitimately fails or
 an extraction correctly refuses; 2 malformed input; 3 a stored record
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -30,19 +31,14 @@ from .config import CheckConfig, parse_constants
 from .convergence import (
     CertificatePolicy,
     FamilyMetadata,
-    OrderCertificate,
     SampledPolicy,
     SequenceFamily,
-    UniformCauchyCertificate,
     buo_equals_order,
     check_buo_cauchy,
     check_buo_convergence,
     check_order_convergence,
     pointwise_limit,
     truncation_family,
-    verify_monotone_certificate,
-    verify_order_certificate,
-    verify_uniform_certificate,
 )
 from .core import Carrier, LatticeElement, SpaceTag, Tail
 from .counterexamples import build_refinement, hat_scenario, lip_counterexample, verify_escape
@@ -54,15 +50,10 @@ from .errors import (
     InternalInvariantError,
     LatticeLabError,
     LimitInSpaceRefusal,
-    MetadataError,
     UndecidableTailError,
 )
-from .metric import (
-    FiniteMetricSpace,
-    dist_to_set_all,
-    find_close_pair,
-    isolation_profile,
-)
+from .metric import dist_to_set_all, find_close_pair, isolation_profile
+from .serialize import _check_version, _number, _object, _parsed, _py, _require
 from .witnesses import (
     BlockWitness,
     extract_big_jump_witness,
@@ -164,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="replay a stored witness or check report")
     p.add_argument("--family", required=True)
     p.add_argument("--witness", default=None)
-    p.add_argument("--report", default=None, help="check report whose certificate to replay")
+    p.add_argument("--report", default=None, help="check report to replay")
     _add_common(p)
 
     return top
@@ -226,13 +217,20 @@ def _ints(text: str):
 # subcommands
 
 
-def cmd_metric(args) -> int:
+def _load_space(args):
+    """The --space input; a one-point space has no distances to report."""
     space = serialize.load_space(args.space, args.format)
+    if space.n < 2:
+        raise InputError(f"{args.space}: {args.command} needs at least two points, "
+                         f"got {space.n}")
+    return space
+
+
+def cmd_metric(args) -> int:
+    space = _load_space(args)
     profile = isolation_profile(space)
     delta = profile.delta
-    pair = None
-    if space.n >= 2 and np.isfinite(delta):
-        pair = find_close_pair(space, excluded=(), eps=2.0 * delta)
+    pair = find_close_pair(space, excluded=(), eps=2.0 * delta)
     order = np.argsort(profile.radii, kind="stable")
     running = np.minimum.accumulate(profile.radii[order])
     _emit_csv(args, "isolation_profile.csv", ["label", "isolation_radius"],
@@ -245,7 +243,7 @@ def cmd_metric(args) -> int:
         "type": "metric",
         "n": space.n,
         "discreteness_constant": delta,
-        "closest_pair": None if pair is None else list(pair),
+        "closest_pair": list(pair),
         "provenance": _provenance(args, {"space": args.space}),
     }
     _emit(args, "metric_report.json", doc)
@@ -254,7 +252,7 @@ def cmd_metric(args) -> int:
 
 
 def cmd_envelope(args) -> int:
-    space = serialize.load_space(args.space, args.format)
+    space = _load_space(args)
     targets = [t.strip() for t in args.target.split(",") if t.strip()]
     if not targets:
         raise InputError("--set needs at least one label")
@@ -292,21 +290,28 @@ def _candidate(args, family) -> LatticeElement:
     return pointwise_limit(family, _config(args))
 
 
+def _run_check(family, mode: str, candidate, policy, cfg: CheckConfig):
+    """The check behind each ``check --mode``; the report replay re-runs a
+    stored check through this same dispatch."""
+    if mode == "order":
+        return check_order_convergence(family, candidate, cfg)
+    if mode == "buo":
+        return check_buo_convergence(family, candidate, cfg)
+    if mode == "buo-equals-order":
+        return buo_equals_order(family, candidate, cfg)
+    return check_buo_cauchy(family, policy, cfg)
+
+
 def cmd_check(args) -> int:
     family = serialize.load_family(args.family)
-    cfg = _config(args)
-    if args.mode == "order":
-        verdict = check_order_convergence(family, _candidate(args, family), cfg)
-    elif args.mode == "buo":
-        verdict = check_buo_convergence(family, _candidate(args, family), cfg)
-    elif args.mode == "buo-equals-order":
-        verdict = buo_equals_order(family, _candidate(args, family), cfg)
+    candidate = policy = None
+    if args.mode != "buo-cauchy":
+        candidate = _candidate(args, family)
+    elif args.policy == "certificate":
+        policy = CertificatePolicy()
     else:
-        if args.policy == "certificate":
-            policy = CertificatePolicy()
-        else:
-            policy = SampledPolicy(count=args.count, max_len=args.max_len, seed=args.seed)
-        verdict = check_buo_cauchy(family, policy, cfg)
+        policy = SampledPolicy(count=args.count, max_len=args.max_len, seed=args.seed)
+    verdict = _run_check(family, args.mode, candidate, policy, _config(args))
     doc = serialize.verdict_to_json(verdict)
     doc["provenance"] = _provenance(args, {"family": args.family})
     _emit(args, "check_report.json", doc)
@@ -421,38 +426,90 @@ def cmd_verify(args) -> int:
             verify_jump_witness(witness, family)
         print(f"witness re-verified against {args.family}")
         return EXIT_OK
-    doc = serialize.read_json(args.report)
-    serialize._check_version(doc, args.report)  # a non-object fails here, naming the file
-    if doc.get("type") != "verdict":
-        raise InputError(f"{args.report}: not a check report")
-    cert = serialize.certificate_from_json(doc.get("certificate"), family.carrier,
-                                           where=f"{args.report}.certificate")
-    if cert is None:
-        raise InputError(f"{args.report}: report carries no certificate to replay")
-    if isinstance(cert, OrderCertificate):
-        limit = serialize.element_from_json(doc.get("limit"), family.carrier,
-                                            f"{args.report}.limit")
-        if limit is None:
-            raise InputError(f"{args.report}: order certificate without a stored limit")
-        tolerance = serialize._number(doc, "tolerance", args.report)
-    try:
-        if isinstance(cert, OrderCertificate):
-            verify_order_certificate(family, limit, cert, tolerance)
-        elif isinstance(cert, UniformCauchyCertificate):
-            verify_uniform_certificate(family, cert)
-        else:
-            # re-run the certificate check, then hold the stored bound itself
-            # to the declared bound and to every member the verdict covers
-            verdict = check_buo_cauchy(family, CertificatePolicy())
-            if verdict.outcome != "holds":
-                raise MetadataError("the certificate route does not hold on this family")
-            verify_monotone_certificate(family, cert, verdict.horizon)
-    except LatticeLabError as exc:
-        raise InternalInvariantError(
-            f"stored {doc['certificate']['type']} certificate does not replay: {exc}"
-        ) from None
-    print(f"certificate re-verified against {args.family}")
+    what = replay_report(serialize.read_json(args.report), family, args.report)
+    print(f"{what} re-verified against {args.family}")
     return EXIT_OK
+
+
+#: the policy text a sampled Buo-Cauchy verdict records
+_SAMPLED = re.compile(r"sampled\(count=(\d+),max_len=(\d+)\)")
+
+#: the check --mode whose report records each verdict mode
+_REPORT_MODES = {"order": "order", "buo": "buo", "buo_cauchy": "buo-cauchy"}
+
+
+def _recorded_check(doc: dict, family: SequenceFamily, where: str):
+    """(mode, candidate, policy, config) of the check a report records.  A
+    paired report reads its order half; the uo probe seed comes from the
+    provenance, because a buo verdict does not record it.  A malformed
+    field is an InputError naming it."""
+    head, at = doc, where
+    if doc.get("type") == "paired":
+        at = f"{where}.order"
+        head, mode = _object(_require(doc, "order", where), at), "buo-equals-order"
+    elif doc.get("type") == "verdict":
+        recorded = _require(doc, "mode", where)
+        mode = _REPORT_MODES.get(recorded) if isinstance(recorded, str) else None
+        if mode is None:
+            raise InputError(f"{where}.mode: unknown mode {doc['mode']!r}")
+    else:
+        raise InputError(f"{where}: not a check report")
+    candidate = policy = sampled = None
+    seed = 0
+    if mode == "buo-cauchy":
+        text = _require(doc, "policy", where)
+        sampled = _SAMPLED.fullmatch(text) if isinstance(text, str) else None
+        if sampled is not None:
+            seed = _parsed(int, _require(doc, "seed", where), f"{where}.seed")
+        elif text != "certificate":
+            raise InputError(f"{where}.policy: malformed value ({text!r})")
+    else:
+        limit = _object(_require(head, "limit", at), f"{at}.limit")
+        candidate = serialize.element_from_json(limit, family.carrier, f"{at}.limit")
+        if mode != "order":
+            prov = _require(doc, "provenance", where)
+            seed = _parsed(int, _require(prov, "seed", f"{where}.provenance"),
+                           f"{where}.provenance.seed")
+    tolerance = _number(head, "tolerance", at)
+    horizon = _parsed(int, _require(head, "horizon", at), f"{at}.horizon")
+    try:
+        config = CheckConfig(tolerance=tolerance, horizon=horizon, seed=seed)
+        if mode == "buo-cauchy":
+            policy = CertificatePolicy() if sampled is None else SampledPolicy(
+                count=int(sampled[1]), max_len=int(sampled[2]), seed=seed)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
+    return mode, candidate, policy, config
+
+
+def replay_report(doc, family: SequenceFamily, where: str = "report") -> str:
+    """Re-run the check a stored report records and compare the whole
+    report, provenance aside, with the re-run's; return what was
+    re-verified.  The fields the re-run reads are its input (see
+    _recorded_check); every other field is a claim, and the first one the
+    re-run contradicts is an InternalInvariantError naming its path and
+    both values."""
+    _check_version(doc, where)  # a non-object fails here, naming the file
+    mode, candidate, policy, config = _recorded_check(doc, family, where)
+    cert = doc.get("certificate")
+    if isinstance(cert, dict) and isinstance(cert.get("type"), str):
+        claim = f"{cert['type']} certificate"
+    else:
+        claim = f"{doc.get('mode', 'paired')} verdict"
+    try:
+        rerun = _run_check(family, mode, candidate, policy, config)
+        diff = serialize.first_difference(
+            {k: v for k, v in doc.items() if k != "provenance"},
+            _py(serialize.verdict_to_json(rerun)))
+    except LatticeLabError as exc:  # the recorded check no longer runs to a verdict
+        diff = str(exc)
+    if diff is not None:
+        raise InternalInvariantError(f"stored {claim} does not replay: {diff}")
+    if mode == "buo-equals-order":
+        return "paired verdict"
+    if doc["outcome"] == "holds":
+        return "certificate"
+    return f"{doc['mode']} {doc['outcome']} verdict"
 
 
 _COMMANDS = {

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .core import (
     Tail,
     abs_,
     difference,
-    le,
     member_of,
     pos_part,
     sup_norm,
@@ -75,9 +74,6 @@ __all__ = [
     "buo_equals_order",
     "check_buo_cauchy",
     "norm_bound",
-    "verify_order_certificate",
-    "verify_uniform_certificate",
-    "verify_monotone_certificate",
 ]
 
 # most members a generator family will materialize for a single check
@@ -304,13 +300,6 @@ def _running_max(tails, first: int) -> list:
     return out
 
 
-def _le_or_metadata_error(a, b, what: str) -> bool:
-    try:
-        return le(a, b)
-    except UndecidableTailError as exc:
-        raise MetadataError(f"cannot verify claim ({what}) through undeclared tails") from exc
-
-
 # tail_le verdicts as status codes: holds, fails, undecidable
 _STATUS = {True: 0, False: 1, None: 2}
 
@@ -318,8 +307,8 @@ _STATUS = {True: 0, False: 1, None: 2}
 def _monotone_breach(family, bound, decreasing: bool, upto: int) -> str | None:
     """First of |x_n| <= bound (when a bound is given) and x_n <= x_{n-1}
     (when ``decreasing``) to fail over n = 1..upto, or None; the bound goes
-    first, and tails decide only where the values hold.  Construction, the
-    certificate route and certificate replay all run this one check."""
+    first, and tails decide only where the values hold.  Construction and
+    the certificate route both run this one check."""
     x, tails = family.stacked(upto), family.tails(upto)
     first = family.carrier.size + 1
     status = np.zeros((upto, 2), dtype=np.int8)
@@ -361,7 +350,7 @@ def _uniform_breach(family, eps, upto: int) -> str | None:
     """First pair j < l of members 1..upto, row by row, whose sup-gap (tails
     included) exceeds eps_j, or None; a pair whose tail difference is
     undeclared raises where a pairwise scan would meet it first.
-    Construction and certificate replay share this check.
+    Construction and the certificate route share this check.
 
     Each row's largest value gap to a later row comes from _later_gap.  The
     tail gap of each pair of distinct tails is worked out once, by core's
@@ -455,10 +444,6 @@ class OrderCertificate:
     regulator_tails: tuple[Tail, ...] | None
     thresholds: tuple[int, ...]
     final_sup: float
-
-    def regulator(self, m: int, carrier: Carrier) -> LatticeElement:
-        t = self.regulator_tails[m - 1] if self.regulator_tails is not None else None
-        return LatticeElement(carrier, self.regulator_values[m - 1], t)
 
 
 @dataclass(frozen=True)
@@ -746,21 +731,6 @@ def check_order_convergence(family: SequenceFamily, candidate: LatticeElement,
     )
 
 
-def verify_order_certificate(family: SequenceFamily, candidate: LatticeElement,
-                             cert: OrderCertificate, tolerance: float) -> None:
-    """Replay: recompute the regulator and require exact agreement."""
-    upto = len(cert.thresholds)
-    diffs = np.abs(family.stacked(upto) - candidate.values[None, :])
-    reg = _suffix_sup(diffs)
-    if reg.shape != cert.regulator_values.shape or not np.array_equal(reg, cert.regulator_values):
-        raise MetadataError("certificate violated: regulator mismatch")
-    if np.any(np.diff(cert.regulator_values, axis=0) > 0):
-        raise MetadataError("certificate violated: the regulator increases")
-    if not cert.final_sup <= tolerance:
-        raise MetadataError(f"certificate violated: final_sup {cert.final_sup!r} "
-                            f"is above the tolerance {tolerance!r}")
-
-
 def _uo_probes(family: SequenceFamily, dominator: LatticeElement | None, seed: int):
     """The fixed truncation probe set: 1, the dominator, five random u > 0."""
     carrier = family.carrier
@@ -1024,7 +994,9 @@ def check_buo_cauchy(family: SequenceFamily, policy, config: CheckConfig | None 
                     horizon=upto, policy="certificate",
                     notes=(f"declared norms stop at {eps[-1]:.6g}, above tolerance",),
                 )
-            verify_uniform_certificate(family, UniformCauchyCertificate(eps))
+            breach = _uniform_breach(family, eps, upto)
+            if breach is not None:
+                raise MetadataError(f"certificate violated: {breach}")
             y = dominating_element(family)
             return ConvergenceVerdict(
                 mode="buo_cauchy", outcome="holds", tolerance=cfg.tolerance,
@@ -1081,34 +1053,6 @@ def check_buo_cauchy(family: SequenceFamily, policy, config: CheckConfig | None 
 
 def _bound_norm(y: LatticeElement) -> float:
     return sup_norm(y) if y.carrier.is_index_set else y.max_abs_prefix()
-
-
-# Every replay returns None when the record holds and otherwise raises
-# MetadataError("certificate violated: ...") naming what broke.
-def _replayed(breach: str | None) -> None:
-    if breach is not None:
-        raise MetadataError(f"certificate violated: {breach}")
-
-
-def verify_uniform_certificate(family: SequenceFamily, cert: UniformCauchyCertificate) -> None:
-    """Replay: every pairwise sup-gap with both indices >= m fits under eps_m."""
-    upto = min(len(cert.eps), family.horizon)
-    _replayed(_uniform_breach(family, cert.eps, upto))
-
-
-def verify_monotone_certificate(family: SequenceFamily, cert: MonotoneCertificate,
-                                upto: int) -> None:
-    """Replay: the stored bound is the family's declared common bound and
-    dominates |x_n| for n = 1..upto, tails included."""
-    declared = family.metadata.common_bound
-    if declared is None:
-        breach = "the family declares no common bound"
-    elif not (_le_or_metadata_error(cert.bound, declared, "stored vs declared bound")
-              and _le_or_metadata_error(declared, cert.bound, "declared vs stored bound")):
-        breach = "the stored bound differs from the declared common bound"
-    else:
-        breach = _monotone_breach(family, cert.bound, False, family.prefix_count(upto))
-    _replayed(breach)
 
 
 # ---------------------------------------------------------------------------

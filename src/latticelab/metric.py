@@ -93,6 +93,16 @@ class FiniteMetricSpace:
             labels = _default_labels(coords.shape[0])
         if len(labels) != coords.shape[0]:
             raise InputError(f"{len(labels)} labels for {coords.shape[0]} points")
+        # every pair's squared distance is at most the sum of the squared
+        # column spans (on one column, the distance is the span itself)
+        with np.errstate(over="ignore"):
+            spans = np.ptp(coords, axis=0)
+            reach = spans[0] if coords.shape[1] == 1 else np.sum(spans * spans)
+        if not np.isfinite(reach):
+            c = int(np.argmax(spans))
+            lo, hi = (str(labels[int(f(coords[:, c]))]) for f in (np.argmin, np.argmax))
+            raise InputError(f"distances overflow: points {lo!r} and {hi!r} lie "
+                             f"{float(spans[c])!r} apart in coordinate {c + 1}")
         dup = _duplicate_rows(coords)
         if dup:
             labels = tuple(str(x) for x in labels)
@@ -345,12 +355,7 @@ def isolation_radii(space: FiniteMetricSpace) -> np.ndarray:
 
 
 def isolation_radius(space: FiniteMetricSpace, label: str) -> float:
-    i = space.index(label)
-    if space.n == 1:
-        return np.inf
-    row = space.row(i).copy()
-    row[i] = np.inf
-    return float(row.min())
+    return float(isolation_radii(space)[space.index(label)])
 
 
 def isolation_profile(space: FiniteMetricSpace) -> IsolationProfile:

@@ -11,6 +11,7 @@ offending line, field or member.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -20,7 +21,6 @@ import numpy as np
 
 from .convergence import (
     BuoCertificate,
-    ConvergenceVerdict,
     FamilyMetadata,
     MonotoneCertificate,
     OrderCertificate,
@@ -52,7 +52,7 @@ __all__ = [
     "load_space",
     "load_family",
     "verdict_to_json",
-    "certificate_from_json",
+    "first_difference",
     "witness_to_json",
     "witness_from_json",
     "escape_report_to_json",
@@ -90,8 +90,9 @@ def canonical_json(obj) -> str:
 
 
 def write_json(path, obj) -> None:
+    data = canonical_json(obj).encode("utf-8")  # an encoding error leaves the file as it was
     with open(path, "wb") as fh:
-        fh.write(canonical_json(obj).encode("utf-8"))
+        fh.write(data)
 
 
 def _cell(v) -> str:
@@ -437,19 +438,13 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
                                  f"for a carrier of size {carrier.size}")
             LatticeElement(carrier, row, tail_from_json(tails[i - 1], f"{where}.tails[{i}]")
                            if tails else None)
-    if tails:
-        tails = _tails_from_json(tails, lambda i: f"{where}.tails[{i}]")
+    if tails:  # a tail document equal to the one before it reuses that one's Tail
+        docs, tails = tails, []
+        for i, doc in enumerate(docs, start=1):
+            tails.append(tails[-1] if i > 1 and doc == docs[i - 2]
+                         else tail_from_json(doc, f"{where}.tails[{i}]"))
     meta = _metadata_from_json(obj.get("metadata"), carrier, f"{where}.metadata")
     return SequenceFamily(values=values, tails=tails or None, carrier=carrier, metadata=meta)
-
-
-def _tails_from_json(docs, where_of) -> list:
-    """Tails of tail documents, ``where_of(i)`` naming document i; a
-    document equal to the one before it reuses that one's Tail."""
-    out = []
-    for i, doc in enumerate(docs, start=1):
-        out.append(out[-1] if i > 1 and doc == docs[i - 2] else tail_from_json(doc, where_of(i)))
-    return out
 
 
 def read_json(path):
@@ -498,60 +493,17 @@ def _certificate_to_json(cert):
     return {"type": type(cert).__name__, "repr": repr(cert)}
 
 
-def certificate_from_json(obj, carrier: Carrier, where: str = "certificate"):
-    if obj is None:
-        return None
-    kind = _require(obj, "type", where)
-    if kind == "order":
-        tails = obj.get("regulator_tails")
-        return OrderCertificate(
-            regulator_values=_parsed(lambda v: np.asarray(v, dtype=np.float64),
-                                     _require(obj, "regulator_values", where),
-                                     f"{where}.regulator_values"),
-            regulator_tails=(None if tails is None else
-                             tuple(_tails_from_json(tails, lambda i: where))),
-            thresholds=_parsed(lambda v: tuple(map(int, v)), _require(obj, "thresholds", where),
-                               f"{where}.thresholds"),
-            final_sup=_number(obj, "final_sup", where),
-        )
-    if kind == "monotone":
-        bound = _object(_require(obj, "bound", where), f"{where}.bound")
-        return MonotoneCertificate(
-            bound=element_from_json(bound, carrier, f"{where}.bound"),
-            note=obj.get("note", ""),
-        )
-    if kind == "uniform_cauchy":
-        return UniformCauchyCertificate(
-            eps=_parsed(lambda v: tuple(map(float, v)), _require(obj, "eps", where),
-                        f"{where}.eps")
-        )
-    raise InputError(f"{where}: cannot replay certificate type {kind!r}")
+#: the type a check report records for each verdict witness stored field by field
+_VERDICT_WITNESS_TYPES = {SubsequenceWitness: "subsequence", StuckCoordinate: "stuck_coordinate"}
 
 
 def _witness_obj_to_json(w):
     if w is None:
         return None
-    if isinstance(w, SubsequenceWitness):
-        return {
-            "type": "subsequence",
-            "indices": list(w.indices),
-            "stuck": {
-                "coordinate": w.stuck.coordinate,
-                "final_regulator": w.stuck.final_regulator,
-                "trace_start": w.stuck.trace_start,
-                "trace": list(w.stuck.trace),
-            },
-        }
-    if isinstance(w, StuckCoordinate):
-        return {
-            "type": "stuck_coordinate",
-            "coordinate": w.coordinate,
-            "final_regulator": w.final_regulator,
-            "trace_start": w.trace_start,
-            "trace": list(w.trace),
-        }
     if isinstance(w, (JumpWitness, BlockWitness)):
         return witness_to_json(w)
+    if type(w) in _VERDICT_WITNESS_TYPES:  # a nested stuck coordinate becomes an object too
+        return {"type": _VERDICT_WITNESS_TYPES[type(w)], **dataclasses.asdict(w)}
     return {"type": type(w).__name__, "repr": repr(w)}
 
 
@@ -582,43 +534,74 @@ def verdict_to_json(verdict) -> dict:
     }
 
 
+_ABSENT = object()
+
+
+def _brief(value) -> str:
+    if value is _ABSENT:
+        return "no such field"
+    text = json.dumps(value, sort_keys=True)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+def first_difference(stored, rerun, path: str = "") -> str | None:
+    """'<path>: stored <a>, re-run <b>' at the first field, in sorted key
+    order, where two JSON documents differ, or None when they are equal.
+    Values compare as Python values: numbers by value, so 1 and 1.0 agree
+    (and so do true and 1).  Equal subtrees are passed over in one C-level
+    comparison; only a differing branch is walked."""
+    if stored == rerun:
+        return None
+    if isinstance(stored, dict) and isinstance(rerun, dict):
+        fields = ((f"{path}.{k}" if path else k, stored.get(k, _ABSENT), rerun.get(k, _ABSENT))
+                  for k in sorted(stored.keys() | rerun.keys()))
+    elif isinstance(stored, list) and isinstance(rerun, list) and len(stored) == len(rerun):
+        fields = ((f"{path}[{i}]", a, b) for i, (a, b) in enumerate(zip(stored, rerun)))
+    else:
+        return f"{path}: stored {_brief(stored)}, re-run {_brief(rerun)}"
+    return next(filter(None, (first_difference(a, b, p) for p, a, b in fields)))
+
+
 # ---------------------------------------------------------------------------
 # extraction witnesses
 
 
+def _ints(values) -> tuple:
+    return tuple(int(v) for v in values)
+
+
+def _reals(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
+def _pairs(values) -> tuple:
+    return tuple((int(a), int(b)) for a, b in values)
+
+
+#: a witness record stores every field of its dataclass, under the field's name
+_WITNESS_TYPES = {"jump": JumpWitness, "blocks": BlockWitness}
+
+#: how the reader parses each stored witness field
+_WITNESS_CASTS = {
+    "eps": float, "factor": float, "p": float, "tail_budget": float, "block_mass": float,
+    "horizon": int, "index_shift": int, "caveat": str,
+    "indices": _ints, "coordinates": _ints, "blocks": _pairs,
+    "jumps": _reals, "values_before": _reals, "values_after": _reals,
+    "norms": _reals, "tail_norms": _reals, "limit_norms": _reals, "approx_norms": _reals,
+}
+
+
+def _record(kind: str, obj) -> dict:
+    """A versioned document of dataclass ``obj``: every field under its own
+    name, nested dataclasses (space tags, rows) as objects."""
+    return {"schema_version": SCHEMA_VERSION, "type": kind, **dataclasses.asdict(obj)}
+
+
 def witness_to_json(w) -> dict:
-    if isinstance(w, JumpWitness):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "type": "jump",
-            "eps": w.eps,
-            "factor": w.factor,
-            "indices": list(w.indices),
-            "coordinates": list(w.coordinates),
-            "jumps": list(w.jumps),
-            "values_before": list(w.values_before),
-            "values_after": list(w.values_after),
-            "horizon": w.horizon,
-            "index_shift": w.index_shift,
-            "caveat": w.caveat,
-        }
-    if isinstance(w, BlockWitness):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "type": "blocks",
-            "p": w.p,
-            "indices": list(w.indices),
-            "blocks": [list(b) for b in w.blocks],
-            "norms": list(w.norms),
-            "tail_norms": list(w.tail_norms),
-            "limit_norms": list(w.limit_norms),
-            "approx_norms": list(w.approx_norms),
-            "tail_budget": w.tail_budget,
-            "block_mass": w.block_mass,
-            "horizon": w.horizon,
-            "caveat": w.caveat,
-        }
-    raise InputError(f"cannot serialize witness of type {type(w).__name__}")
+    kind = next((k for k, cls in _WITNESS_TYPES.items() if isinstance(w, cls)), None)
+    if kind is None:
+        raise InputError(f"cannot serialize witness of type {type(w).__name__}")
+    return _record(kind, w)
 
 
 def witness_from_json(obj: dict, where: str = "witness json"):
@@ -627,40 +610,16 @@ def witness_from_json(obj: dict, where: str = "witness json"):
     breach (a tampered or stale file), not a schema problem."""
     _check_version(obj, where)
     kind = _require(obj, "type", where)
-    try:
-        if kind == "jump":
-            fields = dict(
-                eps=float(_require(obj, "eps", where)),
-                factor=float(_require(obj, "factor", where)),
-                indices=tuple(int(v) for v in _require(obj, "indices", where)),
-                coordinates=tuple(int(v) for v in _require(obj, "coordinates", where)),
-                jumps=tuple(float(v) for v in _require(obj, "jumps", where)),
-                values_before=tuple(float(v) for v in _require(obj, "values_before", where)),
-                values_after=tuple(float(v) for v in _require(obj, "values_after", where)),
-                horizon=int(_require(obj, "horizon", where)),
-                index_shift=int(obj.get("index_shift", 0)),
-                caveat=str(obj.get("caveat", "")),
-            )
-            cls = JumpWitness
-        elif kind == "blocks":
-            fields = dict(
-                p=float(_require(obj, "p", where)),
-                indices=tuple(int(v) for v in _require(obj, "indices", where)),
-                blocks=tuple((int(a), int(b)) for a, b in _require(obj, "blocks", where)),
-                norms=tuple(float(v) for v in _require(obj, "norms", where)),
-                tail_norms=tuple(float(v) for v in _require(obj, "tail_norms", where)),
-                limit_norms=tuple(float(v) for v in _require(obj, "limit_norms", where)),
-                approx_norms=tuple(float(v) for v in _require(obj, "approx_norms", where)),
-                tail_budget=float(_require(obj, "tail_budget", where)),
-                block_mass=float(_require(obj, "block_mass", where)),
-                horizon=int(_require(obj, "horizon", where)),
-                caveat=str(obj.get("caveat", "")),
-            )
-            cls = BlockWitness
+    cls = _WITNESS_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InputError(f"{where}: unknown witness type {kind!r}")
+    fields = {}
+    for f in dataclasses.fields(cls):  # a field with a default may be absent
+        if f.default is dataclasses.MISSING:
+            value = _require(obj, f.name, where)
         else:
-            raise InputError(f"{where}: unknown witness type {kind!r}")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{where}: malformed field ({exc})") from None
+            value = obj.get(f.name, f.default)
+        fields[f.name] = _parsed(_WITNESS_CASTS[f.name], value, f"{where}.{f.name}")
     try:
         return cls(**fields)
     except InputError as exc:
@@ -674,34 +633,8 @@ def witness_from_json(obj: dict, where: str = "witness json"):
 
 
 def escape_report_to_json(report: EscapeReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "type": "escape",
-        "kind": report.kind,
-        "tag": tag_to_json(report.tag),
-        "quantity": report.quantity,
-        "rows": [
-            {"level": r.level, "scale": r.scale, "delta": r.delta, "value": r.value}
-            for r in report.rows
-        ],
-        "scale_fit": None if report.scale_fit is None else list(report.scale_fit),
-        "delta_fit": None if report.delta_fit is None else list(report.delta_fit),
-        "statement": report.statement,
-    }
+    return _record("escape", report)
 
 
 def refutation_to_json(cert: RefutationCertificate) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "type": "refutation",
-        "kind": cert.kind,
-        "tag": tag_to_json(cert.tag),
-        "count": cert.count,
-        "lower_bounds": list(cert.lower_bounds),
-        "coordinates": None if cert.coordinates is None else list(cert.coordinates),
-        "blocks": None if cert.blocks is None else [list(b) for b in cert.blocks],
-        "eps": cert.eps,
-        "p": cert.p,
-        "norm_lower_bound": cert.norm_lower_bound,
-        "statement": cert.statement,
-    }
+    return _record("refutation", cert)

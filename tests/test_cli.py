@@ -314,26 +314,110 @@ def test_verify_rejects_a_monotone_report_with_a_rewritten_bound(tmp_path, capsy
     assert "stored monotone certificate does not replay" in capsys.readouterr().err
 
 
-def test_verify_refuses_buo_probe_replay(family_file, tmp_path, capsys):
+def test_verify_replays_a_buo_report(family_file, tmp_path, capsys):
     out = tmp_path / "r"
     main(["check", "--family", str(family_file), "--mode", "buo",
           "--tolerance", "1e-6", "--out", str(out)])
     code = main(["verify", "--family", str(family_file),
                  "--report", str(out / "check_report.json")])
-    assert code == 2
-    assert "cannot replay certificate type 'buo'" in capsys.readouterr().err
+    assert code == 0
+    assert "certificate re-verified" in capsys.readouterr().out
+
+
+def _hats(tmp_path) -> str:
+    out = tmp_path / "h"
+    main(["generate", "hats", "--levels", "3,10,20", "--depth", "10", "--out", str(out)])
+    return str(out / "hat_family.json")
+
+
+@pytest.mark.parametrize("family, argv, code, said", [
+    ("steps", ["--mode", "buo-cauchy", "--policy", "sampled", "--seed", "3"], 1,
+     "buo_cauchy fails verdict re-verified"),
+    ("halving", ["--mode", "buo-cauchy", "--policy", "sampled", "--tolerance", "1e-3"], 1,
+     "buo_cauchy inconclusive verdict re-verified"),
+    ("halving", ["--mode", "buo", "--tolerance", "1e-6", "--seed", "4"], 0,
+     "certificate re-verified"),
+    ("halving", ["--mode", "buo-equals-order", "--tolerance", "1e-6"], 0,
+     "paired verdict re-verified"),
+    ("halving", ["--mode", "order", "--candidate", "zero"], 1,
+     "order fails verdict re-verified"),
+    ("hats", ["--mode", "order"], 1, "order fails verdict re-verified"),
+    ("hats", ["--mode", "buo-cauchy"], 0, "certificate re-verified"),
+], ids=["sampled-fails", "sampled-inconclusive", "buo", "paired", "order-zero",
+        "order-hats", "monotone"])
+def test_verify_replays_every_report_kind(family, argv, code, said, family_file, tmp_path,
+                                          capsys):
+    if family == "steps":
+        main(["generate", "steps", "--out", str(tmp_path / "s")])
+        fam = str(tmp_path / "s" / "step_family.json")
+    else:
+        fam = _hats(tmp_path) if family == "hats" else str(family_file)
+    out = tmp_path / "r"
+    assert main(["check", "--family", fam, *argv, "--out", str(out)]) == code
+    capsys.readouterr()
+    assert main(["verify", "--family", fam, "--report", str(out / "check_report.json")]) == 0
+    assert f"{said} against {fam}" in capsys.readouterr().out
+
+
+def _rewrite(doc: dict, path: str, value) -> None:
+    *parents, last = path.split(".")
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize("report, path, value, code, said", [
+    ("hats", "outcome", "fails", 3, "outcome: stored \"fails\", re-run \"holds\""),
+    ("hats", "outcome", "x", 3, "outcome: stored \"x\""),
+    ("order", "mode", "buo", 3, "bound: stored null, re-run 1.0"),
+    ("hats", "tolerance", -1, 2, "tolerance must be positive"),
+    ("order", "horizon", 5, 3, "certificate: stored {"),
+    ("hats", "bound", 2.0, 3, "bound: stored 2.0, re-run 1.0"),
+    ("hats", "limit", {"values": [0.0], "tail": None}, 3, "limit: stored {"),
+    ("hats", "witness", {"type": "x"}, 3, "witness: stored {\"type\": \"x\"}, re-run null"),
+    ("order", "policy", "certificate", 3, "policy: stored \"certificate\", re-run null"),
+    ("hats", "seed", 7, 3, "seed: stored 7, re-run null"),
+    ("hats", "notes", ["edited"], 3, "notes[0]: stored \"edited\""),
+    ("order", "certificate.regulator_tails", None, 3, "certificate.regulator_tails: stored null"),
+    ("order", "certificate.thresholds", [], 3, "certificate.thresholds: stored []"),
+], ids=["outcome", "outcome-x", "mode", "tolerance", "horizon", "bound", "limit", "witness",
+        "policy", "seed", "notes", "regulator-tails", "thresholds"])
+def test_a_rewritten_report_field_does_not_replay(report, path, value, code, said,
+                                                   family_file, tmp_path, capsys):
+    if report == "hats":
+        fam, argv = _hats(tmp_path), ["--mode", "buo-cauchy"]
+    else:
+        fam, argv = str(family_file), ["--mode", "order", "--tolerance", "1e-6"]
+    out = tmp_path / "r"
+    assert main(["check", "--family", fam, *argv, "--out", str(out)]) == 0
+    doc = json.loads((out / "check_report.json").read_text())
+    _rewrite(doc, path, value)
+    write_json(out / "tampered.json", doc)
+    capsys.readouterr()
+    assert main(["verify", "--family", fam, "--report", str(out / "tampered.json")]) == code
+    err = capsys.readouterr().err
+    assert said in err
+    if code == 3:
+        cert = doc["certificate"]["type"]
+        assert f"stored {cert} certificate does not replay: " in err
 
 
 @pytest.mark.parametrize("damage, field", [
     (lambda doc: [doc], ": expected an object, got list"),
     (lambda doc: "report", ": expected an object, got str"),
-    (lambda doc: dict(doc, certificate={"type": "monotone", "bound": None}),
-     ".certificate.bound: expected an object, got NoneType"),
+    (lambda doc: dict(doc, limit=None), ".limit: expected an object, got NoneType"),
     (lambda doc: {k: v for k, v in doc.items() if k != "tolerance"},
      ": missing required field 'tolerance'"),
     (lambda doc: dict(doc, tolerance="abc"), ".tolerance: malformed value"),
     (lambda doc: dict(doc, schema_version=99), ": schema_version 99 unsupported"),
-], ids=["list", "string", "null-bound", "no-tolerance", "text-tolerance", "version-99"])
+    (lambda doc: dict(doc, tolerance=-1), ": tolerance must be positive, got -1"),
+    (lambda doc: dict(doc, mode="uo"), ".mode: unknown mode 'uo'"),
+    (lambda doc: dict(doc, mode="buo_cauchy", policy="sampled(count=0,max_len=4)", seed=0),
+     ": sampled policy needs count >= 1"),
+    (lambda doc: dict(doc, mode="buo_cauchy", policy="sampled"), ".policy: malformed value"),
+    (lambda doc: dict(doc, mode="buo", provenance={}), ".provenance: missing required field"),
+], ids=["list", "string", "null-limit", "no-tolerance", "text-tolerance", "version-99",
+        "negative-tolerance", "unknown-mode", "zero-count", "bare-policy", "no-probe-seed"])
 def test_a_damaged_report_exits_two_naming_the_field(damage, field, family_file, tmp_path,
                                                      capsys):
     out = tmp_path / "r"
@@ -479,6 +563,25 @@ def test_envelope_rejects_unknown_labels(space_file, tmp_path, capsys):
                  "space-json", "--set", "ghost", "--out", str(tmp_path / "e")])
     assert code == 2
     assert "unknown label 'ghost'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["metric"], ["envelope", "--set", "a"]],
+                         ids=["metric", "envelope"])
+@pytest.mark.parametrize("rows, said", [
+    ("a,0.5\n", "{space}: {command} needs at least two points, got 1"),
+    ("a,-1e200,0\nb,1e200,0\nc,0,1\n", "distances overflow: points 'a' and 'b' lie 2e+200 apart"),
+], ids=["one-point", "overflow"])
+def test_a_space_without_finite_distances_exits_two_before_writing(command, rows, said,
+                                                                   tmp_path, capsys):
+    space = tmp_path / "space.csv"
+    width = rows.split("\n")[0].count(",")
+    space.write_text(",".join(["label"] + [f"x{c}" for c in range(width)]) + "\n" + rows)
+    out = tmp_path / "out"
+    assert main([command[0], "--space", str(space), "--format", "coords-csv", *command[1:],
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert said.format(space=space, command=command[0]) in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_csv_space_ingestion(tmp_path):

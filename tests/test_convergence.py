@@ -1,5 +1,7 @@
 import contextlib
+import copy
 import io
+import json
 import math
 import tracemalloc
 import warnings
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latticelab.cli import main
+from latticelab.cli import main, replay_report
 from latticelab.config import CheckConfig
 from latticelab.convergence import (
     MEMBER_MATERIALIZE_LIMIT,
@@ -31,9 +33,6 @@ from latticelab.convergence import (
     pointwise_limit,
     truncation_family,
     _subsequences,
-    verify_monotone_certificate,
-    verify_order_certificate,
-    verify_uniform_certificate,
     _monotone_breach,
     _running_max,
     _uniform_breach,
@@ -51,7 +50,7 @@ from latticelab.core import (
     tail_sub,
 )
 from latticelab.counterexamples import build_refinement, hat_family
-from latticelab.serialize import family_to_json, write_json
+from latticelab.serialize import canonical_json, family_to_json, verdict_to_json, write_json
 from latticelab.errors import (
     InputError,
     InternalInvariantError,
@@ -69,6 +68,11 @@ def seq(values, tail=None):
 
 def const_family(x, count=8):
     return SequenceFamily(members=[x] * count)
+
+
+def stored(verdict) -> dict:
+    """A verdict's report as read back from disk."""
+    return json.loads(canonical_json(verdict_to_json(verdict)))
 
 
 def alternating_family(count=32):
@@ -287,7 +291,7 @@ def test_constant_family_order_converges_with_zero_regulator():
     v = check_order_convergence(const_family(x), x)
     assert v.outcome == "holds"
     assert v.certificate.final_sup == 0.0
-    verify_order_certificate(const_family(x), x, v.certificate, v.tolerance)
+    assert replay_report(stored(v), const_family(x)) == "certificate"
 
 
 def test_harmonic_scaling_family_holds_at_loose_tolerance():
@@ -358,23 +362,23 @@ def test_order_candidate_carrier_mismatch():
 def test_certificate_replay_rejects_tampering():
     x = seq([1.0, 2.0, 3.0])
     fam = const_family(x)
-    v = check_order_convergence(fam, x)
-    cert = v.certificate
-    hacked = type(cert)(
-        regulator_values=cert.regulator_values + 1e-3,
-        regulator_tails=cert.regulator_tails,
-        thresholds=cert.thresholds,
-        final_sup=cert.final_sup,
-    )
-    with pytest.raises(MetadataError, match="certificate violated: regulator mismatch"):
-        verify_order_certificate(fam, x, hacked, v.tolerance)
-    # a certificate replayed against the wrong family also fails
+    doc = stored(check_order_convergence(fam, x))
+    hacked = copy.deepcopy(doc)
+    hacked["certificate"]["regulator_values"] = (
+        np.asarray(doc["certificate"]["regulator_values"]) + 1e-3).tolist()
+    with pytest.raises(InternalInvariantError,
+                       match=r"stored order certificate does not replay: "
+                             r"certificate\.regulator_values\[0\]\[0\]: stored 0\.001, re-run 0\.0"):
+        replay_report(hacked, fam)
+    # a report replayed against the wrong family also fails
     other = const_family(seq([9.0, 9.0, 9.0]))
-    with pytest.raises(MetadataError, match="certificate violated: regulator mismatch"):
-        verify_order_certificate(other, x, cert, v.tolerance)
-    loose = type(cert)(cert.regulator_values, cert.regulator_tails, cert.thresholds, 1.0)
-    with pytest.raises(MetadataError, match="final_sup 1.0 is above the tolerance 1e-09"):
-        verify_order_certificate(fam, x, loose, v.tolerance)
+    with pytest.raises(InternalInvariantError, match="does not replay: certificate: stored "):
+        replay_report(doc, other)
+    loose = copy.deepcopy(doc)
+    loose["certificate"]["final_sup"] = 1.0
+    with pytest.raises(InternalInvariantError,
+                       match=r"certificate\.final_sup: stored 1\.0, re-run 0\.0"):
+        replay_report(loose, fam)
 
 
 # ---------------------------------------------------------------------------
@@ -669,12 +673,18 @@ def test_model_norm_bound_sup_route():
 
 def test_uniform_certificate_replay_detects_violations():
     members = [seq([0.0] * 3), seq([1.0] * 3)]
-    fam = SequenceFamily(members=members)
-    cert = UniformCauchyCertificate(eps=(0.5, 0.5))
-    with pytest.raises(MetadataError, match=r"\|\|x_1 - x_2\|\| = 1"):
-        verify_uniform_certificate(fam, cert)
-    good = UniformCauchyCertificate(eps=(1.0, 1.0))
-    verify_uniform_certificate(fam, good)
+    assert _uniform_breach(SequenceFamily(members=members), (0.5, 0.5), 2).startswith(
+        "||x_1 - x_2|| = 1 exceeds")
+    fam = SequenceFamily(members=members,
+                         metadata=FamilyMetadata(uniformly_cauchy_norms=(1.0, 1.0)))
+    doc = stored(check_buo_cauchy(fam, CertificatePolicy(), CheckConfig(tolerance=1.0)))
+    assert doc["certificate"] == {"type": "uniform_cauchy", "eps": [1.0, 1.0]}
+    assert replay_report(doc, fam) == "certificate"
+    doc["certificate"]["eps"] = [0.5, 0.5]
+    with pytest.raises(InternalInvariantError,
+                       match=r"stored uniform_cauchy certificate does not replay: "
+                             r"certificate\.eps\[0\]: stored 0\.5, re-run 1\.0"):
+        replay_report(doc, fam)
 
 
 def test_monotone_certificate_replay_checks_the_stored_bound_and_its_tail():
@@ -682,14 +692,20 @@ def test_monotone_certificate_replay_checks_the_stored_bound_and_its_tail():
     declared = seq([1.0, 2.0, 1.0], Tail.constant(1.0))
     fam = SequenceFamily(members=members, metadata=FamilyMetadata(
         monotone_decreasing=True, common_bound=declared))
-    verify_monotone_certificate(fam, MonotoneCertificate(bound=declared), 5)
-    # same window, tail below the first member's: only the tail check can see it
-    low_tail = MonotoneCertificate(bound=seq([1.0, 2.0, 1.0], Tail.constant(0.5)))
-    with pytest.raises(MetadataError, match="differs from the declared common bound"):
-        verify_monotone_certificate(fam, low_tail, 5)
+    doc = stored(check_buo_cauchy(fam, CertificatePolicy()))
+    assert replay_report(doc, fam) == "certificate"
+    # same window, tail below the first member's: only the tail can show it
+    low_tail = copy.deepcopy(doc)
+    low_tail["certificate"]["bound"]["tail"]["value"] = 0.5
+    with pytest.raises(InternalInvariantError,
+                       match=r"certificate\.bound\.tail\.value: stored 0\.5, re-run 1\.0"):
+        replay_report(low_tail, fam)
+    # a family with no declared bound has no certificate route
     bare = SequenceFamily(members=members)
-    with pytest.raises(MetadataError, match="declares no common bound"):
-        verify_monotone_certificate(bare, MonotoneCertificate(bound=declared), 5)
+    with pytest.raises(InternalInvariantError,
+                       match="stored monotone certificate does not replay: bound: stored 2.0, "
+                             "re-run null"):
+        replay_report(doc, bare)
 
 
 def test_subsequence_draws_never_materialize_the_horizon():
@@ -896,6 +912,8 @@ def test_family_and_report_bytes_match_the_per_member_code(tmp_path, monkeypatch
          "--out", "pairing-paired"],
         ["check", "--family", "pairing.json", "--mode", "order", "--out", "pairing-order"],
         ["verify", "--family", "pairing.json",
+         "--report", "pairing-paired/check_report.json", "--out", "v"],
+        ["verify", "--family", "pairing.json",
          "--report", "pairing-order/check_report.json", "--out", "v"],
         ["check", "--family", "uniform.json", "--mode", "buo-cauchy", "--out", "uniform-check"],
         ["verify", "--family", "uniform.json",
@@ -911,7 +929,8 @@ def test_family_and_report_bytes_match_the_per_member_code(tmp_path, monkeypatch
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0, argv
         if argv[0] == "verify":
-            assert "certificate re-verified" in out.getvalue()
+            what = "paired verdict" if "paired" in argv[4] else "certificate"
+            assert f"{what} re-verified" in out.getvalue()
     stored = sorted(p.relative_to(REFERENCE_BYTES) for p in REFERENCE_BYTES.rglob("*.json"))
     assert len(stored) == 7
     for rel in stored:

@@ -121,6 +121,18 @@ def test_singleton_isolation_is_infinite():
     assert discreteness_constant(space) == math.inf
 
 
+def test_coordinates_whose_distances_overflow_are_refused_naming_two_points():
+    with pytest.raises(InputError, match=r"distances overflow: points 'lo' and 'hi' lie inf "
+                                         r"apart in coordinate 1"):
+        FiniteMetricSpace.from_coords(np.array([[1e308], [0.0], [-1e308]]), ["hi", "z", "lo"])
+    # on two columns the squared spans overflow first
+    with pytest.raises(InputError, match="points 'b' and 'a' lie 2e[+]200 apart in coordinate 2"):
+        FiniteMetricSpace.from_coords(np.array([[0.0, 1e200], [1.0, -1e200]]), ["a", "b"])
+    # one column is summed without squares, so the same span is fine there
+    line = FiniteMetricSpace.from_coords(np.array([1e200, -1e200]), ["a", "b"])
+    assert line.distance("a", "b") == 2e200
+
+
 def test_integer_grid_discreteness():
     assert discreteness_constant(grid_space(10)) == 1.0
 
