@@ -28,12 +28,12 @@ from .core import Carrier, LatticeElement, SpaceTag, meet, ones
 from .envelopes import ENVELOPE_TOL, EnvelopeResult, inf_convolution_ladder
 from .errors import InputError, InternalInvariantError
 from .metric import (
-    BLOCK_ENTRIES,
     FiniteMetricSpace,
     discreteness_constant,
     dist_to_set_all,
     isolation_radius,
     max_slope,
+    row_windows,
 )
 from .numerics import loglog_fit
 
@@ -376,10 +376,9 @@ def lip_counterexample(refinement: RefinementFamily, n_max: int) -> LipCounterex
     t_arr = np.asarray(t)
     near_a = np.empty(b_idx.size, dtype=np.intp)  # position in A order
     near_d = np.empty(b_idx.size)
-    step = max(1, BLOCK_ENTRIES // a_idx.size)
-    for lo in range(0, b_idx.size, step):
-        to_a = space.distances(b_idx[lo:lo + step], a_idx)
-        near = to_a < 2.0 * t_arr[lo:lo + step, None]
+    for lo, hi in row_windows(b_idx.size, a_idx.size):
+        to_a = space.distances(b_idx[lo:hi], a_idx)
+        near = to_a < 2.0 * t_arr[lo:hi, None]
         lost = np.flatnonzero(~near.any(axis=1))
         if lost.size:
             k = lo + int(lost[0])
@@ -387,8 +386,8 @@ def lip_counterexample(refinement: RefinementFamily, n_max: int) -> LipCounterex
                 f"no A-point within 2t of {b_labels[k]!r} despite dist(b, A) = {t[k]:.6g}"
             )
         first = near.argmax(axis=1)  # the first A-point in A order within 2t
-        near_a[lo:lo + step] = first
-        near_d[lo:lo + step] = to_a[np.arange(first.size), first]
+        near_a[lo:hi] = first
+        near_d[lo:hi] = to_a[np.arange(first.size), first]
     blow_up = np.abs(g.values[b_idx] - g.values[a_idx[near_a]]) / near_d
     blow_pairs = [(b, a_labels[j]) for b, j in zip(b_labels, near_a)]
 

@@ -155,13 +155,12 @@ class ModulusCurve:
 
 
 def _pair_blocks(space, values):
-    """Yield (distances, gaps) over the strict upper triangle, chunked."""
-    for lo, hi in space.block_rows():
-        d = space.row_block(lo, hi)
-        gaps = np.abs(values[lo:hi, None] - values[None, :])
-        rows = np.arange(lo, hi)[:, None]
-        mask = np.arange(space.n)[None, :] > rows
-        yield d[mask], gaps[mask]
+    """Yield (distances, gaps) over the strict upper triangle, chunked; the
+    pairs come in row-major order."""
+    for lo, d in _metric._upper_blocks(space):
+        upper = ~np.tri(*d.shape, dtype=bool)
+        gaps = np.abs(values[lo:lo + len(d), None] - values[None, lo:])
+        yield d[upper], gaps[upper]
 
 
 def modulus_of_continuity(g: LatticeElement, grid=None) -> ModulusCurve:
@@ -206,16 +205,18 @@ def modulus_of_continuity(g: LatticeElement, grid=None) -> ModulusCurve:
     if grid.size == 0:
         raise InputError("threshold grid needs at least one positive entry")
     values = np.zeros_like(grid)
+    far = 0.0
     for d, gaps in _pair_blocks(space, g.values):
         if d.size == 0:
             continue
-        far = float(d.max())
-        if far > grid[-1]:
-            raise InputError(
-                f"pair distance {far:.6g} exceeds the last threshold {grid[-1]:.6g}"
-            )
-        idx = np.searchsorted(grid, d, side="left")
-        np.maximum.at(values, idx, gaps)
+        far = max(far, float(d.max()))
+        if far <= grid[-1]:
+            idx = np.searchsorted(grid, d, side="left")
+            np.maximum.at(values, idx, gaps)
+    if far > grid[-1]:  # named after the whole scan, whatever the tiles
+        raise InputError(
+            f"pair distance {far:.6g} exceeds the last threshold {grid[-1]:.6g}"
+        )
     values = np.maximum.accumulate(values)
     return ModulusCurve(grid, values, sup_abs, exact=False)
 

@@ -31,8 +31,9 @@ TRIANGLE_CHECK_LIMIT = 2048
 #: Max recorded axiom violations before the report is truncated.
 VIOLATION_CAP = 1000
 
-#: Distance entries a scan holds at once.
-BLOCK_ENTRIES = 4_000_000
+#: Distance entries a scan holds at once: a 480 kB tile, so that a scan's
+#: few passes over each tile hit the L2 cache rather than main memory.
+BLOCK_ENTRIES = 60_000
 
 
 def _default_labels(n: int) -> tuple[str, ...]:
@@ -180,9 +181,7 @@ class FiniteMetricSpace:
 
     def block_rows(self):
         """Yield (lo, hi) row windows sized to bounded memory."""
-        step = max(1, BLOCK_ENTRIES // max(1, self.n))
-        for lo in range(0, self.n, step):
-            yield lo, min(self.n, lo + step)
+        yield from row_windows(self.n, self.n)
 
     def subspace(self, labels) -> "FiniteMetricSpace":
         idx = np.array([self.index(lab) for lab in labels], dtype=np.intp)
@@ -198,6 +197,14 @@ class FiniteMetricSpace:
     def __repr__(self):
         kind = "matrix" if self._matrix is not None else "coords"
         return f"FiniteMetricSpace(n={self.n}, backing={kind})"
+
+
+def row_windows(count: int, width: int):
+    """Yield (lo, hi) windows over ``count`` rows of ``width`` distances each,
+    with about BLOCK_ENTRIES distances per window."""
+    step = max(1, BLOCK_ENTRIES // max(1, width))
+    for lo in range(0, count, step):
+        yield lo, min(count, lo + step)
 
 
 def _coord_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -236,14 +243,13 @@ def _smallest_pair(first: np.ndarray, second: np.ndarray):
 
 
 def _upper_blocks(space: FiniteMetricSpace):
-    """Yield (lo, writable row block) with inf on and below the diagonal, so
-    each unordered pair appears once, as (i, j) with i < j."""
-    cols = np.arange(space.n)
+    """Yield (lo, tile) over the upper triangle: the fresh tile holds rows
+    lo..hi-1 against columns lo..n-1, with inf on and below the diagonal, so
+    each unordered pair (i, j), i < j, appears once, at tile[i - lo, j - lo]."""
     for lo, hi in space.block_rows():
-        block = space.row_block(lo, hi)
-        block = block if block.flags.writeable else block.copy()  # matrix rows are views
-        np.copyto(block, np.inf, where=cols[None, :] <= np.arange(lo, hi)[:, None])
-        yield lo, block
+        tile = space.distances(np.arange(lo, hi), np.arange(lo, space.n))
+        np.copyto(tile[:, :hi - lo], np.inf, where=np.tri(hi - lo, dtype=bool))
+        yield lo, tile
 
 
 def _duplicate_rows(coords: np.ndarray):
@@ -302,6 +308,18 @@ def validate_matrix(matrix: np.ndarray) -> None:
                     "scan; supply coordinates instead"
                 )
             tol = TRIANGLE_RTOL * float(matrix.max(initial=0.0))
+            # best[i, k] = min over pivots j of d(i,j) + d(j,k), plus tol: as
+            # fl(x + tol) is monotone in x, some triple breaks the bound below
+            # exactly when the smallest sum does, so the pivot loop that names
+            # the triples runs only then
+            best = np.full_like(matrix, np.inf)
+            through = np.empty_like(matrix)
+            for j in range(n):
+                np.add.outer(matrix[:, j], matrix[j, :], out=through)
+                np.minimum(best, through, out=best)
+            best += tol
+            if not np.any(matrix > best):
+                return
             for j in range(n):
                 through = matrix[:, j][:, None] + matrix[j, :][None, :]
                 bad_ik = np.argwhere(matrix > through + tol)
@@ -392,10 +410,8 @@ def dist_to_set_all(space: FiniteMetricSpace, targets) -> np.ndarray:
         return np.minimum(np.abs(xs - below), np.abs(xs - above))
     # only the target columns: blocks of n x |A| distances
     out = np.empty(space.n)
-    step = max(1, BLOCK_ENTRIES // idx.size)
-    for lo in range(0, space.n, step):
-        rows = np.arange(lo, min(space.n, lo + step))
-        out[rows] = space.distances(rows, idx).min(axis=1)
+    for lo, hi in row_windows(space.n, idx.size):
+        out[lo:hi] = space.distances(np.arange(lo, hi), idx).min(axis=1)
     return out
 
 
@@ -469,13 +485,13 @@ def _scan_close_pair(space, allowed, eps):
     increasing row order and the flat argmin is the first minimum in
     row-major order, so the tie-break is deterministic."""
     best = None
-    for lo, block in _upper_blocks(space):
-        np.copyto(block, np.inf, where=~allowed[None, :] | ~allowed[lo:lo + len(block), None])
-        flat = int(block.argmin())
-        bmin = float(block.flat[flat])
+    for lo, tile in _upper_blocks(space):
+        np.copyto(tile, np.inf, where=~allowed[None, lo:] | ~allowed[lo:lo + len(tile), None])
+        flat = int(tile.argmin())
+        bmin = float(tile.flat[flat])
         if bmin < eps and (best is None or bmin < best[0]):
-            r, j = divmod(flat, space.n)
-            best = (bmin, lo + r, j)
+            r, c = divmod(flat, tile.shape[1])
+            best = (bmin, lo + r, lo + c)
     return None if best is None else best[1:]
 
 
@@ -552,7 +568,7 @@ def max_slope(space: FiniteMetricSpace, values: np.ndarray):
         for lo, d in _upper_blocks(space):
             ratio = np.empty_like(d)
             for k, v in enumerate(stack):
-                np.subtract.outer(v[lo:lo + d.shape[0]], v, out=ratio)
+                np.subtract.outer(v[lo:lo + d.shape[0]], v[lo:], out=ratio)
                 np.abs(ratio, out=ratio)
                 ratio /= d  # 0 on and below the diagonal
                 # the flat argmax is the first maximum in row-major order; a
@@ -560,7 +576,7 @@ def max_slope(space: FiniteMetricSpace, values: np.ndarray):
                 flat = int(ratio.argmax())
                 m = float(ratio.flat[flat])
                 if m > best[k][0]:
-                    r, j = divmod(flat, space.n) if m > 0.0 else (0, lo + 1)
-                    best[k] = (m, (lo + r, j))
+                    r, c = divmod(flat, d.shape[1]) if m > 0.0 else (0, 1)
+                    best[k] = (m, (lo + r, lo + c))
     out = [(m, (space.labels[i], space.labels[j])) for m, (i, j) in best]
     return out if values.ndim == 2 else out[0]

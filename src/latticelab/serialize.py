@@ -230,8 +230,11 @@ def read_distance_csv(path) -> FiniteMetricSpace:
             raise InputError(
                 f"line {r}: expected {len(labels)} numeric fields, got {len(row)}"
             )
-        for c, cell in enumerate(row):
-            body[r - 2, c] = _parse_float(cell, r, c + (2 if labeled else 1))
+        try:
+            body[r - 2] = [float(cell) for cell in row]
+        except ValueError:  # parse cell by cell, for the message naming it
+            for c, cell in enumerate(row):
+                body[r - 2, c] = _parse_float(cell, r, c + (2 if labeled else 1))
     return FiniteMetricSpace.from_matrix(body, labels)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -361,3 +362,17 @@ def test_slope_rounding_on_tight_gaps_is_no_lipschitz_breach(route):
         for res in inf_convolution_ladder(g, [1, 2, 4, 8, 16, 32]):
             assert np.all(res.g_n.values <= g.values)
             assert res.lipschitz <= res.n + ENVELOPE_TOL + slack
+
+
+def test_a_dense_ladder_holds_a_few_tiles_not_a_distance_block():
+    # one 2000 x 2000 block alone takes 32 MB
+    rng = np.random.default_rng(0)
+    space = FiniteMetricSpace.from_coords(rng.uniform(size=(2000, 2)))
+    g = LatticeElement(Carrier.points(space), rng.uniform(size=2000))
+    tracemalloc.start()
+    try:
+        inf_convolution_ladder(g, range(1, 33))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

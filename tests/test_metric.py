@@ -86,6 +86,57 @@ def test_nonfinite_entry_reported_first():
     assert exc.value.violations[0][0] == "finiteness"
 
 
+def triangle_loop(matrix):
+    """Every pivot's triangle scan with no gate, as (violations, truncated)."""
+    tol = metric.TRIANGLE_RTOL * float(matrix.max(initial=0.0))
+    viols, truncated = [], False
+    for j in range(matrix.shape[0]):
+        through = matrix[:, j][:, None] + matrix[j, :][None, :]
+        for i, k in np.argwhere(matrix > through + tol):
+            if i > k:
+                continue
+            if len(viols) == metric.VIOLATION_CAP:
+                truncated = True
+                continue
+            viols.append(("triangle", (int(i), int(j), int(k)),
+                          f"d({i},{k}) = {float(matrix[i, k])!r} > d({i},{j}) + d({j},{k}) "
+                          f"= {float(through[i, k])!r}"))
+        if truncated:
+            break
+    return viols, truncated
+
+
+def triangle_cases():
+    rng = np.random.default_rng(7)
+    valid = FiniteMetricSpace.from_coords(rng.uniform(size=(40, 2))).row_block(0, 40)
+    planted = valid.copy()
+    for i, k in ((0, 5), (3, 30), (12, 13)):
+        planted[i, k] = planted[k, i] = 1.5 * valid[i, k] + 0.5
+    x = np.array([0.0, 1.0, 2.0, 4.0])
+    line = np.abs(x[:, None] - x[None, :])
+    at_tol, above_tol = line.copy(), line.copy()
+    at_tol[0, 2] = at_tol[2, 0] = 2.0 + metric.TRIANGLE_RTOL * 4.0  # d(0,1) + d(1,2) + tol
+    above_tol[0, 2] = above_tol[2, 0] = np.nextafter(at_tol[0, 2], np.inf)
+    many = np.triu(rng.uniform(1.0, 10.0, size=(40, 40)), 1)
+    return {"valid": valid, "planted": planted, "at-tol": at_tol,
+            "above-tol": above_tol, "many": many + many.T}
+
+
+@pytest.mark.parametrize("case", ["valid", "planted", "at-tol", "above-tol", "many"])
+def test_the_gated_triangle_check_reports_what_the_pivot_loop_does(case):
+    m = triangle_cases()[case]
+    want, truncated = triangle_loop(m)
+    assert bool(want) == (case not in ("valid", "at-tol"))
+    assert truncated == (case == "many")
+    if not want:
+        validate_matrix(m)
+        return
+    with pytest.raises(MetricValidationError) as exc:
+        validate_matrix(m)
+    assert exc.value.violations == want
+    assert exc.value.truncated == truncated
+
+
 def test_coincident_coords_rejected_with_labels():
     with pytest.raises(MetricValidationError) as exc:
         FiniteMetricSpace.from_coords(np.array([0.0, 1.0, 1.0]), ["a", "b", "c"])
