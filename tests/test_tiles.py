@@ -1,10 +1,10 @@
 """Every dense distance scan gives bitwise the same result at any tile size.
 
-Each scan runs with a 100-entry tile (one or a few rows per tile on these
-spaces, so ties and maxima straddle many tile seams), with the default
-tile, and with the 4,000,000-entry block the scans used before tiling
-(every space here then fits in one block).  The spaces have more than
-metric.BLOCK_ENTRIES distances, so the default tile splits them too.
+Each scan runs with a 100-entry tile (one row per tile on these spaces, so
+ties and maxima straddle many tile seams), with the default tile, and with
+a 4,000,000-entry block, which holds each of these spaces whole.  The
+spaces have more than metric.BLOCK_ENTRIES distances, so the default tile
+splits them too.
 """
 
 import numpy as np
@@ -90,7 +90,7 @@ def test_max_slope_is_the_same_at_every_tile(seed, monkeypatch):
     stack = value_stack(np.random.default_rng(seed), pts)
     got = at_each_tile(monkeypatch, lambda: [max_slope(s, stack) for s in fresh_spaces(pts)])
     assert got[0] == got[1]
-    (zero, pair), = [r for r in got[0] if r[0] == 0.0]
+    (_, pair), = [r for r in got[0] if r[0] == 0.0]
     assert pair == ("p000", "p001")
 
 
