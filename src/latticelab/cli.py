@@ -20,6 +20,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -232,12 +233,13 @@ def cmd_metric(args) -> int:
     delta = profile.delta
     pair = find_close_pair(space, excluded=(), eps=2.0 * delta)
     order = np.argsort(profile.radii, kind="stable")
-    running = np.minimum.accumulate(profile.radii[order])
+    running = np.minimum.accumulate(profile.radii[order]).tolist()
+    radii = profile.radii.tolist()
     _emit_csv(args, "isolation_profile.csv", ["label", "isolation_radius"],
-              zip(profile.labels, profile.radii))
+              zip(profile.labels, radii))
     _emit_csv(args, "delta_trend.csv", ["rank", "label", "isolation_radius", "running_min"],
-              ((r + 1, profile.labels[i], profile.radii[i], running[r])
-               for r, i in enumerate(order)))
+              ((r + 1, profile.labels[i], radii[i], running[r])
+               for r, i in enumerate(order.tolist())))
     doc = {
         "schema_version": serialize.SCHEMA_VERSION,
         "type": "metric",
@@ -522,8 +524,13 @@ _COMMANDS = {
 }
 
 
+#: the parser main uses, built once per process: parse_args fills a fresh
+#: namespace on every call, so nothing parsed carries over to the next call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except _REFUSALS as exc:

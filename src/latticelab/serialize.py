@@ -13,9 +13,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
-import io
 import json
 import math
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -66,8 +66,26 @@ SCHEMA_VERSION = 1
 # deterministic writers
 
 
+#: element types a list passes through _py unchanged
+_PLAIN = frozenset({int, str, bool, type(None)})
+
+
+def _non_finite(x) -> InputError:
+    return InputError(f"cannot serialize non-finite number {float(x)!r}")
+
+
 def _py(x):
-    """Recursively convert numpy scalars/arrays so json can render them."""
+    """Recursively convert numpy scalars/arrays so json can render them.  A
+    list of plain values, or of finite floats, is copied in one C pass."""
+    if type(x) in _PLAIN:
+        return x
+    if isinstance(x, dict):
+        return {k: _py(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        kinds = set(map(type, x))
+        if kinds <= _PLAIN or (kinds == {float} and all(map(math.isfinite, x))):
+            return list(x)
+        return [_py(v) for v in x]
     if isinstance(x, np.ndarray):
         if x.dtype.kind in "biuf" and np.isfinite(x).all():
             return x.tolist()
@@ -76,17 +94,101 @@ def _py(x):
         return float(x)
     if isinstance(x, (np.integer,)):
         return int(x)
-    if isinstance(x, dict):
-        return {k: _py(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_py(v) for v in x]
     if isinstance(x, float) and not math.isfinite(x):
-        raise InputError(f"cannot serialize non-finite number {x!r}")
+        raise _non_finite(x)
     return x
 
 
+def _leaf_run(x, sep: str) -> str | None:
+    """The elements of list ``x`` joined by ``sep`` in one C-level map when
+    all of them are floats, all ints or all strings; else None."""
+    kinds = set(map(type, x))
+    if kinds == {float}:
+        text = sep.join(map(float.__repr__, x))
+        if "n" in text:  # only inf and nan render with an n
+            raise _non_finite(next(v for v in x if not math.isfinite(v)))
+        return text
+    if kinds == {int}:
+        return sep.join(map(int.__repr__, x))
+    if kinds == {str}:
+        return sep.join(map(encode_basestring, x))
+    return None
+
+
+def _scalar(x) -> str | None:
+    """The text of a JSON scalar (numpy scalars as _py converts them), or
+    None for a container."""
+    if isinstance(x, str):
+        return encode_basestring(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise _non_finite(x)
+        return float.__repr__(x)
+    if isinstance(x, np.floating):
+        return _scalar(float(x))
+    if isinstance(x, np.integer):
+        return int.__repr__(int(x))
+    return None
+
+
+def _emit(x, pad: str, out: list) -> None:
+    """Append to ``out`` the text json.dumps(..., sort_keys=True, indent=2,
+    ensure_ascii=False) gives ``x`` at indentation ``pad``.  Dict keys must
+    be strings."""
+    text = _scalar(x)
+    if text is not None:
+        out.append(text)
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        lead = "{\n" + inner
+        for k in sorted(x):
+            out.append(f"{lead}{encode_basestring(k)}: ")
+            _emit(x[k], inner, out)
+            lead = sep
+        out.append("\n" + pad + "}")
+    elif isinstance(x, np.ndarray):
+        # a matrix goes row by row, so no row's Python floats outlive it
+        _emit(list(x) if x.ndim > 1 and x.dtype.kind in "biuf" else x.tolist(), pad, out)
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        run = _leaf_run(x, sep)
+        if run is not None:
+            out += ("[\n" + inner, run, "\n" + pad + "]")
+            return
+        lead = "[\n" + inner
+        for v in x:
+            out.append(lead)
+            _emit(v, inner, out)
+            lead = sep
+        out.append("\n" + pad + "]")
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(_py(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The document's canonical text: the bytes of json.dumps(_py(obj),
+    sort_keys=True, indent=2, ensure_ascii=False) plus a newline, written
+    in one walk that joins runs of same-typed leaves in C loops.  A
+    non-finite number, numpy scalars included, is an InputError."""
+    out: list = []
+    _emit(obj, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_json(path, obj) -> None:
@@ -96,18 +198,19 @@ def write_json(path, obj) -> None:
 
 
 def _cell(v) -> str:
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, float):  # np.float64 included
+        return float.__repr__(v)
+    if isinstance(v, np.floating):
         return repr(float(v))
     return str(v)
 
 
 def write_csv(path, header, rows) -> None:
-    buf = io.StringIO()
-    buf.write(",".join(str(h) for h in header) + "\n")
-    for row in rows:
-        buf.write(",".join(_cell(v) for v in row) + "\n")
+    lines = [",".join(map(str, header))]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    lines.append("")
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue().encode("utf-8"))
+        fh.write("\n".join(lines).encode("utf-8"))
 
 
 def sha256_of(path) -> str:

@@ -619,3 +619,23 @@ def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+def test_one_parser_serves_every_call_without_carrying_values_over(family_file, tmp_path,
+                                                                   capsys):
+    from latticelab import cli
+
+    check = ["check", "--family", str(family_file), "--mode", "order", "--tolerance", "1e-6"]
+    assert main(check + ["--candidate", "zero", "--out", str(tmp_path / "zero")]) == 1
+    assert main(check + ["--out", str(tmp_path / "reused")]) == 0
+    fresh = cli.build_parser().parse_args(check + ["--out", str(tmp_path / "fresh")])
+    assert cli.cmd_check(fresh) == 0
+    reused = (tmp_path / "reused" / "check_report.json").read_bytes()
+    assert reused == (tmp_path / "fresh" / "check_report.json").read_bytes()
+    assert b'"candidate": "declared"' in reused
+    for argv, code in ((["--version"], 0), (check[:4] + ["--mode", "nope"], 2)):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == code
+    assert main(check + ["--out", str(tmp_path / "after")]) == 0
+    assert (tmp_path / "after" / "check_report.json").read_bytes() == reused

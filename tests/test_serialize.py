@@ -1,9 +1,14 @@
 """Round trips, byte determinism and ingestion diagnostics for stored records."""
 
 import json
+import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from latticelab.cli import replay_report
 from latticelab.config import CheckConfig
@@ -21,6 +26,7 @@ from latticelab.errors import InputError, InternalInvariantError
 from latticelab.metric import FiniteMetricSpace
 from latticelab.serialize import (
     SCHEMA_VERSION,
+    _py,
     canonical_json,
     escape_report_to_json,
     family_from_json,
@@ -92,6 +98,85 @@ def test_canonical_json_rejects_non_finite_numbers():
     with pytest.raises(InputError, match="non-finite number -inf"):
         canonical_json({"x": np.array([[1.0, -np.inf], [np.nan, 0.0]])})
     assert canonical_json({"x": np.array([[1.0, 2.5]])}) == canonical_json({"x": [[1.0, 2.5]]})
+
+
+def oracle_json(obj) -> str:
+    """The canonical text as the standard library writes it."""
+    return json.dumps(_py(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+_texts = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\x1f\n\r\t\x7fé€\u2028😀'),
+                           st.characters()), max_size=6)
+_floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 0.1, 2.0**53 + 1]))
+_ints = st.one_of(st.integers(), st.integers(min_value=2**63, max_value=2**200),
+                  st.sampled_from([0, -1, 2**53 + 1]))
+_shapes = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)
+_arrays = st.one_of(
+    hnp.arrays(np.float64, _shapes, elements=st.floats(allow_nan=False, allow_infinity=False)),
+    hnp.arrays(np.float32, _shapes, elements=st.floats(allow_nan=False, allow_infinity=False,
+                                                       width=32)),
+    hnp.arrays(np.int64, _shapes),
+    hnp.arrays(np.bool_, _shapes),
+)
+_numpy_scalars = st.one_of(_floats.map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
+                           st.integers(0, 255).map(np.uint8))
+_leaves = st.one_of(
+    st.none(), st.booleans(), _ints, _floats, _texts, _numpy_scalars, _arrays,
+    st.lists(_floats, max_size=5), st.lists(_ints, max_size=5), st.lists(_texts, max_size=5),
+    st.lists(st.one_of(st.booleans(), _ints), max_size=5),
+)
+_documents = st.recursive(_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_texts, inner, max_size=4),
+), max_leaves=20)
+
+
+@given(_documents)
+def test_canonical_json_matches_the_standard_library_byte_for_byte(doc):
+    text = canonical_json(doc)
+    assert text == oracle_json(doc)
+    assert json.loads(text) == _py(doc)
+
+
+REFERENCE_BYTES = pathlib.Path(__file__).parent / "data" / "reference_bytes"
+
+
+@pytest.mark.parametrize("path", sorted(REFERENCE_BYTES.rglob("*.json")),
+                         ids=lambda p: str(p.relative_to(REFERENCE_BYTES)))
+def test_a_reference_file_re_encodes_to_its_own_bytes(path):
+    raw = path.read_bytes()
+    assert canonical_json(json.loads(raw)).encode("utf-8") == raw
+
+
+@pytest.mark.parametrize("doc, named", [
+    (float("nan"), "nan"),
+    (np.float64("-inf"), "-inf"),
+    (np.float32("inf"), "inf"),
+    ({"a": {"b": [1.0, 2.0, float("inf")]}}, "inf"),
+    ([1, "x", float("-inf")], "-inf"),
+    ((0.5, float("nan")), "nan"),
+    ({"m": np.array([1.0, np.nan])}, "nan"),
+    ({"m": np.array([[0.0, 1.0], [2.0, -np.inf]], dtype=np.float32)}, "-inf"),
+])
+def test_a_non_finite_number_anywhere_is_refused(doc, named):
+    with pytest.raises(InputError, match=f"^cannot serialize non-finite number {named}$"):
+        canonical_json(doc)
+
+
+def test_canonical_json_peak_memory_stays_near_the_size_of_its_text():
+    rng = np.random.default_rng(7)
+    family = SequenceFamily(values=rng.standard_normal((300, 3000)), tails=Tail.zero(),
+                            carrier=Carrier.index_set(3000))
+    doc = family_to_json(family)
+    tracemalloc.start()
+    try:
+        text = canonical_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text)
 
 
 def test_write_json_bytes_are_reproducible(tmp_path):
