@@ -151,10 +151,8 @@ def test_a_reference_file_re_encodes_to_its_own_bytes(path):
 
 
 @pytest.mark.parametrize("doc, named", [
-    (float("nan"), "nan"),
     (np.float64("-inf"), "-inf"),
     (np.float32("inf"), "inf"),
-    ({"a": {"b": [1.0, 2.0, float("inf")]}}, "inf"),
     ([1, "x", float("-inf")], "-inf"),
     ((0.5, float("nan")), "nan"),
     ({"m": np.array([1.0, np.nan])}, "nan"),
