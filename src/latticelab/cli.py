@@ -232,14 +232,15 @@ def cmd_metric(args) -> int:
     profile = isolation_profile(space)
     delta = profile.delta
     pair = find_close_pair(space, excluded=(), eps=2.0 * delta)
-    order = np.argsort(profile.radii, kind="stable")
-    running = np.minimum.accumulate(profile.radii[order]).tolist()
     radii = profile.radii.tolist()
+    # cells go to write_csv as text, each radius formatted as it is written;
+    # the running minimum of the increasing radii is their first, delta
+    text, least = float.__repr__, float.__repr__(delta)
     _emit_csv(args, "isolation_profile.csv", ["label", "isolation_radius"],
-              zip(profile.labels, radii))
+              zip(profile.labels, map(text, radii)))
     _emit_csv(args, "delta_trend.csv", ["rank", "label", "isolation_radius", "running_min"],
-              ((r + 1, profile.labels[i], radii[i], running[r])
-               for r, i in enumerate(order.tolist())))
+              ((str(r), profile.labels[i], text(radii[i]), least)
+               for r, i in enumerate(np.argsort(profile.radii, kind="stable").tolist(), 1)))
     doc = {
         "schema_version": serialize.SCHEMA_VERSION,
         "type": "metric",
@@ -434,7 +435,7 @@ def cmd_verify(args) -> int:
 
 
 #: the policy text a sampled Buo-Cauchy verdict records
-_SAMPLED = re.compile(r"sampled\(count=(\d+),max_len=(\d+)\)")
+_SAMPLED = re.compile(r"sampled\(count=(\d+),max_len=(\d+)\)(?:\+(\d+) included)?")
 
 #: the check --mode whose report records each verdict mode
 _REPORT_MODES = {"order": "order", "buo": "buo", "buo_cauchy": "buo-cauchy"}
@@ -457,12 +458,18 @@ def _recorded_check(doc: dict, family: SequenceFamily, where: str):
     else:
         raise InputError(f"{where}: not a check report")
     candidate = policy = sampled = None
-    seed = 0
+    seed, included = 0, ()
     if mode == "buo-cauchy":
         text = _require(doc, "policy", where)
         sampled = _SAMPLED.fullmatch(text) if isinstance(text, str) else None
         if sampled is not None:
             seed = _parsed(int, _require(doc, "seed", where), f"{where}.seed")
+            if sampled[3] is not None:
+                included = _parsed(lambda seqs: tuple(map(serialize._ints, seqs)),
+                                   _require(doc, "included", where), f"{where}.included")
+                if len(included) != int(sampled[3]):
+                    raise InputError(f"{where}.included: {len(included)} subsequences, "
+                                     f"but the policy names {sampled[3]}")
         elif text != "certificate":
             raise InputError(f"{where}.policy: malformed value ({text!r})")
     else:
@@ -478,7 +485,7 @@ def _recorded_check(doc: dict, family: SequenceFamily, where: str):
         config = CheckConfig(tolerance=tolerance, horizon=horizon, seed=seed)
         if mode == "buo-cauchy":
             policy = CertificatePolicy() if sampled is None else SampledPolicy(
-                count=int(sampled[1]), max_len=int(sampled[2]), seed=seed)
+                count=int(sampled[1]), max_len=int(sampled[2]), seed=seed, include=included)
     except InputError as exc:
         raise InputError(f"{where}: {exc}") from None
     return mode, candidate, policy, config

@@ -511,6 +511,7 @@ class ConvergenceVerdict:
     policy: str | None = None
     seed: int | None = None
     notes: tuple[str, ...] = ()
+    included: tuple = ()  # a sampled policy's caller-supplied subsequences
 
     def __post_init__(self):
         if self.outcome not in ("holds", "fails", "inconclusive"):
@@ -1033,6 +1034,7 @@ def check_buo_cauchy(family: SequenceFamily, policy, config: CheckConfig | None 
                 horizon=upto, witness=witness,
                 policy=pol_desc,
                 seed=policy.seed,
+                included=policy.include,
                 notes=(
                     "budget-relative: differences along the attached window never "
                     "reached tolerance; certificate policies are authoritative "
@@ -1044,6 +1046,7 @@ def check_buo_cauchy(family: SequenceFamily, policy, config: CheckConfig | None 
         horizon=upto,
         policy=pol_desc,
         seed=policy.seed,
+        included=policy.include,
         notes=(
             f"no counterexample among {len(subs)} sampled subsequences; "
             "sampling cannot prove the property (search device, not a theorem)",

@@ -339,8 +339,13 @@ def inf_convolution_ladder(g: LatticeElement, ns, modulus: ModulusCurve | None =
     else:
         env, alpha_raw = _dense_ladder(space, gv, ns, need_alpha)
 
-    # every rung's slope from one pass over the distance blocks
-    slopes = _metric.max_slope(space, env) if space.n >= 2 else [(0.0, None)] * len(ns)
+    # every distinct rung's slope from one pass over the distance blocks
+    if space.n >= 2:
+        first, at = _distinct_rows(env)
+        distinct = _metric.max_slope(space, env if len(first) == len(env) else env[first])
+        slopes = [distinct[j] for j in at]
+    else:
+        slopes = [(0.0, None)] * len(ns)
     results = []
     for k, n in enumerate(ns):
         alpha = error_bound(modulus, n).alpha if modulus is not None else float(alpha_raw[k])
@@ -358,6 +363,23 @@ def inf_convolution_ladder(g: LatticeElement, ns, modulus: ModulusCurve | None =
             )
         )
     return results
+
+
+def _distinct_rows(stack):
+    """(first, at): the index of the first of each bitwise-distinct row of
+    ``stack``, in order, and for every row the position in ``first`` of
+    its copy.  Rows compare by their bits, so -0.0 and 0.0 differ; only
+    rows with equal sums, as bitwise-equal rows have, are compared."""
+    bits = stack.view(np.uint64)
+    sums = stack.sum(axis=1).tolist()
+    first, at = [], []
+    for k, row in enumerate(bits):
+        j = next((j for j, f in enumerate(first)
+                  if sums[f] == sums[k] and np.array_equal(bits[f], row)), len(first))
+        if j == len(first):
+            first.append(k)
+        at.append(j)
+    return first, at
 
 
 def _dense_ladder(space, gv, ns, need_alpha):

@@ -198,6 +198,8 @@ def write_json(path, obj) -> None:
 
 
 def _cell(v) -> str:
+    if type(v) is str:
+        return v
     if isinstance(v, float):  # np.float64 included
         return float.__repr__(v)
     if isinstance(v, np.floating):
@@ -351,11 +353,14 @@ def read_coords_csv(path) -> FiniteMetricSpace:
         raise InputError(f"{path}: header must name a label column and >= 1 coordinate")
     labels, coords = [], []
     for r, row in enumerate(rows[1:], start=2):
-        row = [f.strip() for f in row]
         if len(row) != width + 1:
             raise InputError(f"line {r}: expected {width + 1} fields, got {len(row)}")
-        labels.append(row[0])
-        coords.append([_parse_float(cell, r, c + 2) for c, cell in enumerate(row[1:])])
+        labels.append(row[0].strip())
+        try:  # float() ignores the whitespace that strip() removes
+            coords.append(list(map(float, row[1:])))
+        except ValueError:  # parse cell by cell, for the message naming it
+            for c, cell in enumerate(row[1:]):
+                _parse_float(cell.strip(), r, c + 2)
     return FiniteMetricSpace.from_coords(np.asarray(coords), labels)
 
 
@@ -623,7 +628,7 @@ def verdict_to_json(verdict) -> dict:
             "equal": verdict.equal,
             "note": verdict.note,
         }
-    return {
+    doc = {
         "schema_version": SCHEMA_VERSION,
         "type": "verdict",
         "mode": verdict.mode,
@@ -638,6 +643,9 @@ def verdict_to_json(verdict) -> dict:
         "seed": verdict.seed,
         "notes": list(verdict.notes),
     }
+    if verdict.included:  # only a sampled policy with included subsequences
+        doc["included"] = [list(seq) for seq in verdict.included]
+    return doc
 
 
 _ABSENT = object()

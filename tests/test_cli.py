@@ -17,7 +17,9 @@ import pytest
 from latticelab.cli import main
 from latticelab.convergence import (
     FamilyMetadata,
+    SampledPolicy,
     SequenceFamily,
+    check_buo_cauchy,
     check_order_convergence,
 )
 from latticelab.config import CheckConfig
@@ -359,6 +361,52 @@ def test_verify_replays_every_report_kind(family, argv, code, said, family_file,
     assert f"{said} against {fam}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("family, include, outcome", [
+    ("alternating", ((1, 2),), "fails"),
+    ("alternating", ((2, 4), (3, 5)), "fails"),
+    ("halving", ((20, 24),), "inconclusive"),
+])
+def test_a_report_with_included_subsequences_replays(family, include, outcome, tmp_path,
+                                                     capsys):
+    if family == "alternating":
+        values = np.array([[(-1.0) ** n, 0.0, 1.0] for n in range(1, 21)])
+        fam = SequenceFamily(values=values, tails=Tail.zero(), carrier=CAR3)
+    else:
+        fam = halving_family()
+    fam_path, report = tmp_path / "fam.json", tmp_path / "report.json"
+    write_json(fam_path, family_to_json(fam))
+    verdict = check_buo_cauchy(fam, SampledPolicy(count=4, max_len=16, include=include),
+                               CheckConfig(tolerance=1e-3))
+    assert verdict.outcome == outcome
+    doc = dict(verdict_to_json(verdict), provenance={})
+    assert doc["included"] == [list(seq) for seq in include]
+    write_json(report, doc)
+    assert main(["verify", "--family", str(fam_path), "--report", str(report)]) == 0
+    assert f"buo_cauchy {outcome} verdict re-verified" in capsys.readouterr().out
+    # the included subsequences are input to the re-run: a rewritten one
+    # re-runs to another report, a missing or malformed one is damage
+    for included, code, said in (
+            ([[1, 2, 3]] * len(include), 3, "does not replay"),
+            (None, 2, "report.json: missing required field 'included'"),
+            ("x", 2, "report.json.included: malformed value"),
+            ([[2, 4]] * (len(include) + 1), 2,
+             f"report.json.included: {len(include) + 1} subsequences, but the policy "
+             f"names {len(include)}")):
+        damaged = {k: v for k, v in doc.items() if k != "included"}
+        if included is not None:
+            damaged["included"] = included
+        write_json(report, damaged)
+        assert main(["verify", "--family", str(fam_path), "--report", str(report)]) == code
+        assert said in capsys.readouterr().err
+
+
+def test_a_report_without_included_subsequences_has_no_such_field(tmp_path):
+    main(["generate", "steps", "--out", str(tmp_path / "s")])
+    assert main(["check", "--family", str(tmp_path / "s" / "step_family.json"),
+                 "--mode", "buo-cauchy", "--policy", "sampled", "--out", str(tmp_path)]) == 1
+    assert "included" not in json.loads((tmp_path / "check_report.json").read_text())
+
+
 def _rewrite(doc: dict, path: str, value) -> None:
     *parents, last = path.split(".")
     for key in parents:
@@ -556,6 +604,41 @@ def test_envelope_report(space_file, tmp_path):
     assert doc["rows"][2]["alpha"] == 0.0
     for row in doc["rows"]:
         assert row["achieved_error"] <= row["alpha"] + 1e-9
+
+
+GEOMETRY_BYTES = pathlib.Path(__file__).parent / "data" / "reference_bytes" / "geometry"
+
+
+def _write_geometry_reports():
+    """In the working directory: a small 2-D cloud and a line as coords CSVs,
+    and the metric and envelope reports of each.  Reports name their inputs
+    by these relative paths."""
+    rng = np.random.default_rng(1018)
+    centres = rng.uniform(0.2, 0.8, (3, 2))
+    cloud = (centres[rng.integers(0, 3, 80)] + rng.normal(size=(80, 2)) * 0.05).tolist()
+    line = np.sort(rng.uniform(0.0, 1.0, 40)).tolist()
+    pathlib.Path("cloud.csv").write_text("label,x1,x2\n" + "".join(
+        f"c{i:02d},{x!r},{y!r}\n" for i, (x, y) in enumerate(cloud)))
+    pathlib.Path("line.csv").write_text("label,x1\n" + "".join(
+        f"t{i:02d},{x!r}\n" for i, x in enumerate(line)))
+    for stem, target in (("cloud", "c00,c01,c02"), ("line", "t05,t20")):
+        assert main(["metric", "--space", f"{stem}.csv", "--format", "coords-csv",
+                     "--out", f"{stem}/metric"]) == 0
+        assert main(["envelope", "--space", f"{stem}.csv", "--format", "coords-csv",
+                     "--set", target, "--ns", "1,2,4,8,16,32",
+                     "--out", f"{stem}/envelope"]) == 0
+
+
+def test_metric_and_envelope_bytes_match_the_reference_files(tmp_path, monkeypatch):
+    """tests/data/reference_bytes/geometry holds the files the tile route
+    for isolation radii, and the writers before it, wrote for these runs."""
+    monkeypatch.chdir(tmp_path)
+    _write_geometry_reports()
+    stored = sorted(p.relative_to(GEOMETRY_BYTES) for p in GEOMETRY_BYTES.rglob("*")
+                    if p.is_file())
+    assert len(stored) == 10
+    for rel in stored:
+        assert (tmp_path / rel).read_bytes() == (GEOMETRY_BYTES / rel).read_bytes(), rel
 
 
 def test_envelope_rejects_unknown_labels(space_file, tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from latticelab import metric
 from latticelab.core import Carrier, LatticeElement
 from latticelab.envelopes import (
     ENVELOPE_TOL,
@@ -18,6 +19,7 @@ from latticelab.envelopes import (
     inf_convolution_ladder,
     lipschitz_constant,
     modulus_of_continuity,
+    _distinct_rows,
 )
 from latticelab.errors import InputError
 from latticelab.metric import FiniteMetricSpace, discreteness_constant
@@ -206,6 +208,33 @@ def test_ladder_agrees_with_single_calls():
         single = inf_convolution(g, res.n)
         assert np.array_equal(res.g_n.values, single.g_n.values)
         assert res.alpha == single.alpha
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["coords", "matrix"])
+def test_the_ladder_scans_each_distinct_rung_once(dense, monkeypatch):
+    rng = np.random.default_rng(8)
+    space = FiniteMetricSpace.from_coords(rng.uniform(size=(120, 2)))
+    if dense:
+        space = FiniteMetricSpace.from_matrix(space.row_block(0, space.n), space.labels,
+                                              validate=False)
+    g = LatticeElement(Carrier.points(space),
+                       np.minimum(np.sqrt(metric.dist_to_set_all(space, ["p000"])), 1.0))
+    ns = [1, 2, 4, 8, 16, 32, 64]
+    scanned = []
+    real = metric.max_slope
+    monkeypatch.setattr(metric, "max_slope",
+                        lambda sp, v: scanned.append(len(v)) or real(sp, v))
+    ladder = inf_convolution_ladder(g, ns)
+    rungs = np.stack([r.g_n.values for r in ladder])
+    assert np.array_equal(rungs[-1], g.values)  # the top rungs equal g
+    assert scanned == [len(_distinct_rows(rungs)[0])] and scanned[0] < len(ns)
+    for r in ladder:  # each rung's slope and pair, as a scan of that rung alone
+        assert (r.lipschitz, r.pair) == real(space, r.g_n.values)
+
+
+def test_distinct_rows_tell_the_zeros_apart():
+    first, at = _distinct_rows(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]]))
+    assert first == [0, 1] and at == [0, 1, 0, 1]
 
 
 def test_inf_convolution_rejects_bad_parameters():

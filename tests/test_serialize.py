@@ -380,6 +380,9 @@ def test_coords_csv_diagnostics(tmp_path):
     path.write_text("label,x\np0,zero\n")
     with pytest.raises(InputError, match="line 2, field 2: could not parse 'zero'"):
         read_coords_csv(path)
+    path.write_text("label,x,y\np0,1,zero\n")
+    with pytest.raises(InputError, match="line 2, field 3: could not parse 'zero'"):
+        read_coords_csv(path)
     path.write_text("label\np0\n")
     with pytest.raises(InputError, match=">= 1 coordinate"):
         read_coords_csv(path)

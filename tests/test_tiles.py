@@ -4,8 +4,11 @@ Each scan runs with a 100-entry tile (one row per tile on these spaces, so
 ties and maxima straddle many tile seams), with the default tile, and with
 a 4,000,000-entry block, which holds each of these spaces whole.  The
 spaces have more than metric.BLOCK_ENTRIES distances, so the default tile
-splits them too.
+splits them too.  The sorted sweep, whose chunks are sized by the same
+constant, gives bitwise the radii of the tiles at each of these sizes.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,3 +223,91 @@ def test_metric_and_envelope_reports_are_byte_identical_at_every_tile(tmp_path, 
                      for p in sorted(out.rglob("*")) if p.is_file()})
     assert len(runs[0]) == 10
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# the sorted sweep against the tiles
+
+
+def _clusters(rng, n, k=2):
+    centres = rng.uniform(0.15, 0.85, (6, k))
+    scales = rng.uniform(0.03, 0.12, 6)
+    which = rng.integers(0, 6, n)
+    return centres[which] + rng.normal(size=(n, k)) * scales[which, None]
+
+
+def _grid(m):
+    return np.stack(np.meshgrid(np.arange(m), np.arange(m)), axis=-1).reshape(-1, 2) * 0.1
+
+
+def _circle(n):
+    theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    return np.column_stack([np.cos(theta), np.sin(theta)])
+
+
+def _parallel_lines(rng, n):
+    x = rng.uniform(0.0, 1.0, n)  # every sort key twice, 1e-9 apart across
+    return np.concatenate([np.column_stack([x, np.zeros(n)]),
+                           np.column_stack([x, np.full(n, 1e-9)])])
+
+
+SWEEP_INPUTS = {
+    "clusters": lambda rng: _clusters(rng, 2000),
+    "uniform": lambda rng: rng.uniform(size=(1500, 2)),
+    "grid-55x55": lambda rng: _grid(55),
+    "circle": lambda rng: _circle(1500),
+    "parallel-lines": lambda rng: _parallel_lines(rng, 800),
+    "3-d": lambda rng: _clusters(rng, 1500, k=3),
+    "two-points": lambda rng: rng.uniform(size=(2, 2)),
+    "three-points-3-d": lambda rng: rng.uniform(size=(3, 3)),
+    "near-1e-150": lambda rng: rng.uniform(size=(800, 2)) * 1e-150,
+    "squares-underflow": lambda rng: rng.uniform(size=(800, 3)) * 1e-160,
+    "near-1e150": lambda rng: rng.uniform(size=(800, 2)) * 1e150,
+}
+
+
+@pytest.mark.parametrize("name", SWEEP_INPUTS)
+def test_sweep_radii_equal_the_tiles_at_every_tile(name, monkeypatch):
+    pts = SWEEP_INPUTS[name](np.random.default_rng(len(name)))
+
+    def scan():
+        space = FiniteMetricSpace.from_coords(pts)
+        return [metric._sweep_radii(space.coords), metric._tile_radii(space),
+                isolation_radii(space)]
+
+    sweep, tiles, routed = at_each_tile(monkeypatch, scan)
+    assert bits(sweep) == bits(tiles) == bits(routed)
+    if name == "squares-underflow":
+        assert np.any(sweep == 0.0)  # some pairs' squared distances round to 0
+
+
+@pytest.mark.parametrize("backing, route", [
+    ("1 column", None), ("2 columns", "sweep"), ("3 columns", "sweep"),
+    ("4 columns", "tile"), ("matrix", "tile"),
+])
+def test_isolation_radii_take_the_route_of_their_geometry(backing, route, monkeypatch):
+    rng = np.random.default_rng(5)
+    if backing == "matrix":
+        space = fresh_spaces(rng.uniform(size=(50, 2)))[1]
+    else:
+        space = FiniteMetricSpace.from_coords(rng.uniform(size=(50, int(backing[0]))))
+    taken = []
+    for name in ("sweep", "tile"):
+        real = getattr(metric, f"_{name}_radii")
+        monkeypatch.setattr(metric, f"_{name}_radii",
+                            lambda *a, real=real, name=name: taken.append(name) or real(*a))
+    isolation_radii(space)
+    assert taken == ([route] if route else [])
+
+
+def test_the_sweep_peaks_no_higher_than_the_tiles():
+    space = FiniteMetricSpace.from_coords(_clusters(np.random.default_rng(3), 3000))
+    peaks = []
+    for scan, arg in ((metric._sweep_radii, space.coords), (metric._tile_radii, space)):
+        tracemalloc.start()
+        try:
+            scan(arg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
