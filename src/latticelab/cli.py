@@ -54,7 +54,7 @@ from .errors import (
     UndecidableTailError,
 )
 from .metric import dist_to_set_all, find_close_pair, isolation_profile
-from .serialize import _check_version, _number, _object, _parsed, _py, _require
+from .serialize import _check_version, _int, _number, _object, _parsed, _py, _require
 from .witnesses import (
     BlockWitness,
     extract_big_jump_witness,
@@ -463,7 +463,7 @@ def _recorded_check(doc: dict, family: SequenceFamily, where: str):
         text = _require(doc, "policy", where)
         sampled = _SAMPLED.fullmatch(text) if isinstance(text, str) else None
         if sampled is not None:
-            seed = _parsed(int, _require(doc, "seed", where), f"{where}.seed")
+            seed = _parsed(_int, _require(doc, "seed", where), f"{where}.seed")
             if sampled[3] is not None:
                 included = _parsed(lambda seqs: tuple(map(serialize._ints, seqs)),
                                    _require(doc, "included", where), f"{where}.included")
@@ -477,10 +477,10 @@ def _recorded_check(doc: dict, family: SequenceFamily, where: str):
         candidate = serialize.element_from_json(limit, family.carrier, f"{at}.limit")
         if mode != "order":
             prov = _require(doc, "provenance", where)
-            seed = _parsed(int, _require(prov, "seed", f"{where}.provenance"),
+            seed = _parsed(_int, _require(prov, "seed", f"{where}.provenance"),
                            f"{where}.provenance.seed")
     tolerance = _number(head, "tolerance", at)
-    horizon = _parsed(int, _require(head, "horizon", at), f"{at}.horizon")
+    horizon = _parsed(_int, _require(head, "horizon", at), f"{at}.horizon")
     try:
         config = CheckConfig(tolerance=tolerance, horizon=horizon, seed=seed)
         if mode == "buo-cauchy":

@@ -787,7 +787,7 @@ def check_buo_convergence(family: SequenceFamily, candidate: LatticeElement,
             witness=DominationFailure(tag=tag.describe(), reason=membership.reason),
             limit=candidate, notes=tuple(notes),
         )
-    bound = sup_norm(y) if family.carrier.is_index_set else y.max_abs_prefix()
+    bound = sup_norm(y)
 
     diffs = np.abs(family.stacked(upto) - candidate.values[None, :])
     dtails = _diff_tails(family, candidate, upto)
@@ -981,7 +981,7 @@ def check_buo_cauchy(family: SequenceFamily, policy, config: CheckConfig | None 
             cert = MonotoneCertificate(bound=meta.common_bound)
             return ConvergenceVerdict(
                 mode="buo_cauchy", outcome="holds", tolerance=cfg.tolerance,
-                horizon=upto, certificate=cert, bound=_bound_norm(meta.common_bound),
+                horizon=upto, certificate=cert, bound=sup_norm(meta.common_bound),
                 policy="certificate",
                 notes=("route: decreasing family under a common bound",),
             )
@@ -1002,7 +1002,7 @@ def check_buo_cauchy(family: SequenceFamily, policy, config: CheckConfig | None 
             return ConvergenceVerdict(
                 mode="buo_cauchy", outcome="holds", tolerance=cfg.tolerance,
                 horizon=upto, certificate=UniformCauchyCertificate(eps),
-                bound=_bound_norm(y), policy="certificate",
+                bound=sup_norm(y), policy="certificate",
                 notes=("route: uniform difference norms dominate every subsequence",),
             )
         return ConvergenceVerdict(
@@ -1052,10 +1052,6 @@ def check_buo_cauchy(family: SequenceFamily, policy, config: CheckConfig | None 
             "sampling cannot prove the property (search device, not a theorem)",
         ),
     )
-
-
-def _bound_norm(y: LatticeElement) -> float:
-    return sup_norm(y) if y.carrier.is_index_set else y.max_abs_prefix()
 
 
 # ---------------------------------------------------------------------------

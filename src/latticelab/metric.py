@@ -6,12 +6,13 @@ rows generated on demand).  Coordinate backing is what makes the larger
 refinement levels tractable: a 10^4-point space never materialises its
 10^8-entry matrix, and all scans below run over bounded row blocks.
 
-One-column coordinate spaces lie on the real line, where every scan below
-has an exact sorted-order form: nearest neighbours, closest pairs and the
-steepest slope all sit at adjacent points of the sorted order.  Those
-spaces take that route (selected by geometry alone); the dense row-block
-scans serve matrix and k-dim spaces.  Isolation radii on two or three
-columns take a sorted sweep that reads only nearby pairs.
+One-column coordinate spaces lie on the real line, where nearest
+neighbours and the steepest slope sit at adjacent points of the sorted
+order.  Those spaces take that route (selected by geometry alone); the
+dense row-block scans serve matrix and k-dim spaces.  Isolation radii on
+two or three columns take a sorted sweep that reads only nearby pairs.
+The closest pair is read from the isolation radii, or scanned over the
+triangle tiles when some points are excluded.
 """
 
 from __future__ import annotations
@@ -232,26 +233,6 @@ def _coord_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _sorted_line(space: FiniteMetricSpace):
-    """(order, sorted coordinates) of a line space, or None off the line.
-
-    The coordinates are distinct, so the sorted ones increase strictly, and
-    float subtraction rounds monotonically: the distance from a point to any
-    other is at least its distance to the adjacent point on the same side.
-    """
-    order = space.line_order
-    if order is None:
-        return None
-    return order, space.coords[order, 0]
-
-
-def _smallest_pair(first: np.ndarray, second: np.ndarray):
-    """The lexicographically smallest (min, max) index pair of two arrays."""
-    lo, hi = np.minimum(first, second), np.maximum(first, second)
-    k = int(np.lexsort((hi, lo))[0])
-    return int(lo[k]), int(hi[k])
-
-
 def _upper_blocks(space: FiniteMetricSpace):
     """Yield (lo, tile) over the upper triangle: the fresh tile holds rows
     lo..hi-1 against columns lo..n-1, with inf on and below the diagonal, so
@@ -370,12 +351,13 @@ def isolation_radii(space: FiniteMetricSpace) -> np.ndarray:
     radii of the tiles."""
     if space._radii is not None:
         return space._radii
-    line = _sorted_line(space)
+    order = space.line_order
     if space.n < 2:
         out = np.full(space.n, np.inf)
-    elif line is not None:
-        order, xs = line
-        gaps = np.diff(xs)
+    elif order is not None:
+        # the sorted coordinates increase strictly and float subtraction
+        # rounds monotonically, so no point is nearer than an adjacent one
+        gaps = np.diff(space.coords[order, 0])
         out = np.empty(space.n)
         out[order] = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))
     elif space.coords is not None and space.coords.shape[1] <= SWEEP_MAX_COLUMNS:
@@ -504,63 +486,26 @@ def dist_to_set_all(space: FiniteMetricSpace, targets) -> np.ndarray:
 
 
 def find_close_pair(space: FiniteMetricSpace, excluded, eps: float):
-    """A pair of distinct points outside ``excluded`` at distance < eps.
+    """The closest pair of distinct points outside ``excluded``, as labels
+    in index order, when it lies closer than eps; else None.  Ties go to
+    the smallest index pair.
 
-    The search first follows the guarded-radius order: with
-    eta = min isolation radius over the excluded set (eps when it is empty)
-    and theta = min(eps, eta) / 4, candidates a outside the theta-guard of
-    the excluded set are visited by increasing isolation radius (label order
-    on ties) while their radius stays below theta, and the nearest admissible
-    b is accepted when d(a, b) < min(d(a) + theta, eps).  That order can
-    terminate without a pair even though one exists (two near-coincident
-    excluded points can shadow every small radius), so a deterministic
-    exhaustive scan backs it up; ``None`` therefore really means no
-    qualifying pair exists.
+    With nothing excluded the pair comes from the cached isolation radii:
+    every pair at distance delta has both ends at radius delta, so the
+    first point of radius delta and its first neighbour at delta form the
+    smallest such index pair.  With exclusions the triangle tiles are
+    scanned over the allowed points.
     """
     if eps <= 0:
         raise InputError(f"eps must be positive, got {eps}")
-    excluded = set(excluded)
-    for lab in excluded:
-        space.index(lab)
-    if space.n < 2:
-        return None
-    allowed = np.array([lab not in excluded for lab in space.labels])
+    allowed = np.ones(space.n, dtype=bool)
+    allowed[[space.index(lab) for lab in set(excluded)]] = False  # unknown labels raise
     if allowed.sum() < 2:
         return None
-
-    radii = isolation_radii(space)
-    excl_idx = np.array([space.index(lab) for lab in sorted(excluded)], dtype=np.intp)
-    if excl_idx.size:
-        eta = float(radii[excl_idx].min())
-    else:
-        eta = eps
-    theta = min(eps, eta) / 4.0
-
-    if excl_idx.size:
-        guard_dist = dist_to_set_all(space, sorted(excluded))
-    else:
-        guard_dist = np.full(space.n, np.inf)
-
-    candidates = np.flatnonzero(allowed & (guard_dist > theta) & (radii < theta))
-    candidates = candidates[np.argsort(radii[candidates], kind="stable")].tolist()
-    line = _sorted_line(space)
-    if line is not None:
-        return _line_close_pair(space, line, allowed, candidates, radii, theta, eps)
-    for i in candidates:
-        row = space.row(i).copy()
-        row[i] = np.inf
-        row[~allowed] = np.inf
-        j = int(row.argmin())
-        d = float(row[j])
-        if d < min(radii[i] + theta, eps):
-            return space.labels[i], space.labels[j]
-
-    if excl_idx.size:
+    if not allowed.all():
         pair = _scan_close_pair(space, allowed, eps)
     else:
-        # every pair at distance delta has both ends at radius delta, so the
-        # first point of radius delta and its first neighbour at delta form
-        # the pair the scan would find (smallest distance, then i, then j)
+        radii = isolation_radii(space)
         i = int(radii.argmin())
         hits = np.flatnonzero(space.row(i) == radii[i])
         pair = (i, int(hits[hits != i][0])) if radii[i] < eps else None
@@ -568,10 +513,10 @@ def find_close_pair(space: FiniteMetricSpace, excluded, eps: float):
 
 
 def _scan_close_pair(space, allowed, eps):
-    """Exhaustive fallback: the allowed index pair (i < j) of smallest
-    distance below eps, ties by index pair, or None.  Blocks are visited in
-    increasing row order and the flat argmin is the first minimum in
-    row-major order, so the tie-break is deterministic."""
+    """The allowed index pair (i < j) of smallest distance below eps, ties
+    by index pair, or None.  Blocks are visited in increasing row order and
+    the flat argmin is the first minimum in row-major order, so the
+    tie-break is deterministic."""
     best = None
     for lo, tile in _upper_blocks(space):
         np.copyto(tile, np.inf, where=~allowed[None, lo:] | ~allowed[lo:lo + len(tile), None])
@@ -581,43 +526,6 @@ def _scan_close_pair(space, allowed, eps):
             r, c = divmod(flat, tile.shape[1])
             best = (bmin, lo + r, lo + c)
     return None if best is None else best[1:]
-
-
-def _line_close_pair(space, line, allowed, candidates, radii, theta, eps):
-    """Both stages of :func:`find_close_pair` over the sorted allowed points.
-
-    A candidate's nearest allowed point is an adjacent allowed one.  A
-    farther point could tie with it only through rounding, which needs two
-    allowed points much closer to each other than to the candidate: both
-    would be candidates of smaller radius.  The first candidate always
-    qualifies (a point nearer than theta is allowed, or the guard would
-    have failed), so comparing its two adjacent points by (distance,
-    index) matches the row scan.  The closest allowed pair is always
-    adjacent: a pair straddling an allowed point is more than twice as far
-    apart as one of its halves, even after rounding.
-    """
-    order, xs = line
-    keep = allowed[order]
-    idx, xa = order[keep], xs[keep]
-    pos = np.empty(space.n, dtype=np.intp)
-    pos[idx] = np.arange(idx.size)
-    for i in candidates:
-        p = int(pos[i])
-        near = []
-        if p > 0:
-            near.append((xa[p] - xa[p - 1], idx[p - 1]))
-        if p + 1 < idx.size:
-            near.append((xa[p + 1] - xa[p], idx[p + 1]))
-        d, j = min(near)
-        if d < min(radii[i] + theta, eps):
-            return space.labels[i], space.labels[int(j)]
-    gaps = np.diff(xa)
-    best = float(gaps.min())
-    if not best < eps:
-        return None
-    hits = np.flatnonzero(gaps == best)
-    i, j = _smallest_pair(idx[hits], idx[hits + 1])
-    return space.labels[i], space.labels[j]
 
 
 def max_slope(space: FiniteMetricSpace, values: np.ndarray):
@@ -638,12 +546,11 @@ def max_slope(space: FiniteMetricSpace, values: np.ndarray):
     if not np.all(np.isfinite(values)):
         raise InputError("max_slope needs finite values")
     stack = np.atleast_2d(values)
-    line = _sorted_line(space)
-    if line is not None:
+    order = space.line_order
+    if order is not None:
         # a chord slope is a convex combination of the slopes between the
         # consecutive points it spans, so the maximum sits at an adjacent pair
-        order, xs = line
-        slopes = np.abs(np.diff(stack[:, order], axis=1)) / np.diff(xs)
+        slopes = np.abs(np.diff(stack[:, order], axis=1)) / np.diff(space.coords[order, 0])
         top = slopes.max(axis=1)
         lo, hi = np.minimum(order[:-1], order[1:]), np.maximum(order[:-1], order[1:])
         rank = np.empty(lo.size, dtype=np.intp)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .convergence import (
     BuoCertificate,
+    DominationFailure,
     FamilyMetadata,
     MonotoneCertificate,
     OrderCertificate,
@@ -28,6 +29,7 @@ from .convergence import (
     SequenceFamily,
     StuckCoordinate,
     SubsequenceWitness,
+    UnboundedGrowth,
     UniformCauchyCertificate,
     truncation_family,
 )
@@ -244,9 +246,25 @@ def _parsed(cast, value, where: str):
         raise InputError(f"{where}: malformed value ({exc})") from None
 
 
+def _real(value) -> float:
+    """A JSON number as a float; any other value, true and false included,
+    raises rather than being read as one."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _int(value) -> int:
+    """A JSON integer, or a float with an integral value, as an int; any
+    other value raises rather than being read as 1, 0 or a truncation."""
+    if type(value) is not int and not (type(value) is float and value.is_integer()):
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def _number(obj: dict, key: str, where: str) -> float:
     """obj[key] as a finite float, else an InputError naming the field."""
-    out = _parsed(float, _require(obj, key, where), f"{where}.{key}")
+    out = _parsed(_real, _require(obj, key, where), f"{where}.{key}")
     if not math.isfinite(out):
         raise InputError(f"{where}.{key}: {out!r} is not a finite number")
     return out
@@ -259,8 +277,9 @@ def _floats(value) -> np.ndarray:
 
 def _check_version(obj: dict, where: str) -> None:
     v = _require(obj, "schema_version", where)
-    if v != SCHEMA_VERSION:
-        raise InputError(f"{where}: schema_version {v} unsupported (tool writes {SCHEMA_VERSION})")
+    if type(v) is not int or v != SCHEMA_VERSION:
+        raise InputError(f"{where}: schema_version {json.dumps(v)} unsupported "
+                         f"(tool writes {SCHEMA_VERSION})")
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +453,7 @@ def tag_from_json(obj, where: str) -> SpaceTag | None:
         return None
     kind = _require(obj, "kind", where)
     p = obj.get("p")
-    return SpaceTag(kind, None if p is None else _parsed(float, p, f"{where}.p"))
+    return SpaceTag(kind, None if p is None else _parsed(_real, p, f"{where}.p"))
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +503,12 @@ def _metadata_from_json(obj, carrier: Carrier, where: str) -> FamilyMetadata:
     if obj is None:
         return FamilyMetadata()
     ucn = _object(obj, where).get("uniformly_cauchy_norms")
+    decreasing = obj.get("monotone_decreasing", False)
+    if type(decreasing) is not bool:
+        raise InputError(f"{where}.monotone_decreasing: expected true or false, "
+                         f"got {json.dumps(decreasing)}")
     return FamilyMetadata(
-        monotone_decreasing=bool(obj.get("monotone_decreasing", False)),
+        monotone_decreasing=decreasing,
         common_bound=element_from_json(obj.get("common_bound"), carrier,
                                        f"{where}.common_bound"),
         uniformly_cauchy_norms=None if ucn is None else tuple(
@@ -503,7 +526,7 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
     kind = _require(car_doc, "kind", f"{where}.carrier")
     if kind == "index_set":
         size = _require(car_doc, "size", f"{where}.carrier")
-        carrier = Carrier.index_set(_parsed(int, size, f"{where}.carrier.size"))
+        carrier = Carrier.index_set(_parsed(_int, size, f"{where}.carrier.size"))
     elif kind == "points":
         space = space_from_json(_require(obj, "space", where), f"{where}.space")
         carrier = Carrier.points(space)
@@ -518,10 +541,10 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
         p = gen.get("p")
         return truncation_family(
             _number(gen, "exponent", w),
-            _parsed(float, gen.get("coeff", 1.0), f"{w}.coeff"),
-            size=_parsed(int, _require(gen, "size", w), f"{w}.size"),
-            horizon=_parsed(int, _require(gen, "horizon", w), f"{w}.horizon"),
-            p=None if p is None else _parsed(float, p, f"{w}.p"),
+            _parsed(_real, gen.get("coeff", 1.0), f"{w}.coeff"),
+            size=_parsed(_int, _require(gen, "size", w), f"{w}.size"),
+            horizon=_parsed(_int, _require(gen, "horizon", w), f"{w}.horizon"),
+            p=None if p is None else _parsed(_real, p, f"{w}.p"),
         )
 
     rows = _parsed(list, _require(obj, "members", where), f"{where}.members")
@@ -601,21 +624,24 @@ def _certificate_to_json(cert):
             "membership_reason": cert.membership_reason,
             "probe_sups": [list(pair) for pair in cert.probe_sups],
         }
-    return {"type": type(cert).__name__, "repr": repr(cert)}
+    raise InternalInvariantError(f"no report record for certificate type {type(cert).__name__}")
 
 
-#: the type a check report records for each verdict witness stored field by field
-_VERDICT_WITNESS_TYPES = {SubsequenceWitness: "subsequence", StuckCoordinate: "stuck_coordinate"}
+#: the type a check report records for each verdict witness, stored field by field
+_VERDICT_WITNESS_TYPES = {
+    SubsequenceWitness: "subsequence", StuckCoordinate: "stuck_coordinate",
+    UnboundedGrowth: "unbounded_growth", DominationFailure: "domination_failure",
+}
 
 
 def _witness_obj_to_json(w):
     if w is None:
         return None
-    if isinstance(w, (JumpWitness, BlockWitness)):
-        return witness_to_json(w)
-    if type(w) in _VERDICT_WITNESS_TYPES:  # a nested stuck coordinate becomes an object too
-        return {"type": _VERDICT_WITNESS_TYPES[type(w)], **dataclasses.asdict(w)}
-    return {"type": type(w).__name__, "repr": repr(w)}
+    kind = _VERDICT_WITNESS_TYPES.get(type(w))
+    if kind is None:
+        raise InternalInvariantError(f"no report record for witness type {type(w).__name__}")
+    # a nested stuck coordinate becomes an object too
+    return {"type": kind, **dataclasses.asdict(w)}
 
 
 def verdict_to_json(verdict) -> dict:
@@ -681,15 +707,15 @@ def first_difference(stored, rerun, path: str = "") -> str | None:
 
 
 def _ints(values) -> tuple:
-    return tuple(int(v) for v in values)
+    return tuple(map(_int, values))
 
 
 def _reals(values) -> tuple:
-    return tuple(float(v) for v in values)
+    return tuple(map(_real, values))
 
 
 def _pairs(values) -> tuple:
-    return tuple((int(a), int(b)) for a, b in values)
+    return tuple((_int(a), _int(b)) for a, b in values)
 
 
 #: a witness record stores every field of its dataclass, under the field's name
@@ -697,8 +723,8 @@ _WITNESS_TYPES = {"jump": JumpWitness, "blocks": BlockWitness}
 
 #: how the reader parses each stored witness field
 _WITNESS_CASTS = {
-    "eps": float, "factor": float, "p": float, "tail_budget": float, "block_mass": float,
-    "horizon": int, "index_shift": int, "caveat": str,
+    "eps": _real, "factor": _real, "p": _real, "tail_budget": _real, "block_mass": _real,
+    "horizon": _int, "index_shift": _int, "caveat": str,
     "indices": _ints, "coordinates": _ints, "blocks": _pairs,
     "jumps": _reals, "values_before": _reals, "values_after": _reals,
     "norms": _reals, "tail_norms": _reals, "limit_norms": _reals, "approx_norms": _reals,

@@ -194,6 +194,25 @@ def test_generated_truncation_keeps_its_model(tmp_path):
     assert doc["generator"]["horizon"] == 10 ** 9
 
 
+@pytest.mark.parametrize("key, value, said", [
+    ("size", True, "size: malformed value (expected an integer, got true)"),
+    ("horizon", 2.5, "horizon: malformed value (expected an integer, got 2.5)"),
+    ("exponent", False, "exponent: malformed value (expected a number, got false)"),
+    ("coeff", True, "coeff: malformed value (expected a number, got true)"),
+])
+def test_a_generator_field_of_the_wrong_type_exits_two(key, value, said, tmp_path, capsys):
+    out = tmp_path / "t"
+    main(["generate", "truncation", "--exponent", "1.0", "--out", str(out)])
+    doc = json.loads((out / "truncation_family.json").read_text())
+    doc["generator"][key] = value
+    bad = out / "typed.json"
+    write_json(bad, doc)
+    capsys.readouterr()
+    assert main(["check", "--family", str(bad), "--mode", "order", "--candidate", "zero",
+                 "--out", str(out)]) == 2
+    assert f"{bad}.generator.{said}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # witness extraction and replay
 
@@ -224,6 +243,24 @@ def test_tampered_witness_replay_exits_three(tmp_path, capsys):
     code = main(["verify", "--family", fam, "--witness", str(out / "tampered.json")])
     assert code == 3
     assert "invariant breach" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("horizon", True), ("index_shift", True), ("eps", True), ("coordinates", [True, 3, 4, 5, 6]),
+])
+def test_a_witness_field_of_the_wrong_type_exits_two(key, value, tmp_path, capsys):
+    out = tmp_path / "w"
+    main(["generate", "steps", "--out", str(out)])
+    fam = str(out / "step_family.json")
+    main(["witness", "jumps", "--family", fam, "--eps", "0.25", "--count", "5",
+          "--out", str(out)])
+    doc = json.loads((out / "witness.json").read_text())
+    doc[key] = value
+    bad = out / "typed.json"
+    write_json(bad, doc)
+    capsys.readouterr()
+    assert main(["verify", "--family", fam, "--witness", str(bad)]) == 2
+    assert f"{bad}.{key}: malformed value (expected a" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("shift", [5, -1, 1e308])
@@ -272,6 +309,39 @@ def test_witness_jumps_refusal_and_constants_guard(tmp_path, capsys):
                  "--constants", "nope", "--out", str(out)])
     assert code == 2
     assert "not name=value" in capsys.readouterr().err
+
+
+def test_witness_jumps_constants_reach_the_record(tmp_path, capsys):
+    out = tmp_path / "w"
+    main(["generate", "steps", "--out", str(out)])
+    fam = str(out / "step_family.json")
+    # the plateau is 1.0, above 4 * 0.2
+    assert main(["witness", "jumps", "--family", fam, "--eps", "0.2",
+                 "--constants", "eps-factor=4", "--out", str(out)]) == 0
+    assert json.loads((out / "witness.json").read_text())["factor"] == 4.0
+    for spec, said in (("nope=1", "unknown constant 'nope'"),
+                       ("eps-factor=abc", "constant 'eps-factor' has non-numeric value 'abc'")):
+        capsys.readouterr()
+        assert main(["witness", "jumps", "--family", fam, "--eps", "0.2",
+                     "--constants", spec, "--out", str(out)]) == 2
+        assert said in capsys.readouterr().err
+
+
+def test_a_block_witness_replays_and_a_tampered_one_does_not(tmp_path, capsys):
+    out = tmp_path / "t"
+    main(["generate", "truncation", "--exponent", "1.0", "--p", "1.0", "--out", str(out)])
+    fam = str(out / "truncation_family.json")
+    assert main(["witness", "blocks", "--family", fam, "--p", "1.0", "--count", "2",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--family", fam, "--witness", str(out / "witness.json")]) == 0
+    assert "witness re-verified" in capsys.readouterr().out
+    # still above 1, so the record checks pass; the replayed norm differs
+    doc = json.loads((out / "witness.json").read_text())
+    doc["norms"][1] += 0.5
+    write_json(out / "tampered.json", doc)
+    assert main(["verify", "--family", fam, "--witness", str(out / "tampered.json")]) == 3
+    assert "block 2 norms" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +459,8 @@ def test_a_report_with_included_subsequences_replays(family, include, outcome, t
             ([[1, 2, 3]] * len(include), 3, "does not replay"),
             (None, 2, "report.json: missing required field 'included'"),
             ("x", 2, "report.json.included: malformed value"),
+            ([[True, 2]] * len(include), 2,
+             "report.json.included: malformed value (expected an integer, got true)"),
             ([[2, 4]] * (len(include) + 1), 2,
              f"report.json.included: {len(include) + 1} subsequences, but the policy "
              f"names {len(include)}")):
@@ -405,6 +477,73 @@ def test_a_report_without_included_subsequences_has_no_such_field(tmp_path):
     assert main(["check", "--family", str(tmp_path / "s" / "step_family.json"),
                  "--mode", "buo-cauchy", "--policy", "sampled", "--out", str(tmp_path)]) == 1
     assert "included" not in json.loads((tmp_path / "check_report.json").read_text())
+
+
+@pytest.mark.parametrize("growth, tail, witness", [
+    ("unbounded", Tail.zero(), {"type": "unbounded_growth", "declared": "unbounded",
+                                "norm_trace": [1.0, 2.0, 3.0, 4.0]}),
+    ("bounded", Tail.constant(1.0), {"type": "domination_failure", "tag": "c0",
+                                     "reason": "tail holds the nonzero level 1"}),
+])
+def test_buo_failure_witnesses_are_written_field_by_field(growth, tail, witness, tmp_path,
+                                                          capsys):
+    members = [el([float(n), 0.0, 0.0], tail) for n in range(1, 5)]
+    meta = FamilyMetadata(space_tag=SpaceTag.c0(), growth=growth)
+    fam = tmp_path / "fam.json"
+    write_json(fam, family_to_json(SequenceFamily(members=members, metadata=meta)))
+    out = tmp_path / "r"
+    assert main(["check", "--family", str(fam), "--mode", "buo", "--candidate", "zero",
+                 "--out", str(out)]) == 1
+    doc = json.loads((out / "check_report.json").read_text())
+    assert doc["witness"] == witness
+    capsys.readouterr()
+    assert main(["verify", "--family", str(fam), "--report", str(out / "check_report.json")]) == 0
+    assert "buo fails verdict re-verified" in capsys.readouterr().out
+    if growth == "unbounded":
+        doc["witness"]["norm_trace"][2] = 9.0
+        said = "witness.norm_trace[2]: stored 9.0, re-run 3.0"
+    else:
+        doc["witness"]["reason"] = "edited"
+        said = 'witness.reason: stored "edited"'
+    write_json(out / "tampered.json", doc)
+    assert main(["verify", "--family", str(fam), "--report", str(out / "tampered.json")]) == 3
+    assert said in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("report, path, value, field", [
+    ("hats", "tolerance", True, ".tolerance: malformed value (expected a number, got true)"),
+    ("hats", "tolerance", "1e-09",
+     '.tolerance: malformed value (expected a number, got "1e-09")'),
+    ("hats", "horizon", True, ".horizon: malformed value (expected an integer, got true)"),
+    ("hats", "horizon", 10.5, ".horizon: malformed value (expected an integer, got 10.5)"),
+    ("hats", "schema_version", True, ": schema_version true unsupported"),
+    ("hats", "schema_version", 1.0, ": schema_version 1.0 unsupported"),
+    ("buo", "provenance.seed", False, ".provenance.seed: malformed value"),
+    ("sampled", "seed", True, ".seed: malformed value (expected an integer, got true)"),
+    ("sampled", "seed", 3.5, ".seed: malformed value (expected an integer, got 3.5)"),
+], ids=["bool-tolerance", "text-number-tolerance", "bool-horizon", "fractional-horizon", "bool-version",
+        "float-version", "bool-probe-seed", "bool-seed", "fractional-seed"])
+def test_a_report_field_of_the_wrong_type_exits_two(report, path, value, field,
+                                                     family_file, tmp_path, capsys):
+    if report == "hats":
+        fam, argv = _hats(tmp_path), ["--mode", "buo-cauchy"]
+    elif report == "buo":
+        fam, argv = str(family_file), ["--mode", "buo", "--tolerance", "1e-6"]
+    else:
+        main(["generate", "steps", "--out", str(tmp_path / "s")])
+        fam = str(tmp_path / "s" / "step_family.json")
+        argv = ["--mode", "buo-cauchy", "--policy", "sampled", "--seed", "3"]
+    out = tmp_path / "r"
+    main(["check", "--family", fam, *argv, "--out", str(out)])
+    doc = json.loads((out / "check_report.json").read_text())
+    _rewrite(doc, path, value)
+    bad = out / "typed.json"
+    write_json(bad, doc)
+    capsys.readouterr()
+    assert main(["verify", "--family", fam, "--report", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}{field}" in err
+    assert "Traceback" not in err
 
 
 def _rewrite(doc: dict, path: str, value) -> None:
@@ -546,6 +685,14 @@ def test_a_directory_given_as_an_input_file_exits_two_naming_it(argv, family_fil
      ".metadata.uniformly_cauchy_norms: malformed value"),
     (("tails", 4), {"kind": "constant", "value": math.inf},
      ".tails[5].value: inf is not a finite number"),
+    (("carrier", "size"), True, ".carrier.size: malformed value (expected an integer, got true)"),
+    (("carrier", "size"), 30.5, ".carrier.size: malformed value (expected an integer"),
+    (("tails", 0), {"kind": "constant", "value": True},
+     ".tails[1].value: malformed value (expected a number, got true)"),
+    (("schema_version",), True, ": schema_version true unsupported"),
+    (("carrier", "size"), "30", '.carrier.size: malformed value (expected an integer, got "30")'),
+    (("metadata", "monotone_decreasing"), "false",
+     '.metadata.monotone_decreasing: expected true or false, got "false"'),
 ])
 def test_a_damaged_family_file_exits_two_naming_the_field(path, value, field, tmp_path,
                                                           capsys):

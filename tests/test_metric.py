@@ -280,8 +280,8 @@ def test_close_pair_rejects_bad_eps_and_labels():
 
 
 def test_close_pair_near_the_anchor():
-    # guarded search around the excluded accumulation point still lands on
-    # the two deepest harmonic points
+    # with the accumulation point excluded, the closest pair is still two
+    # of the deepest harmonic points
     space = harmonic_space(50)
     got = find_close_pair(space, excluded={"x0"}, eps=0.001)
     assert got is not None
@@ -374,6 +374,11 @@ def test_close_pair_postconditions(space, data):
         assert a != b
         assert a not in excluded and b not in excluded
         assert space.distance(a, b) < eps
+        # the closest allowed pair, ties to the smallest index pair
+        closest = min((space.distance(c, d), i, j)
+                      for i, c in enumerate(space.labels) if c in allowed
+                      for j, d in enumerate(space.labels) if j > i and d in allowed)
+        assert (space.distance(a, b), space.index(a), space.index(b)) == closest
 
 
 @given(small_spaces(), st.data())
@@ -633,8 +638,8 @@ def test_closest_pair_from_the_radii_equals_the_block_scan(seed, small_blocks):
         np.testing.assert_array_equal(isolation_radii(space), full.min(axis=1))
         delta = discreteness_constant(space)
         everyone = np.ones(space.n, dtype=bool)
-        # up to 4 delta no point is a guarded-radius candidate, so both
-        # routes come down to the closest pair
+        # with nothing excluded the pair is read from the radii; the scan
+        # over every point must find the same one
         for eps in (0.5 * delta, delta, 1.5 * delta, 2.0 * delta, 4.0 * delta):
             scan = metric._scan_close_pair(space, everyone, eps)
             want = None if scan is None else (space.labels[scan[0]], space.labels[scan[1]])

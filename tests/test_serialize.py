@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from latticelab.cli import replay_report
 from latticelab.config import CheckConfig
 from latticelab.convergence import (
+    ConvergenceVerdict,
     FamilyMetadata,
     SequenceFamily,
     buo_equals_order,
@@ -473,6 +474,14 @@ def test_unknown_certificate_types_are_rejected():
     with pytest.raises(InternalInvariantError, match='stored weird certificate does not '
                        'replay: certificate.type: stored "weird", re-run "order"'):
         replay_report(doc, fam)
+
+
+@pytest.mark.parametrize("field", ["certificate", "witness"])
+def test_a_verdict_part_with_no_record_type_is_an_invariant_breach(field):
+    verdict = ConvergenceVerdict(mode="buo", outcome="fails", tolerance=1e-9, horizon=1,
+                                 **{field: object()})
+    with pytest.raises(InternalInvariantError, match=f"no report record for {field} type object"):
+        verdict_to_json(verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 import dataclasses
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from latticelab.cli import main
 from latticelab.config import ProofConstants
 from latticelab.convergence import (
     FamilyMetadata,
@@ -21,6 +24,7 @@ from latticelab.errors import (
     InternalInvariantError,
     LimitInSpaceRefusal,
 )
+from latticelab.serialize import family_to_json, witness_to_json, write_json
 from latticelab.witnesses import (
     BlockWitness,
     JumpWitness,
@@ -236,6 +240,77 @@ def test_block_record_rejects_overlap():
             limit_norms=(2.5, 2.5), approx_norms=(0.1, 0.1),
             tail_budget=0.25, block_mass=2.0, horizon=10,
         )
+
+
+# ---------------------------------------------------------------------------
+# every refusal of the two record checks, one broken field at a time
+
+#: (witness kind, fields to replace, the refusal they trip).  The jump
+#: witness is the step family's (jumps 1.0 from 0.0 at eps 0.25, factor 3,
+#: indices 1..6, horizon 32); the block witness is the harmonic
+#: truncations' at p = 1 (indices 1, 9, 72, 539; budget 0.25, mass 2).
+_BROKEN_RECORDS = [
+    ("jumps", {"eps": 0.0}, "needs eps > 0"),
+    ("jumps", {"eps": math.inf}, "needs eps > 0"),
+    ("jumps", {"factor": 2.0}, "needs factor > 2"),
+    ("jumps", {"coordinates": ()}, "holds no pairs"),
+    ("jumps", {"indices": (1, 2, 3, 4, 5)}, "cannot pair 5 coordinates"),
+    ("jumps", {"values_after": (1.0,) * 4}, "disagree with the coordinate count"),
+    ("jumps", {"indices": (0, 2, 3, 4, 5, 6)}, "member indices must be strictly"),
+    ("jumps", {"coordinates": (0, 3, 4, 5, 6)}, "coordinates must be strictly"),
+    ("jumps", {"coordinates": (2, 3, 3, 5, 6)}, "coordinates must be strictly"),
+    ("jumps", {"index_shift": 1}, "marks a realigned record"),
+    ("jumps", {"horizon": 5}, "horizon cannot precede"),
+    ("jumps", {"jumps": (1.0, 1.0, 0.5, 1.0, 1.0)}, "stored jump 3 disagrees"),
+    ("jumps", {"eps": 1.0}, "jump 1 is 1, not above eps=1"),
+    ("jumps", {"values_before": (0.5,) + (0.0,) * 4, "jumps": (0.5,) + (1.0,) * 4},
+     "pre-jump value 1 is not below eps"),
+    ("jumps", {"factor": 4.0}, r"post-jump value 1 is not above 4\*eps"),
+    ("blocks", {"p": 0.5}, "needs 1 <= p < inf"),
+    ("blocks", {"p": math.inf}, "needs 1 <= p < inf"),
+    ("blocks", {"blocks": ()}, "holds no blocks"),
+    ("blocks", {"indices": (1, 9, 72)}, "3 member indices cannot frame 3 blocks"),
+    ("blocks", {"norms": (1.5, 1.5)}, "norms disagrees with the block count"),
+    ("blocks", {"tail_norms": (0.0,) * 4}, "tail_norms disagrees"),
+    ("blocks", {"limit_norms": (2.5,)}, "limit_norms disagrees"),
+    ("blocks", {"approx_norms": ()}, "approx_norms disagrees"),
+    ("blocks", {"indices": (0, 9, 72, 539)}, "strictly increasing and >= 1"),
+    ("blocks", {"indices": (1, 72, 9, 539)}, "strictly increasing and >= 1"),
+    ("blocks", {"horizon": 538}, "horizon cannot precede"),
+    ("blocks", {"tail_budget": 0.5}, "break the block arithmetic"),
+    ("blocks", {"blocks": ((0, 12), (13, 93), (94, 692))}, r"block 1 = \[0, 12\) is empty"),
+    ("blocks", {"blocks": ((2, 12), (13, 13), (94, 692))}, r"block 2 = \[13, 13\) is empty"),
+    ("blocks", {"blocks": ((2, 12), (11, 93), (94, 692))}, "block 2 overlaps block 1"),
+    ("blocks", {"norms": (1.8, 1.0, 1.8)}, "block 2 difference norm 1 is not > 1"),
+    ("blocks", {"tail_norms": (0.0, 0.0, 0.25)}, "member tail norm 3 is not below"),
+    ("blocks", {"limit_norms": (2.0, 2.1, 2.1)}, "limit norm on block 1 is not above"),
+    ("blocks", {"approx_norms": (0.1, 0.25, 0.1)}, "approximation norm 2 is not below"),
+]
+
+
+def _extracted(kind):
+    if kind == "jumps":
+        fam = step_family(size=32)
+        return fam, extract_big_jump_witness(fam, range(1, 33), eps=0.25, count=5)
+    fam = truncation_family(1.0, size=64, horizon=10**9)
+    return fam, extract_lp_block_witness(fam, p=1.0, count=3)
+
+
+@pytest.mark.parametrize("kind, broken, said", _BROKEN_RECORDS)
+def test_each_broken_record_field_is_refused(kind, broken, said, tmp_path, capsys):
+    fam, w = _extracted(kind)
+    with pytest.raises(InputError, match=said):
+        dataclasses.replace(w, **broken)
+    # the same damage in a stored record: verify --witness exits 3
+    doc = dict(witness_to_json(w), **broken)
+    write_json(tmp_path / "fam.json", family_to_json(fam))
+    (tmp_path / "witness.json").write_text(json.dumps(doc))  # inf as Infinity
+    capsys.readouterr()
+    assert main(["verify", "--family", str(tmp_path / "fam.json"),
+                 "--witness", str(tmp_path / "witness.json")]) == 3
+    err = capsys.readouterr().err
+    assert "stored record fails its own inequalities" in err
+    assert re.search(said, err)
 
 
 # ---------------------------------------------------------------------------
