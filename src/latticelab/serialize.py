@@ -6,6 +6,14 @@ verdicts); CSV carries curves and trend tables.  Every document gets a
 is deterministic: sorted keys, fixed indentation, shortest round-trip float
 rendering, LF newlines, UTF-8 bytes.  Ingestion errors always name the
 offending line, field or member.
+
+JSON files are read by ``read_json``.  orjson, whose correctly rounded
+number parser gives the floats json gives, bit for bit, in a third of the
+time, decodes a file unless one of three things holds, in which case json
+does: the file is larger than ``ORJSON_MAX_BYTES`` (json's peak memory is
+lower); it holds an integer literal of 19 or more digits (orjson reads one
+outside [-2**63, 2**64) as a float); or orjson refuses the text (so NaN,
+Infinity, 1e400, lone surrogates and every error message stay json's).
 """
 
 from __future__ import annotations
@@ -13,11 +21,14 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
+import os
 from json.encoder import encode_basestring
 
 import numpy as np
+import orjson
 
 from .convergence import (
     BuoCertificate,
@@ -36,7 +47,7 @@ from .convergence import (
 from .core import Carrier, LatticeElement, SpaceTag, Tail
 from .counterexamples import EscapeReport
 from .errors import InputError, InternalInvariantError
-from .metric import FiniteMetricSpace
+from .metric import BLOCK_ENTRIES, FiniteMetricSpace
 from .witnesses import BlockWitness, JumpWitness, RefutationCertificate
 
 __all__ = [
@@ -270,9 +281,41 @@ def _number(obj: dict, key: str, where: str) -> float:
     return out
 
 
+def _bool_row(value, arr: np.ndarray):
+    """The first row of the JSON list ``value`` (a list of numbers is its own
+    one row) that holds true or false, or None.  np.asarray read ``value`` as
+    ``arr``, with true and false as 1.0 and 0.0, so only the rows with such
+    an entry are walked.  The rows are screened in blocks of BLOCK_ENTRIES:
+    masks of a whole 300 x 3000 matrix left the heap fragmented enough to
+    raise the next large read's peak by 15 MB."""
+    if arr.ndim == 1:
+        value, arr = [value], arr[None]
+    elif arr.ndim != 2:  # not a shape any caller accepts
+        return None
+    step = max(1, BLOCK_ENTRIES // max(1, arr.shape[1]))
+    for start in range(0, len(arr), step):
+        block = arr[start:start + step]
+        for i in np.flatnonzero(((block == 0.0) | (block == 1.0)).any(axis=1)):
+            if bool in set(map(type, value[start + i])):
+                return value[start + i]
+    return None
+
+
+def _array(value) -> np.ndarray:
+    """A JSON list of numbers, or of rows of numbers, as a float64 array;
+    true and false raise rather than being read as 1.0 and 0.0."""
+    out = np.asarray(value, dtype=np.float64)
+    row = _bool_row(value, out)
+    if row is not None:
+        flag = next(v for v in row if type(v) is bool)
+        raise TypeError(f"expected a number, got {json.dumps(flag)}")
+    return out
+
+
 def _floats(value) -> np.ndarray:
-    """A JSON list of numbers as a 1-d array; other shapes raise."""
-    return np.asarray(value, dtype=np.float64).reshape(len(value))
+    """A JSON list of numbers as a 1-d array; other shapes, true and false
+    raise."""
+    return _array(value).reshape(len(value))
 
 
 def _check_version(obj: dict, where: str) -> None:
@@ -299,12 +342,13 @@ def space_from_json(obj: dict, where: str = "space json") -> FiniteMetricSpace:
     _check_version(obj, where)
     labels = _parsed(list, _require(obj, "labels", where), f"{where}.labels")
     if "coords" in obj:
-        coords = np.asarray(obj["coords"], dtype=np.float64)
+        coords = _parsed(_array, obj["coords"], f"{where}.coords")
         if coords.ndim == 1:
             coords = coords.reshape(-1, 1)
         return FiniteMetricSpace.from_coords(coords, labels)
     if "matrix" in obj:
-        return FiniteMetricSpace.from_matrix(np.asarray(obj["matrix"], dtype=np.float64), labels)
+        return FiniteMetricSpace.from_matrix(
+            _parsed(_array, obj["matrix"], f"{where}.matrix"), labels)
     raise InputError(f"{where}: needs either coords or matrix")
 
 
@@ -507,6 +551,10 @@ def _metadata_from_json(obj, carrier: Carrier, where: str) -> FamilyMetadata:
     if type(decreasing) is not bool:
         raise InputError(f"{where}.monotone_decreasing: expected true or false, "
                          f"got {json.dumps(decreasing)}")
+    notes = _parsed(list, obj.get("notes", ()), f"{where}.notes")
+    for i, note in enumerate(notes, start=1):
+        if type(note) is not str:
+            raise InputError(f"{where}.notes[{i}]: expected a string, got {json.dumps(note)}")
     return FamilyMetadata(
         monotone_decreasing=decreasing,
         common_bound=element_from_json(obj.get("common_bound"), carrier,
@@ -516,7 +564,7 @@ def _metadata_from_json(obj, carrier: Carrier, where: str) -> FamilyMetadata:
         space_tag=tag_from_json(obj.get("space_tag"), f"{where}.space_tag"),
         limit=element_from_json(obj.get("limit"), carrier, f"{where}.limit"),
         growth=obj.get("growth"),
-        notes=tuple(str(n) for n in _parsed(list, obj.get("notes", ()), f"{where}.notes")),
+        notes=tuple(notes),
     )
 
 
@@ -562,7 +610,7 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
     except (TypeError, ValueError):
         values = None
     if (values is None or values.shape != (len(rows), carrier.size)
-            or not np.isfinite(values).all()):
+            or not np.isfinite(values).all() or _bool_row(rows, values) is not None):
         # walk the rows in order to name the first bad member: its length, its tail,
         # then its values
         for i, row in enumerate(rows, start=1):
@@ -581,12 +629,45 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
     return SequenceFamily(values=values, tails=tails or None, carrier=carrier, metadata=meta)
 
 
+#: the largest file read_json decodes with orjson.  orjson holds the input
+#: and its own tree while it builds the objects, so on a 24 MB family its
+#: peak is 1.5 times that of json; larger files take the json path.
+ORJSON_MAX_BYTES = 4 << 20
+
+#: digits to "0" and the other number bytes kept, but "-" and every other
+#: byte to a space: an integer literal of 19 or more digits, which orjson
+#: reads as a float once it leaves [-2**63, 2**64), is then a space and
+#: nineteen "0"s (or the document's first nineteen bytes)
+_DIGIT_RUNS = bytes(48 if 48 <= c <= 57 else c if c in b".eE+" else 32 for c in range(256))
+_WIDE_INT = b"0" * 19
+
+
+def _has_wide_int(data: bytes) -> bool:
+    """Whether the JSON text ``data`` may hold an integer literal of 19 or more
+    digits.  No such literal is missed.  A run of 19 digits in a string or
+    after an exponent's minus sign counts too, which only costs the slower
+    read."""
+    runs = data.translate(_DIGIT_RUNS)
+    return b" " + _WIDE_INT in runs or runs.startswith(_WIDE_INT)
+
+
 def read_json(path):
-    """Parse a JSON file; malformed JSON is an InputError naming the file
-    and the position of the damage."""
-    with open(path, encoding="utf-8") as fh:
+    """Parse a JSON file, with orjson or json as the module docstring says;
+    malformed JSON is an InputError naming the file and the position of the
+    damage."""
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size <= ORJSON_MAX_BYTES:
+            data = fh.read()
+            if not _has_wide_int(data):
+                try:
+                    return orjson.loads(data)
+                except orjson.JSONDecodeError:
+                    pass
+            fh = io.BytesIO(data)
+        # the text file open(path, encoding="utf-8") would give, newlines translated
+        text = io.TextIOWrapper(fh, encoding="utf-8")
         try:
-            return json.load(fh)
+            return json.load(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
         except UnicodeDecodeError as exc:

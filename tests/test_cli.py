@@ -712,6 +712,74 @@ def test_a_damaged_family_file_exits_two_naming_the_field(path, value, field, tm
     assert "Traceback" not in err
 
 
+# true and false in a list of numbers, which numpy would read as 1.0 and 0.0,
+# and notes that are not strings
+_ELEMENT = {"tail": {"kind": "zero"}}
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("members", 2, 3), True, ".members[3]: malformed value (expected a number, got true)"),
+    (("members", 0, 0), False, ".members[1]: malformed value (expected a number, got false)"),
+    (("metadata", "common_bound"), dict(_ELEMENT, values=[1.0] * 29 + [True]),
+     ".metadata.common_bound.values: malformed value (expected a number, got true)"),
+    (("metadata", "limit"), dict(_ELEMENT, values=[False] + [0.0] * 29),
+     ".metadata.limit.values: malformed value (expected a number, got false)"),
+    (("metadata", "uniformly_cauchy_norms"), [0.5, True, 0.25],
+     ".metadata.uniformly_cauchy_norms: malformed value (expected a number, got true)"),
+    (("metadata", "notes"), [1, True], ".metadata.notes[1]: expected a string, got 1"),
+    (("metadata", "notes"), ["plateau", None], ".metadata.notes[2]: expected a string, got null"),
+], ids=["member-true", "member-false", "common-bound", "limit", "uniform-norms",
+        "notes-number", "notes-null"])
+def test_a_boolean_number_or_a_non_string_note_exits_two_naming_the_field(
+        path, value, field, tmp_path, capsys):
+    assert main(["generate", "steps", "--out", str(tmp_path / "gen")]) == 0
+    doc = json.loads((tmp_path / "gen" / "step_family.json").read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "damaged.json"
+    write_json(bad, doc)
+    capsys.readouterr()
+    assert main(["check", "--family", str(bad), "--mode", "order", "--candidate", "zero",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}{field}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value, flag", [
+    ("coords", [[0.0], [True], [2.5]], "true"),
+    ("coords", [0.0, False, 2.5], "false"),
+    ("matrix", [[0.0, True, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]], "true"),
+])
+def test_a_boolean_in_a_stored_space_exits_two_naming_the_field(key, value, flag, tmp_path,
+                                                                capsys):
+    bad = tmp_path / "space.json"
+    write_json(bad, {"schema_version": 1, "labels": ["a", "b", "c"], key: value})
+    assert main(["metric", "--space", str(bad), "--format", "space-json",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}.{key}: malformed value (expected a number, got {flag})" in err
+    assert "Traceback" not in err
+
+
+def test_a_report_with_a_seed_beyond_64_bits_replays(tmp_path, capsys):
+    """The seed is stored as an integer literal of 30 digits; read as a float,
+    it would draw other subsequences and the replay would not match."""
+    gen = tmp_path / "gen"
+    assert main(["generate", "hats", "--levels", "3,4,5", "--depth", "6",
+                 "--out", str(gen)]) == 0
+    fam = str(gen / "hat_family.json")
+    assert main(["check", "--family", fam, "--mode", "buo-cauchy", "--policy", "sampled",
+                 "--seed", "123456789012345678901234567890",
+                 "--out", str(tmp_path / "c")]) == 1
+    capsys.readouterr()
+    assert main(["verify", "--family", fam, "--report", str(tmp_path / "c" / "check_report.json"),
+                 "--out", str(tmp_path / "v")]) == 0
+    assert "re-verified" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # metric and envelope
 

@@ -1,0 +1,157 @@
+"""read_json against json.loads: the same documents, the same refusals.
+
+read_json decodes small files with orjson and keeps json for large files,
+wide integers and everything orjson refuses.  json.loads is the oracle.
+Documents are compared as json.dumps text, which tells 1, 1.0 and true
+apart, as well as 0.0 and -0.0, and renders each float by its shortest
+round-trip repr, so equal text means equal float bits.
+"""
+
+import json
+import math
+import pathlib
+import sys
+
+import orjson
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from latticelab import serialize
+from latticelab.cli import main
+from latticelab.errors import InputError
+from latticelab.serialize import read_json
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def typed(doc) -> str:
+    return json.dumps(doc)
+
+
+# ---------------------------------------------------------------------------
+# generated documents
+
+
+# number literals as a writer other than Python's might spell them: long
+# mantissas, either exponent letter, and integers inside and beyond 64 bits
+_number_texts = st.one_of(
+    st.from_regex(r"-?(0|[1-9][0-9]{0,25})(\.[0-9]{1,25})?([eE][+-]?[0-9]{1,3})?",
+                  fullmatch=True),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-2**70, 2**70).map(str),
+    st.sampled_from(["-0", "-0.0", "5e-324", "2.2250738585072011e-308", "9007199254740993",
+                     "18446744073709551615", "18446744073709551616",
+                     "-9223372036854775808", "-9223372036854775809"]),
+)
+_strings = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\té€ 😀'), st.characters()),
+                   max_size=6)
+_leaf_texts = st.one_of(
+    _number_texts,
+    st.one_of(st.none(), st.booleans(), _strings).flatmap(
+        lambda v: st.sampled_from([json.dumps(v), json.dumps(v, ensure_ascii=False)])),
+)
+_separators = st.sampled_from([",", ", ", ",\n  ", "\t,\r\n"])
+_document_texts = st.recursive(_leaf_texts, lambda inner: st.one_of(
+    st.tuples(st.lists(inner, max_size=5), _separators).map(
+        lambda t: "[" + t[1].join(t[0]) + "]"),
+    st.tuples(st.lists(st.tuples(_strings, inner), max_size=5), _separators).map(
+        lambda t: "{" + t[1].join(f"{json.dumps(k)}: {v}" for k, v in t[0]) + "}"),
+), max_leaves=30)
+
+
+@given(_document_texts)
+def test_read_json_returns_what_json_loads_returns(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "generated.json"
+    path.write_bytes(text.encode("utf-8"))
+    assert typed(read_json(path)) == typed(json.loads(text))
+
+
+def test_a_small_file_is_decoded_by_orjson(tmp_path, monkeypatch):
+    path = tmp_path / "small.json"
+    path.write_text('{"x": [0.1, 1e-7, -0.0, 12345678901234567], "s": "é"}')
+    monkeypatch.setattr(serialize.json, "load", None)  # any json call would raise
+    assert typed(read_json(path)) == typed(json.loads(path.read_text()))
+
+
+def test_a_file_above_the_gate_is_decoded_by_json(tmp_path, monkeypatch):
+    path = tmp_path / "large.json"
+    path.write_text('{"x": [0.1, 2.5, 3]}')
+    monkeypatch.setattr(serialize, "ORJSON_MAX_BYTES", path.stat().st_size - 1)
+    monkeypatch.setattr(serialize.orjson, "loads", None)  # any orjson call would raise
+    assert read_json(path) == {"x": [0.1, 2.5, 3]}
+
+
+@pytest.mark.parametrize("text", [
+    "[12345678901234567890123]", "-1234567890123456789", '{"seed":9223372036854775808}',
+    "[1,\n  -18446744073709551616]",
+])
+def test_integer_literals_of_19_or_more_digits_are_decoded_by_json(text, tmp_path,
+                                                                   monkeypatch):
+    path = tmp_path / "wide.json"
+    path.write_text(text)
+    monkeypatch.setattr(serialize.orjson, "loads", None)
+    assert typed(read_json(path)) == typed(json.loads(text))
+
+
+def test_integer_literals_below_19_digits_stay_on_orjson():
+    for text in [b"[123456789012345678]", b"-123456789012345678", b"[1.12345678901234567890]",
+                 b'{"a":1E+1234567890123456789}', b'{"a":0.0000000000000000000001}']:
+        assert not serialize._has_wide_int(text), text
+
+
+# what the json reader gave before orjson: the values json reads and orjson
+# refuses, and the messages of damaged files, byte for byte
+@pytest.mark.parametrize("raw, expected", [
+    (b"[NaN]", [math.nan]),
+    (b'{"a": Infinity}', {"a": math.inf}),
+    (b"[-Infinity]", [-math.inf]),
+    (b"[1e400]", [math.inf]),
+    (b'["\\ud800"]', ["\ud800"]),
+])
+def test_values_orjson_refuses_read_as_json_reads_them(raw, expected, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    assert typed(read_json(path)) == typed(expected)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b'\xef\xbb\xbf{"a": 1}', "line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    (b'{"a": "\xff"}', "not UTF-8 text (invalid start byte at byte 7)"),
+    (b"[1, 2,]", "line 1, column 7: Expecting value"),
+    (b'{\n  "a": 1,\n}\n', "line 3, column 1: Expecting property name enclosed in double quotes"),
+    (b'{\r "a": 1,\r}', "line 3, column 1: Expecting property name enclosed in double quotes"),
+    (b"", "line 1, column 1: Expecting value"),
+], ids=["bom", "invalid-utf-8", "trailing-comma", "trailing-comma-lf", "trailing-comma-cr",
+        "empty"])
+def test_a_damaged_file_keeps_its_message(raw, message, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    with pytest.raises(InputError) as info:
+        read_json(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's documents
+
+
+def test_every_json_file_of_the_benchmark_workloads_decodes_the_same_both_ways(tmp_path):
+    """Every input the three workloads write at seed 21 and every report their
+    sessions write: orjson, json and read_json give the same document."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    for name in workloads.WORKLOADS:
+        for op in workloads.prepare(name, 21, str(tmp_path / name / "inputs"),
+                                    str(tmp_path / name / "out")):
+            assert main(list(op.argv)) == op.expect_rc, op.argv
+    paths = sorted(tmp_path.rglob("*.json"))
+    assert len(paths) > 100
+    for path in paths:
+        raw = path.read_bytes()
+        oracle = typed(json.loads(raw.decode("utf-8")))
+        assert typed(orjson.loads(raw)) == oracle, path
+        assert typed(read_json(path)) == oracle, path
