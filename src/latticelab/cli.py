@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import re
 import sys
 
 import numpy as np
@@ -54,7 +53,6 @@ from .errors import (
     UndecidableTailError,
 )
 from .metric import dist_to_set_all, find_close_pair, isolation_profile
-from .serialize import _check_version, _int, _number, _object, _parsed, _py, _require
 from .witnesses import (
     BlockWitness,
     extract_big_jump_witness,
@@ -434,72 +432,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-#: the policy text a sampled Buo-Cauchy verdict records
-_SAMPLED = re.compile(r"sampled\(count=(\d+),max_len=(\d+)\)(?:\+(\d+) included)?")
-
-#: the check --mode whose report records each verdict mode
-_REPORT_MODES = {"order": "order", "buo": "buo", "buo_cauchy": "buo-cauchy"}
-
-
-def _recorded_check(doc: dict, family: SequenceFamily, where: str):
-    """(mode, candidate, policy, config) of the check a report records.  A
-    paired report reads its order half; the uo probe seed comes from the
-    provenance, because a buo verdict does not record it.  A malformed
-    field is an InputError naming it."""
-    head, at = doc, where
-    if doc.get("type") == "paired":
-        at = f"{where}.order"
-        head, mode = _object(_require(doc, "order", where), at), "buo-equals-order"
-    elif doc.get("type") == "verdict":
-        recorded = _require(doc, "mode", where)
-        mode = _REPORT_MODES.get(recorded) if isinstance(recorded, str) else None
-        if mode is None:
-            raise InputError(f"{where}.mode: unknown mode {doc['mode']!r}")
-    else:
-        raise InputError(f"{where}: not a check report")
-    candidate = policy = sampled = None
-    seed, included = 0, ()
-    if mode == "buo-cauchy":
-        text = _require(doc, "policy", where)
-        sampled = _SAMPLED.fullmatch(text) if isinstance(text, str) else None
-        if sampled is not None:
-            seed = _parsed(_int, _require(doc, "seed", where), f"{where}.seed")
-            if sampled[3] is not None:
-                included = _parsed(lambda seqs: tuple(map(serialize._ints, seqs)),
-                                   _require(doc, "included", where), f"{where}.included")
-                if len(included) != int(sampled[3]):
-                    raise InputError(f"{where}.included: {len(included)} subsequences, "
-                                     f"but the policy names {sampled[3]}")
-        elif text != "certificate":
-            raise InputError(f"{where}.policy: malformed value ({text!r})")
-    else:
-        limit = _object(_require(head, "limit", at), f"{at}.limit")
-        candidate = serialize.element_from_json(limit, family.carrier, f"{at}.limit")
-        if mode != "order":
-            prov = _require(doc, "provenance", where)
-            seed = _parsed(_int, _require(prov, "seed", f"{where}.provenance"),
-                           f"{where}.provenance.seed")
-    tolerance = _number(head, "tolerance", at)
-    horizon = _parsed(_int, _require(head, "horizon", at), f"{at}.horizon")
-    try:
-        config = CheckConfig(tolerance=tolerance, horizon=horizon, seed=seed)
-        if mode == "buo-cauchy":
-            policy = CertificatePolicy() if sampled is None else SampledPolicy(
-                count=int(sampled[1]), max_len=int(sampled[2]), seed=seed, include=included)
-    except InputError as exc:
-        raise InputError(f"{where}: {exc}") from None
-    return mode, candidate, policy, config
-
-
 def replay_report(doc, family: SequenceFamily, where: str = "report") -> str:
     """Re-run the check a stored report records and compare the whole
     report, provenance aside, with the re-run's; return what was
     re-verified.  The fields the re-run reads are its input (see
-    _recorded_check); every other field is a claim, and the first one the
-    re-run contradicts is an InternalInvariantError naming its path and
-    both values."""
-    _check_version(doc, where)  # a non-object fails here, naming the file
-    mode, candidate, policy, config = _recorded_check(doc, family, where)
+    serialize.recorded_check); every other field is a claim, and the first
+    one the re-run contradicts is an InternalInvariantError naming its path
+    and both values."""
+    mode, candidate, policy, config = serialize.recorded_check(doc, family, where)
     cert = doc.get("certificate")
     if isinstance(cert, dict) and isinstance(cert.get("type"), str):
         claim = f"{cert['type']} certificate"
@@ -509,7 +449,7 @@ def replay_report(doc, family: SequenceFamily, where: str = "report") -> str:
         rerun = _run_check(family, mode, candidate, policy, config)
         diff = serialize.first_difference(
             {k: v for k, v in doc.items() if k != "provenance"},
-            _py(serialize.verdict_to_json(rerun)))
+            serialize.verdict_to_json(rerun))
     except LatticeLabError as exc:  # the recorded check no longer runs to a verdict
         diff = str(exc)
     if diff is not None:

@@ -32,6 +32,8 @@ class CheckConfig:
             raise InputError(f"tolerance must be positive, got {self.tolerance}")
         if self.horizon < 1:
             raise InputError(f"horizon must be >= 1, got {self.horizon}")
+        # a verdict records the tolerance, and a replay reads it back as a float
+        object.__setattr__(self, "tolerance", float(self.tolerance))
 
 
 @dataclass(frozen=True)

@@ -508,10 +508,8 @@ class ConvergenceVerdict:
     witness: object | None = None
     limit: LatticeElement | None = None
     bound: float | None = None
-    policy: str | None = None
-    seed: int | None = None
+    policy: CertificatePolicy | SampledPolicy | None = None  # Buo-Cauchy only
     notes: tuple[str, ...] = ()
-    included: tuple = ()  # a sampled policy's caller-supplied subsequences
 
     def __post_init__(self):
         if self.outcome not in ("holds", "fails", "inconclusive"):
@@ -971,6 +969,10 @@ def check_buo_cauchy(family: SequenceFamily, policy, config: CheckConfig | None 
     meta = family.metadata
     upto = family.prefix_count(cfg.horizon)
 
+    def verdict(outcome: str, note: str, **claims) -> ConvergenceVerdict:
+        return ConvergenceVerdict(mode="buo_cauchy", outcome=outcome, tolerance=cfg.tolerance,
+                                  horizon=upto, policy=policy, notes=(note,), **claims)
+
     if isinstance(policy, CertificatePolicy):
         if meta.monotone_decreasing and meta.common_bound is not None:
             # construction verified the declared prefix; re-verify the full
@@ -978,38 +980,23 @@ def check_buo_cauchy(family: SequenceFamily, policy, config: CheckConfig | None 
             breach = _monotone_breach(family, meta.common_bound, True, upto)
             if breach is not None:
                 raise MetadataError(breach)
-            cert = MonotoneCertificate(bound=meta.common_bound)
-            return ConvergenceVerdict(
-                mode="buo_cauchy", outcome="holds", tolerance=cfg.tolerance,
-                horizon=upto, certificate=cert, bound=sup_norm(meta.common_bound),
-                policy="certificate",
-                notes=("route: decreasing family under a common bound",),
-            )
+            return verdict("holds", "route: decreasing family under a common bound",
+                           certificate=MonotoneCertificate(bound=meta.common_bound),
+                           bound=sup_norm(meta.common_bound))
         if meta.uniformly_cauchy_norms is not None:
             eps = meta.uniformly_cauchy_norms[:upto]
             if any(b > a for a, b in zip(eps, eps[1:])):
                 raise MetadataError("uniform Cauchy norms must be non-increasing")
             if eps[-1] > cfg.tolerance:
-                return ConvergenceVerdict(
-                    mode="buo_cauchy", outcome="inconclusive", tolerance=cfg.tolerance,
-                    horizon=upto, policy="certificate",
-                    notes=(f"declared norms stop at {eps[-1]:.6g}, above tolerance",),
-                )
+                return verdict("inconclusive",
+                               f"declared norms stop at {eps[-1]:.6g}, above tolerance")
             breach = _uniform_breach(family, eps, upto)
             if breach is not None:
                 raise MetadataError(f"certificate violated: {breach}")
-            y = dominating_element(family)
-            return ConvergenceVerdict(
-                mode="buo_cauchy", outcome="holds", tolerance=cfg.tolerance,
-                horizon=upto, certificate=UniformCauchyCertificate(eps),
-                bound=sup_norm(y), policy="certificate",
-                notes=("route: uniform difference norms dominate every subsequence",),
-            )
-        return ConvergenceVerdict(
-            mode="buo_cauchy", outcome="inconclusive", tolerance=cfg.tolerance,
-            horizon=upto, policy="certificate",
-            notes=("no certificate-grade metadata declared",),
-        )
+            return verdict("holds", "route: uniform difference norms dominate every subsequence",
+                           certificate=UniformCauchyCertificate(eps),
+                           bound=sup_norm(dominating_element(family)))
+        return verdict("inconclusive", "no certificate-grade metadata declared")
 
     if not isinstance(policy, SampledPolicy):
         raise InputError(f"unknown Buo-Cauchy policy {policy!r}")
@@ -1023,35 +1010,14 @@ def check_buo_cauchy(family: SequenceFamily, policy, config: CheckConfig | None 
             )
     subs = list(policy.include) + _subsequences(policy.count, policy.max_len,
                                                 policy.seed, upto)
-    pol_desc = f"sampled(count={policy.count},max_len={policy.max_len})"
-    if policy.include:
-        pol_desc += f"+{len(policy.include)} included"
     for seq in subs:  # the first failure in draw order wins; later draws never run
         witness = _check_subsequence(family, seq, cfg.tolerance)
         if witness is not None:
-            return ConvergenceVerdict(
-                mode="buo_cauchy", outcome="fails", tolerance=cfg.tolerance,
-                horizon=upto, witness=witness,
-                policy=pol_desc,
-                seed=policy.seed,
-                included=policy.include,
-                notes=(
-                    "budget-relative: differences along the attached window never "
-                    "reached tolerance; certificate policies are authoritative "
-                    "when metadata exists",
-                ),
-            )
-    return ConvergenceVerdict(
-        mode="buo_cauchy", outcome="inconclusive", tolerance=cfg.tolerance,
-        horizon=upto,
-        policy=pol_desc,
-        seed=policy.seed,
-        included=policy.include,
-        notes=(
-            f"no counterexample among {len(subs)} sampled subsequences; "
-            "sampling cannot prove the property (search device, not a theorem)",
-        ),
-    )
+            return verdict("fails", "budget-relative: differences along the attached window "
+                           "never reached tolerance; certificate policies are authoritative "
+                           "when metadata exists", witness=witness)
+    return verdict("inconclusive", f"no counterexample among {len(subs)} sampled subsequences; "
+                   "sampling cannot prove the property (search device, not a theorem)")
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ class ModulusCurve:
 def _pair_blocks(space, values):
     """Yield (distances, gaps) over the strict upper triangle, chunked; the
     pairs come in row-major order."""
-    for lo, d in _metric._upper_blocks(space):
+    for lo, d in _metric.upper_blocks(space):
         upper = ~np.tri(*d.shape, dtype=bool)
         gaps = np.abs(values[lo:lo + len(d), None] - values[None, lo:])
         yield d[upper], gaps[upper]

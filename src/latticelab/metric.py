@@ -233,7 +233,7 @@ def _coord_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _upper_blocks(space: FiniteMetricSpace):
+def upper_blocks(space: FiniteMetricSpace):
     """Yield (lo, tile) over the upper triangle: the fresh tile holds rows
     lo..hi-1 against columns lo..n-1, with inf on and below the diagonal, so
     each unordered pair (i, j), i < j, appears once, at tile[i - lo, j - lo]."""
@@ -518,7 +518,7 @@ def _scan_close_pair(space, allowed, eps):
     the flat argmin is the first minimum in row-major order, so the
     tie-break is deterministic."""
     best = None
-    for lo, tile in _upper_blocks(space):
+    for lo, tile in upper_blocks(space):
         np.copyto(tile, np.inf, where=~allowed[None, lo:] | ~allowed[lo:lo + len(tile), None])
         flat = int(tile.argmin())
         bmin = float(tile.flat[flat])
@@ -560,7 +560,7 @@ def max_slope(space: FiniteMetricSpace, values: np.ndarray):
         best = [(float(m), (int(lo[p]), int(hi[p]))) for m, p in zip(top, at)]
     else:
         best = [(-np.inf, (0, 1))] * len(stack)
-        for lo, d in _upper_blocks(space):
+        for lo, d in upper_blocks(space):
             ratio = np.empty_like(d)
             for k, v in enumerate(stack):
                 np.subtract.outer(v[lo:lo + d.shape[0]], v[lo:], out=ratio)

@@ -25,18 +25,22 @@ import io
 import json
 import math
 import os
+import re
 from json.encoder import encode_basestring
 
 import numpy as np
 import orjson
 
+from .config import CheckConfig
 from .convergence import (
     BuoCertificate,
+    CertificatePolicy,
     DominationFailure,
     FamilyMetadata,
     MonotoneCertificate,
     OrderCertificate,
     PairedVerdict,
+    SampledPolicy,
     SequenceFamily,
     StuckCoordinate,
     SubsequenceWitness,
@@ -65,6 +69,7 @@ __all__ = [
     "load_space",
     "load_family",
     "verdict_to_json",
+    "recorded_check",
     "first_difference",
     "witness_to_json",
     "witness_from_json",
@@ -79,37 +84,8 @@ SCHEMA_VERSION = 1
 # deterministic writers
 
 
-#: element types a list passes through _py unchanged
-_PLAIN = frozenset({int, str, bool, type(None)})
-
-
 def _non_finite(x) -> InputError:
     return InputError(f"cannot serialize non-finite number {float(x)!r}")
-
-
-def _py(x):
-    """Recursively convert numpy scalars/arrays so json can render them.  A
-    list of plain values, or of finite floats, is copied in one C pass."""
-    if type(x) in _PLAIN:
-        return x
-    if isinstance(x, dict):
-        return {k: _py(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        kinds = set(map(type, x))
-        if kinds <= _PLAIN or (kinds == {float} and all(map(math.isfinite, x))):
-            return list(x)
-        return [_py(v) for v in x]
-    if isinstance(x, np.ndarray):
-        if x.dtype.kind in "biuf" and np.isfinite(x).all():
-            return x.tolist()
-        return [_py(v) for v in x.tolist()]  # names the first non-finite entry
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, float) and not math.isfinite(x):
-        raise _non_finite(x)
-    return x
 
 
 def _leaf_run(x, sep: str) -> str | None:
@@ -129,7 +105,7 @@ def _leaf_run(x, sep: str) -> str | None:
 
 
 def _scalar(x) -> str | None:
-    """The text of a JSON scalar (numpy scalars as _py converts them), or
+    """The text of a JSON scalar (a numpy scalar as its Python value), or
     None for a container."""
     if isinstance(x, str):
         return encode_basestring(x)
@@ -194,9 +170,9 @@ def _emit(x, pad: str, out: list) -> None:
 
 
 def canonical_json(obj) -> str:
-    """The document's canonical text: the bytes of json.dumps(_py(obj),
-    sort_keys=True, indent=2, ensure_ascii=False) plus a newline, written
-    in one walk that joins runs of same-typed leaves in C loops.  A
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=False), numpy values as their Python values, plus a newline,
+    written in one walk that joins runs of same-typed leaves in C loops.  A
     non-finite number, numpy scalars included, is an InputError."""
     out: list = []
     _emit(obj, "", out)
@@ -273,6 +249,13 @@ def _int(value) -> int:
     return int(value)
 
 
+def _list(value) -> list:
+    """A JSON list; any other value raises, so a string is never split up."""
+    if type(value) is not list:
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
 def _number(obj: dict, key: str, where: str) -> float:
     """obj[key] as a finite float, else an InputError naming the field."""
     out = _parsed(_real, _require(obj, key, where), f"{where}.{key}")
@@ -340,7 +323,7 @@ def space_to_json(space: FiniteMetricSpace) -> dict:
 
 def space_from_json(obj: dict, where: str = "space json") -> FiniteMetricSpace:
     _check_version(obj, where)
-    labels = _parsed(list, _require(obj, "labels", where), f"{where}.labels")
+    labels = _parsed(_list, _require(obj, "labels", where), f"{where}.labels")
     if "coords" in obj:
         coords = _parsed(_array, obj["coords"], f"{where}.coords")
         if coords.ndim == 1:
@@ -472,7 +455,7 @@ def tail_from_json(obj, where: str) -> Tail | None:
 def element_to_json(x: LatticeElement | None):
     if x is None:
         return None
-    return {"values": x.values, "tail": tail_to_json(x.tail)}
+    return {"values": x.values.tolist(), "tail": tail_to_json(x.tail)}
 
 
 def element_from_json(obj, carrier: Carrier, where: str) -> LatticeElement | None:
@@ -551,7 +534,7 @@ def _metadata_from_json(obj, carrier: Carrier, where: str) -> FamilyMetadata:
     if type(decreasing) is not bool:
         raise InputError(f"{where}.monotone_decreasing: expected true or false, "
                          f"got {json.dumps(decreasing)}")
-    notes = _parsed(list, obj.get("notes", ()), f"{where}.notes")
+    notes = _parsed(_list, obj.get("notes", []), f"{where}.notes")
     for i, note in enumerate(notes, start=1):
         if type(note) is not str:
             raise InputError(f"{where}.notes[{i}]: expected a string, got {json.dumps(note)}")
@@ -595,14 +578,12 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
             p=None if p is None else _parsed(_real, p, f"{w}.p"),
         )
 
-    rows = _parsed(list, _require(obj, "members", where), f"{where}.members")
+    rows = _parsed(_list, _require(obj, "members", where), f"{where}.members")
     if not rows:
         raise InputError(f"{where}: members is empty")
     tails = obj.get("tails")
-    if tails is None and "tail" in obj:
-        tails = [obj["tail"]] * len(rows)
     if tails is not None:
-        tails = _parsed(list, tails, f"{where}.tails")
+        tails = _parsed(_list, tails, f"{where}.tails")
         if len(tails) != len(rows):
             raise InputError(f"{where}: {len(tails)} tails for {len(rows)} members")
     try:
@@ -688,7 +669,7 @@ def _certificate_to_json(cert):
     if isinstance(cert, OrderCertificate):
         return {
             "type": "order",
-            "regulator_values": cert.regulator_values,
+            "regulator_values": cert.regulator_values.tolist(),
             "regulator_tails": (None if cert.regulator_tails is None
                                 else [tail_to_json(t) for t in cert.regulator_tails]),
             "thresholds": list(cert.thresholds),
@@ -715,17 +696,36 @@ _VERDICT_WITNESS_TYPES = {
 }
 
 
+def _plain(v):
+    """``v`` with each dataclass as an object of its fields, under their own
+    names, and each tuple as a list."""
+    if dataclasses.is_dataclass(v):
+        return {f.name: _plain(getattr(v, f.name)) for f in dataclasses.fields(v)}
+    return [_plain(e) for e in v] if isinstance(v, tuple) else v
+
+
 def _witness_obj_to_json(w):
     if w is None:
         return None
     kind = _VERDICT_WITNESS_TYPES.get(type(w))
     if kind is None:
         raise InternalInvariantError(f"no report record for witness type {type(w).__name__}")
-    # a nested stuck coordinate becomes an object too
-    return {"type": kind, **dataclasses.asdict(w)}
+    return {"type": kind, **_plain(w)}
+
+
+#: the policy text of a sampled Buo-Cauchy verdict, as _policy_to_json writes it
+_SAMPLED = re.compile(r"sampled\(count=(\d+),max_len=(\d+)\)(?:\+(\d+) included)?")
+
+
+def _policy_to_json(policy) -> str | None:
+    if not isinstance(policy, SampledPolicy):
+        return None if policy is None else policy.kind
+    text = f"sampled(count={policy.count},max_len={policy.max_len})"
+    return f"{text}+{len(policy.include)} included" if policy.include else text
 
 
 def verdict_to_json(verdict) -> dict:
+    """A verdict's report, in plain JSON values that compare with one read back."""
     if isinstance(verdict, PairedVerdict):
         return {
             "schema_version": SCHEMA_VERSION,
@@ -735,6 +735,8 @@ def verdict_to_json(verdict) -> dict:
             "equal": verdict.equal,
             "note": verdict.note,
         }
+    policy = verdict.policy
+    sampled = isinstance(policy, SampledPolicy)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "type": "verdict",
@@ -746,16 +748,75 @@ def verdict_to_json(verdict) -> dict:
         "witness": _witness_obj_to_json(verdict.witness),
         "limit": element_to_json(verdict.limit),
         "bound": verdict.bound,
-        "policy": verdict.policy,
-        "seed": verdict.seed,
+        "policy": _policy_to_json(policy),
+        "seed": policy.seed if sampled else None,
         "notes": list(verdict.notes),
     }
-    if verdict.included:  # only a sampled policy with included subsequences
-        doc["included"] = [list(seq) for seq in verdict.included]
+    if sampled and policy.include:  # the caller-supplied subsequences
+        doc["included"] = [list(seq) for seq in policy.include]
     return doc
 
 
+#: the check --mode whose report records each verdict mode
+_REPORT_MODES = {"order": "order", "buo": "buo", "buo_cauchy": "buo-cauchy"}
+
+
+def recorded_check(doc, family: SequenceFamily, where: str = "report"):
+    """(mode, candidate, policy, config) of the check that the report
+    ``doc`` records, with mode as its ``check --mode``.  A paired report
+    reads its order half; the uo probe seed comes from the provenance,
+    because a buo verdict does not record it.  A malformed field is an
+    InputError naming it."""
+    _check_version(doc, where)  # a non-object fails here, naming the file
+    head, at = doc, where
+    if doc.get("type") == "paired":
+        at = f"{where}.order"
+        head, mode = _object(_require(doc, "order", where), at), "buo-equals-order"
+    elif doc.get("type") == "verdict":
+        recorded = _require(doc, "mode", where)
+        mode = _REPORT_MODES.get(recorded) if isinstance(recorded, str) else None
+        if mode is None:
+            raise InputError(f"{where}.mode: unknown mode {doc['mode']!r}")
+    else:
+        raise InputError(f"{where}: not a check report")
+    candidate = policy = sampled = None
+    seed, included = 0, ()
+    if mode == "buo-cauchy":
+        text = _require(doc, "policy", where)
+        sampled = _SAMPLED.fullmatch(text) if isinstance(text, str) else None
+        if sampled is not None:
+            seed = _parsed(_int, _require(doc, "seed", where), f"{where}.seed")
+            if sampled[3] is not None:
+                included = _parsed(lambda seqs: tuple(map(_ints, seqs)),
+                                   _require(doc, "included", where), f"{where}.included")
+                if len(included) != int(sampled[3]):
+                    raise InputError(f"{where}.included: {len(included)} subsequences, "
+                                     f"but the policy names {sampled[3]}")
+        elif text != "certificate":
+            raise InputError(f"{where}.policy: malformed value ({text!r})")
+    else:
+        limit = _object(_require(head, "limit", at), f"{at}.limit")
+        candidate = element_from_json(limit, family.carrier, f"{at}.limit")
+        if mode != "order":
+            prov = _require(doc, "provenance", where)
+            seed = _parsed(_int, _require(prov, "seed", f"{where}.provenance"),
+                           f"{where}.provenance.seed")
+    tolerance = _number(head, "tolerance", at)
+    horizon = _parsed(_int, _require(head, "horizon", at), f"{at}.horizon")
+    try:
+        config = CheckConfig(tolerance=tolerance, horizon=horizon, seed=seed)
+        if mode == "buo-cauchy":
+            policy = CertificatePolicy() if sampled is None else SampledPolicy(
+                count=int(sampled[1]), max_len=int(sampled[2]), seed=seed, include=included)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
+    return mode, candidate, policy, config
+
+
 _ABSENT = object()
+
+#: the types of the JSON scalars read_json returns
+_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 def _brief(value) -> str:
@@ -765,18 +826,35 @@ def _brief(value) -> str:
     return text if len(text) <= 80 else text[:77] + "..."
 
 
+def _same(a, b) -> bool:
+    """Whether a and b are the same JSON value, with the same type at every
+    node.  A list of scalars of one type is compared in one C-level pass."""
+    kind = type(a)
+    if kind is not type(b):
+        return False
+    if kind is list:
+        if len(a) != len(b):
+            return False
+        kinds = set(map(type, a))
+        if len(kinds) == 1 and kinds <= _SCALARS:
+            return a == b and kinds == set(map(type, b))
+        return all(map(_same, a, b))
+    if kind is dict:
+        return a.keys() == b.keys() and all(map(_same, a.values(), map(b.__getitem__, a)))
+    return a == b
+
+
 def first_difference(stored, rerun, path: str = "") -> str | None:
     """'<path>: stored <a>, re-run <b>' at the first field, in sorted key
     order, where two JSON documents differ, or None when they are equal.
-    Values compare as Python values: numbers by value, so 1 and 1.0 agree
-    (and so do true and 1).  Equal subtrees are passed over in one C-level
-    comparison; only a differing branch is walked."""
-    if stored == rerun:
+    Values compare by JSON type and value, so 1, 1.0 and true all differ.
+    Only a differing branch is walked for its path."""
+    if _same(stored, rerun):
         return None
-    if isinstance(stored, dict) and isinstance(rerun, dict):
+    if type(stored) is type(rerun) is dict:
         fields = ((f"{path}.{k}" if path else k, stored.get(k, _ABSENT), rerun.get(k, _ABSENT))
                   for k in sorted(stored.keys() | rerun.keys()))
-    elif isinstance(stored, list) and isinstance(rerun, list) and len(stored) == len(rerun):
+    elif type(stored) is type(rerun) is list and len(stored) == len(rerun):
         fields = ((f"{path}[{i}]", a, b) for i, (a, b) in enumerate(zip(stored, rerun)))
     else:
         return f"{path}: stored {_brief(stored)}, re-run {_brief(rerun)}"
@@ -813,9 +891,8 @@ _WITNESS_CASTS = {
 
 
 def _record(kind: str, obj) -> dict:
-    """A versioned document of dataclass ``obj``: every field under its own
-    name, nested dataclasses (space tags, rows) as objects."""
-    return {"schema_version": SCHEMA_VERSION, "type": kind, **dataclasses.asdict(obj)}
+    """A versioned document of dataclass ``obj``, field by field."""
+    return {"schema_version": SCHEMA_VERSION, "type": kind, **_plain(obj)}
 
 
 def witness_to_json(w) -> dict:

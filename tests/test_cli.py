@@ -560,6 +560,9 @@ def _rewrite(doc: dict, path: str, value) -> None:
     ("hats", "tolerance", -1, 2, "tolerance must be positive"),
     ("order", "horizon", 5, 3, "certificate: stored {"),
     ("hats", "bound", 2.0, 3, "bound: stored 2.0, re-run 1.0"),
+    ("hats", "bound", True, 3, "bound: stored true, re-run 1.0"),
+    ("hats", "bound", 1, 3, "bound: stored 1, re-run 1.0"),
+    ("hats", "horizon", 10.0, 3, "horizon: stored 10.0, re-run 10"),
     ("hats", "limit", {"values": [0.0], "tail": None}, 3, "limit: stored {"),
     ("hats", "witness", {"type": "x"}, 3, "witness: stored {\"type\": \"x\"}, re-run null"),
     ("order", "policy", "certificate", 3, "policy: stored \"certificate\", re-run null"),
@@ -567,8 +570,9 @@ def _rewrite(doc: dict, path: str, value) -> None:
     ("hats", "notes", ["edited"], 3, "notes[0]: stored \"edited\""),
     ("order", "certificate.regulator_tails", None, 3, "certificate.regulator_tails: stored null"),
     ("order", "certificate.thresholds", [], 3, "certificate.thresholds: stored []"),
-], ids=["outcome", "outcome-x", "mode", "tolerance", "horizon", "bound", "limit", "witness",
-        "policy", "seed", "notes", "regulator-tails", "thresholds"])
+], ids=["outcome", "outcome-x", "mode", "tolerance", "horizon", "bound", "bound-true",
+        "bound-int", "horizon-float", "limit", "witness", "policy", "seed", "notes",
+        "regulator-tails", "thresholds"])
 def test_a_rewritten_report_field_does_not_replay(report, path, value, code, said,
                                                    family_file, tmp_path, capsys):
     if report == "hats":
@@ -587,6 +591,76 @@ def test_a_rewritten_report_field_does_not_replay(report, path, value, code, sai
     if code == 3:
         cert = doc["certificate"]["type"]
         assert f"stored {cert} certificate does not replay: " in err
+
+
+def _settled_family_file(tmp_path) -> str:
+    """A family equal to its declared limit from the first member on, so its
+    order regulator ends at exactly 0.0."""
+    limit = el([1.0, 0.0, 2.0])
+    fam = SequenceFamily(values=np.tile(limit.values, (5, 1)), tails=Tail.zero(), carrier=CAR3,
+                         metadata=FamilyMetadata(limit=limit))
+    path = tmp_path / "settled.json"
+    write_json(path, family_to_json(fam))
+    return str(path)
+
+
+def _set_first(values: list, old, new) -> None:
+    values[values.index(old)] = new
+
+
+# claims rewritten to a value of another JSON type that equals the re-run's
+# as a Python value (1 == 1.0 == True), where the test above cannot reach them
+@pytest.mark.parametrize("family, mode, rewrite, said", [
+    ("hats", "buo-cauchy",
+     lambda doc: _set_first(doc["certificate"]["bound"]["values"], 1.0, True),
+     "certificate.bound.values[0]: stored true, re-run 1.0"),
+    ("settled", "order", lambda doc: doc["certificate"].update(final_sup=0),
+     "certificate.final_sup: stored 0, re-run 0.0"),
+    ("settled", "order", lambda doc: _set_first(doc["certificate"]["thresholds"], 3, 3.0),
+     "certificate.thresholds[2]: stored 3.0, re-run 3"),
+    ("settled", "buo-equals-order", lambda doc: doc.update(equal=1),
+     "equal: stored 1, re-run true"),
+], ids=["certificate-bound-true", "final-sup-int", "threshold-float", "equal-int"])
+def test_a_claim_rewritten_to_another_json_type_does_not_replay(family, mode, rewrite, said,
+                                                                tmp_path, capsys):
+    fam = _hats(tmp_path) if family == "hats" else _settled_family_file(tmp_path)
+    out = tmp_path / "r"
+    assert main(["check", "--family", fam, "--mode", mode, "--out", str(out)]) == 0
+    doc = json.loads((out / "check_report.json").read_text())
+    rewrite(doc)
+    write_json(out / "tampered.json", doc)
+    capsys.readouterr()
+    assert main(["verify", "--family", fam, "--report", str(out / "tampered.json")]) == 3
+    assert f"does not replay: {said}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("branch", ["tail-stuck", "tail-undeclared"])
+def test_the_tail_branches_of_the_buo_check_replay(branch, tmp_path, capsys):
+    if branch == "tail-stuck":
+        # members match the zero candidate on the prefix, but under the
+        # probe 1 the constant tail 1 stays above the tolerance
+        fam = SequenceFamily(values=np.zeros((4, 3)), tails=Tail.constant(1.0), carrier=CAR3)
+        argv, outcome, note = ["--candidate", "zero"], "fails", "probe ones stuck on the tail"
+    else:
+        # j**-1 minus j**-2 is no tail the algebra represents
+        limit = el([1.0, 0.5, 0.25], Tail.power(2.0, 1.0))
+        fam = SequenceFamily(values=np.tile(limit.values, (4, 1)), tails=Tail.power(1.0, 1.0),
+                             carrier=CAR3, metadata=FamilyMetadata(limit=limit))
+        argv, outcome, note = [], "inconclusive", "tail undeclared, prefix alone cannot certify"
+    path, out = str(tmp_path / "fam.json"), tmp_path / "r"
+    write_json(path, family_to_json(fam))
+    assert main(["check", "--family", path, "--mode", "buo", *argv, "--out", str(out)]) == 1
+    doc = json.loads((out / "check_report.json").read_text())
+    assert doc["outcome"] == outcome
+    assert note in doc["notes"][-1]
+    capsys.readouterr()
+    report = str(out / "check_report.json")
+    assert main(["verify", "--family", path, "--report", report]) == 0
+    assert f"buo {outcome} verdict re-verified" in capsys.readouterr().out
+    doc["bound"] = 2.0
+    write_json(out / "tampered.json", doc)
+    assert main(["verify", "--family", path, "--report", str(out / "tampered.json")]) == 3
+    assert "bound: stored 2.0, re-run 1.0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("damage, field", [
@@ -693,6 +767,9 @@ def test_a_directory_given_as_an_input_file_exits_two_naming_it(argv, family_fil
     (("carrier", "size"), "30", '.carrier.size: malformed value (expected an integer, got "30")'),
     (("metadata", "monotone_decreasing"), "false",
      '.metadata.monotone_decreasing: expected true or false, got "false"'),
+    (("members",), "abc", ".members: malformed value (expected a list, got str)"),
+    (("tails",), "z" * 30, ".tails: malformed value (expected a list, got str)"),
+    (("metadata", "notes"), "abc", ".metadata.notes: malformed value (expected a list, got str)"),
 ])
 def test_a_damaged_family_file_exits_two_naming_the_field(path, value, field, tmp_path,
                                                           capsys):
@@ -762,6 +839,14 @@ def test_a_boolean_in_a_stored_space_exits_two_naming_the_field(key, value, flag
     err = capsys.readouterr().err
     assert f"{bad}.{key}: malformed value (expected a number, got {flag})" in err
     assert "Traceback" not in err
+
+
+def test_a_string_of_labels_exits_two_naming_the_field(tmp_path, capsys):
+    bad = tmp_path / "space.json"
+    write_json(bad, {"schema_version": 1, "labels": "ab", "coords": [[0.0], [1.0]]})
+    assert main(["metric", "--space", str(bad), "--format", "space-json",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"{bad}.labels: malformed value (expected a list, got str)" in capsys.readouterr().err
 
 
 def test_a_report_with_a_seed_beyond_64_bits_replays(tmp_path, capsys):

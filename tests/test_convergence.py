@@ -44,6 +44,7 @@ from latticelab.core import (
     Tail,
     abs_,
     le,
+    p_norm,
     sup_norm,
     tail_abs,
     tail_max,
@@ -491,7 +492,7 @@ def test_monotone_certificate_route_on_hats():
     assert v.outcome == "holds"
     assert isinstance(v.certificate, MonotoneCertificate)
     assert v.bound == 1.0
-    assert v.policy == "certificate"
+    assert v.policy == CertificatePolicy()
 
 
 def test_certificate_route_rechecks_claims_past_the_verification_horizon():
@@ -648,6 +649,20 @@ def test_norm_bound_flags_declared_unbounded_growth():
 def test_norm_bound_on_hats_is_one():
     nb = norm_bound(hats(), SpaceTag.bounded_fns())
     assert nb.value == 1.0
+
+
+@pytest.mark.parametrize("tail, finite", [
+    (lambda n: Tail.zero(), True),
+    (lambda n: Tail.power(1.5, float(n)), True),  # p * exponent > 1: closed-form sums
+    (lambda n: Tail.power(0.75, -1.0 / n), True),
+    (lambda n: Tail.constant(0.5), False),
+], ids=["zero", "power", "negative-power", "constant"])
+def test_lp_norm_bound_of_explicit_members_is_each_members_p_norm(tail, finite):
+    members = [seq([1.0 / n, -2.0, 0.5], tail(n)) for n in range(1, 7)]
+    nb = norm_bound(SequenceFamily(members=members), SpaceTag.lp(2.0))
+    assert nb.trace == tuple(p_norm(m, 2.0) for m in members)
+    assert math.isfinite(nb.value) is finite
+    assert nb.value == max(nb.trace) and nb.trace_indices is None
 
 
 def test_model_norm_bound_matches_partial_sums():

@@ -20,6 +20,9 @@ from latticelab.core import (
     p_norm,
     pos_part,
     sup_norm,
+    tail_le,
+    tail_max,
+    tail_min,
     truncate,
 )
 from latticelab.errors import CarrierMismatchError, InputError, UndecidableTailError
@@ -274,3 +277,31 @@ def test_ones_is_the_unit():
     u = ones(Carrier.index_set(3))
     assert np.array_equal(u.values, [1.0, 1.0, 1.0])
     assert u.tail.kind == "constant" and u.tail.value == 1.0
+
+
+# ---------------------------------------------------------------------------
+# tail algebra against pointwise values
+
+
+def _at(t: Tail, j: int) -> float:
+    """Coordinate j of tail t (the zero tail's value is 0.0)."""
+    return t.scale * float(j) ** (-t.exponent) if t.kind == "power" else t.value
+
+
+# levels and exponents on a small grid, so constants often meet a power's
+# first value scale * first**-exponent exactly
+_levels = st.sampled_from([-2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0])
+_tails = st.one_of(st.just(Tail.zero()), _levels.map(Tail.constant),
+                   st.builds(Tail.power, st.sampled_from([0.5, 1.0, 2.0]), _levels))
+
+
+@given(_tails, _tails, st.sampled_from([1, 2, 4, 9]))
+def test_a_decided_tail_comparison_holds_at_every_coordinate(a, b, first):
+    window = range(first, first + 201)
+    for select, pick in ((tail_min, min), (tail_max, max)):
+        t = select(a, b, first)
+        if t.decidable:
+            assert all(_at(t, j) == pick(_at(a, j), _at(b, j)) for j in window), select
+    below = tail_le(a, b, first)
+    if below is not None:
+        assert below == all(_at(a, j) <= _at(b, j) for j in window)

@@ -27,11 +27,11 @@ from latticelab.errors import InputError, InternalInvariantError
 from latticelab.metric import FiniteMetricSpace
 from latticelab.serialize import (
     SCHEMA_VERSION,
-    _py,
     canonical_json,
     escape_report_to_json,
     family_from_json,
     family_to_json,
+    first_difference,
     load_family,
     load_space,
     read_coords_csv,
@@ -101,9 +101,20 @@ def test_canonical_json_rejects_non_finite_numbers():
     assert canonical_json({"x": np.array([[1.0, 2.5]])}) == canonical_json({"x": [[1.0, 2.5]]})
 
 
+def plain(x):
+    """x with numpy arrays and scalars as the Python values they hold."""
+    if isinstance(x, dict):
+        return {k: plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [plain(v) for v in x]
+    if isinstance(x, (np.ndarray, np.generic)):
+        return plain(x.tolist())
+    return x
+
+
 def oracle_json(obj) -> str:
     """The canonical text as the standard library writes it."""
-    return json.dumps(_py(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(plain(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 _texts = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\x1f\n\r\t\x7fé€\u2028😀'),
@@ -138,7 +149,7 @@ _documents = st.recursive(_leaves, lambda inner: st.one_of(
 def test_canonical_json_matches_the_standard_library_byte_for_byte(doc):
     text = canonical_json(doc)
     assert text == oracle_json(doc)
-    assert json.loads(text) == _py(doc)
+    assert json.loads(text) == plain(doc)
 
 
 REFERENCE_BYTES = pathlib.Path(__file__).parent / "data" / "reference_bytes"
@@ -438,6 +449,26 @@ def test_paired_verdict_document_nests_both_modes():
     assert doc["equal"] is True
     assert doc["order"]["mode"] == "order"
     assert doc["buo"]["mode"] == "buo"
+
+
+@pytest.mark.parametrize("stored_doc, rerun, said", [
+    (1.0, 1, ": stored 1.0, re-run 1"),
+    ({"a": [1.0, 2.0]}, {"a": [1.0, 2]}, "a[1]: stored 2.0, re-run 2"),
+    ({"a": [1, True]}, {"a": [1, 1]}, "a[1]: stored true, re-run 1"),
+    ({"a": {"b": None}}, {"a": {}}, "a.b: stored null, re-run no such field"),
+    ([[0.5], [1.0]], [[0.5], [True]], "[1][0]: stored 1.0, re-run true"),
+    ({"a": [0.5, "x"], "b": 2}, {"a": [0.5, "x"], "b": 2}, None),
+])
+def test_first_difference_compares_by_json_type_and_value(stored_doc, rerun, said):
+    assert first_difference(stored_doc, rerun) == said
+
+
+def test_a_report_made_with_an_integer_tolerance_replays():
+    fam = halving_family()
+    cand = index_element(fam.carrier, [0.0, 0.0, 1.0])
+    verdict = check_order_convergence(fam, cand, CheckConfig(tolerance=1))
+    assert type(verdict_to_json(verdict)["tolerance"]) is float
+    assert replay_report(stored(verdict), fam) == "certificate"
 
 
 def test_failed_verdicts_carry_their_stuck_witness():
