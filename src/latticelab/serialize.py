@@ -9,11 +9,17 @@ offending line, field or member.
 
 JSON files are read by ``read_json``.  orjson, whose correctly rounded
 number parser gives the floats json gives, bit for bit, in a third of the
-time, decodes a file unless one of three things holds, in which case json
-does: the file is larger than ``ORJSON_MAX_BYTES`` (json's peak memory is
-lower); it holds an integer literal of 19 or more digits (orjson reads one
-outside [-2**63, 2**64) as a float); or orjson refuses the text (so NaN,
-Infinity, 1e400, lone surrogates and every error message stay json's).
+time, decodes a file of at most ``ORJSON_MAX_BYTES`` unless it holds an
+integer literal of 19 or more digits (orjson reads one outside
+[-2**63, 2**64) as a float) or orjson refuses the text (so NaN, Infinity,
+1e400, lone surrogates and every error message stay json's).  A larger file,
+which orjson would decode whole at 1.5 times json's peak memory, takes the
+row route: its top-level ``"members"`` list of number rows is decoded by
+orjson one row at a time, and the rest of the document with that list
+spliced out.  The route applies only where every row holds nothing but
+number bytes and no integer literal of 19 or more digits, orjson accepts
+every piece, and the list is the value the top-level key reads; any other
+file is read by json.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ import hashlib
 import io
 import json
 import math
-import os
 import re
+from array import array
 from json.encoder import encode_basestring
 
 import numpy as np
@@ -610,26 +616,69 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
     return SequenceFamily(values=values, tails=tails or None, carrier=carrier, metadata=meta)
 
 
-#: the largest file read_json decodes with orjson.  orjson holds the input
-#: and its own tree while it builds the objects, so on a 24 MB family its
-#: peak is 1.5 times that of json; larger files take the json path.
+#: the largest file read_json decodes whole with orjson.  orjson holds the
+#: input and its own tree while it builds the objects, so on a 24 MB family
+#: its peak is 1.5 times that of json; a larger file takes the row route.
 ORJSON_MAX_BYTES = 4 << 20
 
 #: digits to "0" and the other number bytes kept, but "-" and every other
-#: byte to a space: an integer literal of 19 or more digits, which orjson
-#: reads as a float once it leaves [-2**63, 2**64), is then a space and
-#: nineteen "0"s (or the document's first nineteen bytes)
+#: byte to a space, and whitespace deleted: an integer literal of 19 or more
+#: digits, which orjson reads as a float once it leaves [-2**63, 2**64), is
+#: then a space and nineteen "0"s (or the first nineteen bytes left)
 _DIGIT_RUNS = bytes(48 if 48 <= c <= 57 else c if c in b".eE+" else 32 for c in range(256))
 _WIDE_INT = b"0" * 19
+_WHITESPACE = b" \t\n\r"
+
+#: a "members" key opening a list, and the bytes a row of numbers may hold
+_MEMBERS = re.compile(rb'"members"[ \t\n\r]*:[ \t\n\r]*\[')
+_ROW_BYTES = b"0123456789.eE+-," + _WHITESPACE
 
 
 def _has_wide_int(data: bytes) -> bool:
     """Whether the JSON text ``data`` may hold an integer literal of 19 or more
-    digits.  No such literal is missed.  A run of 19 digits in a string or
+    digits.  No such literal is missed: in valid JSON the whitespace before a
+    number follows a ``[``, ``,`` or ``:``.  A run of 19 digits in a string or
     after an exponent's minus sign counts too, which only costs the slower
     read."""
-    runs = data.translate(_DIGIT_RUNS)
+    runs = data.translate(_DIGIT_RUNS, _WHITESPACE)
     return b" " + _WIDE_INT in runs or runs.startswith(_WIDE_INT)
+
+
+def _with_member_rows(data: bytes):
+    """The document ``data`` read by the row route: its top-level "members"
+    list of number rows decoded one row at a time, the rest (the skeleton)
+    with the list spliced out.  None where the route does not apply; orjson
+    refusing a piece raises its JSONDecodeError."""
+    key = _MEMBERS.search(data)
+    if key is None:
+        return None
+    rows, pos = [], key.end()
+    while True:
+        start, end = data.find(b"[", pos), data.find(b"]", pos)
+        if not 0 <= start < end or data[pos:start].strip(_WHITESPACE) != (b"," if rows else b""):
+            break
+        row = data[start:end + 1]
+        if row.translate(None, _ROW_BYTES) != b"[]" or _has_wide_int(row):
+            return None
+        rows.append(orjson.loads(row))
+        pos = end + 1
+    if end < 0 or data[pos:end].strip(_WHITESPACE):
+        return None
+    parts = data[:key.end() - 1], data[end + 1:]
+    skeleton = b"0".join(parts)
+    if _has_wide_int(skeleton):
+        return None
+    # the list is the value the top-level key reads (the last "members", not
+    # one in a string or a nested object) when splicing in 0 and null both show
+    found = orjson.loads(skeleton)
+    if type(found) is not dict or found.get("members") != 0:
+        return None
+    del found, skeleton  # one skeleton tree at a time
+    doc = orjson.loads(b"null".join(parts))
+    if doc["members"] is not None:
+        return None
+    doc["members"] = rows
+    return doc
 
 
 def read_json(path):
@@ -637,13 +686,21 @@ def read_json(path):
     malformed JSON is an InputError naming the file and the position of the
     damage."""
     with open(path, "rb") as fh:
-        if os.fstat(fh.fileno()).st_size <= ORJSON_MAX_BYTES:
-            data = fh.read()
-            if not _has_wide_int(data):
-                try:
-                    return orjson.loads(data)
-                except orjson.JSONDecodeError:
-                    pass
+        data = fh.read()
+        large = len(data) > ORJSON_MAX_BYTES
+        try:
+            if large:
+                doc = _with_member_rows(data)
+                if doc is not None:
+                    return doc
+            elif not _has_wide_int(data):
+                return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+        if large:  # json reads the file itself, without these bytes held
+            del data
+            fh.seek(0)
+        else:
             fh = io.BytesIO(data)
         # the text file open(path, encoding="utf-8") would give, newlines translated
         text = io.TextIOWrapper(fh, encoding="utf-8")
@@ -828,7 +885,9 @@ def _brief(value) -> str:
 
 def _same(a, b) -> bool:
     """Whether a and b are the same JSON value, with the same type at every
-    node.  A list of scalars of one type is compared in one C-level pass."""
+    node, so 0.0 and -0.0 differ too.  A list of scalars of one type is
+    compared in one C-level pass, and a list of floats holding a zero by the
+    bits of its floats in a second one."""
     kind = type(a)
     if kind is not type(b):
         return False
@@ -837,11 +896,14 @@ def _same(a, b) -> bool:
             return False
         kinds = set(map(type, a))
         if len(kinds) == 1 and kinds <= _SCALARS:
-            return a == b and kinds == set(map(type, b))
+            return (a == b and kinds == set(map(type, b))
+                    and (float not in kinds or 0.0 not in a
+                         or array("d", a).tobytes() == array("d", b).tobytes()))
         return all(map(_same, a, b))
     if kind is dict:
         return a.keys() == b.keys() and all(map(_same, a.values(), map(b.__getitem__, a)))
-    return a == b
+    return a == b and (kind is not float or a != 0.0
+                       or math.copysign(1.0, a) == math.copysign(1.0, b))
 
 
 def first_difference(stored, rerun, path: str = "") -> str | None:

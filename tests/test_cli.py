@@ -608,19 +608,23 @@ def _set_first(values: list, old, new) -> None:
     values[values.index(old)] = new
 
 
-# claims rewritten to a value of another JSON type that equals the re-run's
-# as a Python value (1 == 1.0 == True), where the test above cannot reach them
+# claims rewritten to a value of another JSON type, or to the other zero, that
+# equals the re-run's as a Python value (1 == 1.0 == True, -0.0 == 0.0), where
+# the test above cannot reach them
 @pytest.mark.parametrize("family, mode, rewrite, said", [
     ("hats", "buo-cauchy",
      lambda doc: _set_first(doc["certificate"]["bound"]["values"], 1.0, True),
      "certificate.bound.values[0]: stored true, re-run 1.0"),
     ("settled", "order", lambda doc: doc["certificate"].update(final_sup=0),
      "certificate.final_sup: stored 0, re-run 0.0"),
+    ("settled", "order", lambda doc: doc["certificate"].update(final_sup=-0.0),
+     "certificate.final_sup: stored -0.0, re-run 0.0"),
     ("settled", "order", lambda doc: _set_first(doc["certificate"]["thresholds"], 3, 3.0),
      "certificate.thresholds[2]: stored 3.0, re-run 3"),
     ("settled", "buo-equals-order", lambda doc: doc.update(equal=1),
      "equal: stored 1, re-run true"),
-], ids=["certificate-bound-true", "final-sup-int", "threshold-float", "equal-int"])
+], ids=["certificate-bound-true", "final-sup-int", "final-sup-negative-zero",
+        "threshold-float", "equal-int"])
 def test_a_claim_rewritten_to_another_json_type_does_not_replay(family, mode, rewrite, said,
                                                                 tmp_path, capsys):
     fam = _hats(tmp_path) if family == "hats" else _settled_family_file(tmp_path)

@@ -1,7 +1,9 @@
 """read_json against json.loads: the same documents, the same refusals.
 
-read_json decodes small files with orjson and keeps json for large files,
-wide integers and everything orjson refuses.  json.loads is the oracle.
+read_json decodes small files with orjson, and the "members" rows of a large
+family one row at a time with orjson; it keeps json for every other large
+file, for wide integers and for everything orjson refuses.  json.loads is the
+oracle.
 Documents are compared as json.dumps text, which tells 1, 1.0 and true
 apart, as well as 0.0 and -0.0, and renders each float by its shortest
 round-trip repr, so equal text means equal float bits.
@@ -11,7 +13,9 @@ import json
 import math
 import pathlib
 import sys
+from unittest import mock
 
+import numpy as np
 import orjson
 import pytest
 from hypothesis import given
@@ -20,7 +24,7 @@ from hypothesis import strategies as st
 from latticelab import serialize
 from latticelab.cli import main
 from latticelab.errors import InputError
-from latticelab.serialize import read_json
+from latticelab.serialize import family_from_json, load_family, read_json
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -133,25 +137,148 @@ def test_a_damaged_file_keeps_its_message(raw, message, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the row route of a large family
+
+
+def json_reads(path) -> str:
+    """What json reads from the file: the document as typed text, or the
+    message of read_json's InputError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return typed(json.load(fh))
+        except json.JSONDecodeError as exc:
+            return f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
+
+
+def row_route_reads(path) -> str:
+    """read_json with the gate at 0, so the file takes the row route where it applies."""
+    with mock.patch.object(serialize, "ORJSON_MAX_BYTES", 0):
+        try:
+            return typed(read_json(path))
+        except InputError as exc:
+            return str(exc)
+
+
+_rows = st.lists(st.tuples(st.lists(_number_texts, max_size=6), _separators).map(
+    lambda t: "[" + t[1].join(t[0]) + "]"), max_size=5)
+_fields = st.lists(st.tuples(_strings, _document_texts), max_size=3)
+_family_texts = st.tuples(_fields, _rows, _fields, _separators).map(
+    lambda t: "{" + t[3].join([*(f"{json.dumps(k)}: {v}" for k, v in t[0]),
+                               '"members": [' + t[3].join(t[1]) + "]",
+                               *(f"{json.dumps(k)}: {v}" for k, v in t[2])]) + "}")
+
+
+@given(_family_texts)
+def test_the_row_route_returns_what_json_loads_returns(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "family.json"
+    path.write_bytes(text.encode("utf-8"))
+    assert row_route_reads(path) == typed(json.loads(text))
+
+
+@pytest.mark.parametrize("text, route", [
+    ('{"a": 1, "members": [[0.5, -2e-3], [1E+2, -0]], "tails": [{"kind": "zero"}]}', True),
+    ('{\n  "members": [\n    [\n      1.5\n    ],\n    [\n      2\n    ]\n  ]\n}\n', True),
+    ('{"members": []}', True),
+    ('{"members": [[1], [2, 3], []]}', True),
+    ('{"members": 5, "members": [[2.5]]}', True),
+    ('{"x\\"members": [[1]], "members": [[2.5]]}', False),
+    ('{"metadata": {"members": [[1]]}, "members": [[2.5]]}', False),
+    ('{"metadata": {"members": [[1]]}, "members": null}', False),
+    ('{"members": [[1]], "members": [[2.5]]}', False),
+    ('[{"members": [[1]]}]', False),
+    ('{"members": [[1, [2]], [3]]}', False),
+    ('{"members": [[1], {"a": [2]}]}', False),
+    ('{"members": [[1] [2]]}', False),
+    ('{"members": [[1],]}', False),
+    ('{"members": [[1], true]}', False),
+    ('{"members": [[true]]}', False),
+    ('{"members": [[1, null]]}', False),
+    ('{"members": [[NaN]]}', False),
+    ('{"members": [[1e400]]}', False),
+    ('{"members": [[12345678901234567890]]}', False),
+    ('{"seed": 12345678901234567890, "members": [[1]]}', False),
+    ('\ufeff{"members": [[1]]}', False),
+    ('{"members": [[1]]} x', False),
+    ('{"members": [[1]]', False),
+], ids=["fields-around", "indented", "empty", "ragged", "duplicate-after-scalar",
+        "key-in-a-string", "key-in-metadata", "key-in-metadata-null", "duplicate",
+        "not-an-object", "nested-row", "object-row", "missing-comma", "trailing-comma",
+        "true-row", "true", "null", "nan", "1e400", "wide-int", "wide-int-outside",
+        "bom", "trailing-bytes", "unclosed"])
+def test_the_row_route_reads_or_declines_as_json_does(text, route, tmp_path, monkeypatch):
+    path = tmp_path / "family.json"
+    path.write_bytes(text.encode("utf-8"))
+    oracle = json_reads(path)
+    calls = {"orjson": 0, "json": 0}
+
+    def counted(name, read):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return read(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(serialize.orjson, "loads", counted("orjson", orjson.loads))
+    monkeypatch.setattr(serialize.json, "load", counted("json", json.load))
+    assert row_route_reads(path) == oracle
+    assert calls["json"] == (not route)
+    if route:  # each row, and the skeleton twice
+        assert calls["orjson"] == len(json.loads(text)["members"]) + 2
+
+
+def test_a_large_file_without_members_never_calls_orjson(tmp_path, monkeypatch):
+    path = tmp_path / "large.json"
+    path.write_text('{"x": [[0.1, 2.5], [3]], "members_of": [[1]]}')
+    oracle = json_reads(path)
+    monkeypatch.setattr(serialize.orjson, "loads", None)
+    assert row_route_reads(path) == oracle
+
+
+# ---------------------------------------------------------------------------
 # the benchmark's documents
 
 
-def test_every_json_file_of_the_benchmark_workloads_decodes_the_same_both_ways(tmp_path):
+@pytest.fixture(scope="module")
+def benchmark_json_files(tmp_path_factory):
     """Every input the three workloads write at seed 21 and every report their
-    sessions write: orjson, json and read_json give the same document."""
+    sessions write."""
+    root = tmp_path_factory.mktemp("bench")
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import workloads
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
     for name in workloads.WORKLOADS:
-        for op in workloads.prepare(name, 21, str(tmp_path / name / "inputs"),
-                                    str(tmp_path / name / "out")):
+        for op in workloads.prepare(name, 21, str(root / name / "inputs"),
+                                    str(root / name / "out")):
             assert main(list(op.argv)) == op.expect_rc, op.argv
-    paths = sorted(tmp_path.rglob("*.json"))
-    assert len(paths) > 100
-    for path in paths:
+    return sorted(root.rglob("*.json"))
+
+
+def test_every_json_file_of_the_benchmark_workloads_decodes_the_same_both_ways(
+        benchmark_json_files, monkeypatch):
+    """orjson, json and read_json give the same document, and so does
+    read_json with the gate at 0, where every family file takes the row
+    route."""
+    assert len(benchmark_json_files) > 100
+    oracles = []
+    for path in benchmark_json_files:
         raw = path.read_bytes()
-        oracle = typed(json.loads(raw.decode("utf-8")))
-        assert typed(orjson.loads(raw)) == oracle, path
+        oracles.append(typed(json.loads(raw.decode("utf-8"))))
+        assert typed(orjson.loads(raw)) == oracles[-1], path
+        assert typed(read_json(path)) == oracles[-1], path
+    monkeypatch.setattr(serialize, "ORJSON_MAX_BYTES", 0)
+    for path, oracle in zip(benchmark_json_files, oracles):
         assert typed(read_json(path)) == oracle, path
+
+
+def test_the_sampled_family_of_the_benchmark_takes_the_row_route(benchmark_json_files,
+                                                                 monkeypatch):
+    path = next(p for p in benchmark_json_files if p.name == "sampled.json")
+    assert path.stat().st_size > serialize.ORJSON_MAX_BYTES
+    by_json = family_from_json(json.loads(path.read_text()), where=str(path))
+    monkeypatch.setattr(serialize.json, "load", None)  # any json call would raise
+    by_rows = load_family(path)
+    shape = (by_json.horizon, by_json.carrier.size)
+    assert (by_rows.horizon, by_rows.carrier.size) == shape == (300, 3000)
+    assert (by_rows.stacked(300).view(np.uint64)
+            == by_json.stacked(300).view(np.uint64)).all()

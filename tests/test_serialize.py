@@ -458,6 +458,11 @@ def test_paired_verdict_document_nests_both_modes():
     ({"a": {"b": None}}, {"a": {}}, "a.b: stored null, re-run no such field"),
     ([[0.5], [1.0]], [[0.5], [True]], "[1][0]: stored 1.0, re-run true"),
     ({"a": [0.5, "x"], "b": 2}, {"a": [0.5, "x"], "b": 2}, None),
+    (0.0, -0.0, ": stored 0.0, re-run -0.0"),
+    ([[1.0, -0.0, 2.0]], [[1.0, 0.0, 2.0]], "[0][1]: stored -0.0, re-run 0.0"),
+    ({"a": [-0.0, None]}, {"a": [0.0, None]}, "a[0]: stored -0.0, re-run 0.0"),
+    ([0.0, -0.0, 1], [0.0, -0.0, 1], None),
+    ([0, 1], [0, 1], None),
 ])
 def test_first_difference_compares_by_json_type_and_value(stored_doc, rerun, said):
     assert first_difference(stored_doc, rerun) == said
