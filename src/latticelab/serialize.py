@@ -31,7 +31,7 @@ import io
 import json
 import math
 import re
-from array import array
+import struct
 from json.encoder import encode_basestring
 
 import numpy as np
@@ -624,7 +624,7 @@ ORJSON_MAX_BYTES = 4 << 20
 #: digits to "0" and the other number bytes kept, but "-" and every other
 #: byte to a space, and whitespace deleted: an integer literal of 19 or more
 #: digits, which orjson reads as a float once it leaves [-2**63, 2**64), is
-#: then a space and nineteen "0"s (or the first nineteen bytes left)
+#: then a space and nineteen "0"s, or nineteen "0"s at the start
 _DIGIT_RUNS = bytes(48 if 48 <= c <= 57 else c if c in b".eE+" else 32 for c in range(256))
 _WIDE_INT = b"0" * 19
 _WHITESPACE = b" \t\n\r"
@@ -687,9 +687,8 @@ def read_json(path):
     damage."""
     with open(path, "rb") as fh:
         data = fh.read()
-        large = len(data) > ORJSON_MAX_BYTES
         try:
-            if large:
+            if len(data) > ORJSON_MAX_BYTES:
                 doc = _with_member_rows(data)
                 if doc is not None:
                     return doc
@@ -697,11 +696,8 @@ def read_json(path):
                 return orjson.loads(data)
         except orjson.JSONDecodeError:
             pass
-        if large:  # json reads the file itself, without these bytes held
-            del data
-            fh.seek(0)
-        else:
-            fh = io.BytesIO(data)
+        del data  # json reads the file again, so these bytes are not held beside its text
+        fh.seek(0)
         # the text file open(path, encoding="utf-8") would give, newlines translated
         text = io.TextIOWrapper(fh, encoding="utf-8")
         try:
@@ -898,7 +894,7 @@ def _same(a, b) -> bool:
         if len(kinds) == 1 and kinds <= _SCALARS:
             return (a == b and kinds == set(map(type, b))
                     and (float not in kinds or 0.0 not in a
-                         or array("d", a).tobytes() == array("d", b).tobytes()))
+                         or struct.pack(f"{len(a)}d", *a) == struct.pack(f"{len(b)}d", *b)))
         return all(map(_same, a, b))
     if kind is dict:
         return a.keys() == b.keys() and all(map(_same, a.values(), map(b.__getitem__, a)))
