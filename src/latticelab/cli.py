@@ -489,7 +489,7 @@ def main(argv=None) -> int:
     except (InputError, UndecidableTailError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:  # a missing file, a directory, no permission, ...
+    except (OSError, MemoryError) as exc:  # a missing file, a size too large to allocate, ...
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except LatticeLabError as exc:

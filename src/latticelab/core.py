@@ -103,17 +103,17 @@ class Tail:
             return abs(self.scale) * float(first) ** (-self.exponent)
         raise UndecidableTailError("sup over an undeclared tail")
 
-    def p_power_sum(self, p: float, first: int) -> float:
-        """Sum of |tail coordinate|**p over j >= first (may be inf)."""
-        if self.kind == "zero":
+    def p_power_sum(self, p: float, first: int, stop: float = math.inf) -> float:
+        """Sum of |tail coordinate|**p over first <= j < stop (may be inf)."""
+        if self.kind == "zero" or stop <= first:
             return 0.0
+        # a divergent sum stays inf where |level|**p underflows to 0, not inf * 0
         if self.kind == "constant":
-            return math.inf
+            count = stop - first
+            return count if math.isinf(count) else count * abs(self.value) ** p
         if self.kind == "power":
-            s = self.exponent * p
-            if s <= 1.0:
-                return math.inf
-            return abs(self.scale) ** p * power_sum(s, first, math.inf)
+            mass = power_sum(self.exponent * p, first, stop)
+            return mass if math.isinf(mass) else abs(self.scale) ** p * mass
         raise UndecidableTailError("p-sum over an undeclared tail")
 
 
@@ -164,55 +164,19 @@ def tail_sub(a: Tail, b: Tail) -> Tail:
     return tail_add(a, tail_neg(b))
 
 
-def _tail_select(a: Tail, b: Tail, first: int, lower: bool) -> Tail:
-    """Pointwise min (lower=True) or max of two tails over j >= first.
-
-    Returns the exact representable combination or the undecidable tail.
-    """
-    if a.kind == "none" or b.kind == "none":
-        return Tail.none()
-    pick = min if lower else max
-    ca, cb = _as_constant(a), _as_constant(b)
-    if ca is not None and cb is not None:
-        return Tail.constant(pick(ca, cb))
-    if a.kind == "power" and b.kind == "power":
-        if a.exponent == b.exponent:
-            return Tail.power(a.exponent, pick(a.scale, b.scale))
-        # sign-separated powers select one branch for every j
-        neg, pos = (a, b) if a.scale < 0 else (b, a)
-        if neg.scale <= 0.0 <= pos.scale:
-            return neg if lower else pos
-        return Tail.none()
-    const, pw = (ca, b) if ca is not None else (cb, a)
-    # power values over j >= first sit between scale*first**-e and 0
-    edge = pw.scale * float(first) ** (-pw.exponent)
-    if lower:
-        if pw.scale > 0 and const <= 0.0:
-            return Tail.constant(const)
-        if pw.scale > 0 and const >= edge:
-            return pw
-        if pw.scale < 0 and const <= edge:
-            return Tail.constant(const)
-        if pw.scale < 0 and const >= 0.0:
-            return pw
-    else:
-        if pw.scale > 0 and const >= edge:
-            return Tail.constant(const)
-        if pw.scale > 0 and const <= 0.0:
-            return pw
-        if pw.scale < 0 and const >= 0.0:
-            return Tail.constant(const)
-        if pw.scale < 0 and const <= edge:
-            return pw
-    return Tail.none()
-
-
 def tail_min(a: Tail, b: Tail, first: int) -> Tail:
-    return _tail_select(a, b, first, lower=True)
+    """Pointwise min over j >= first: whichever tail tail_le puts below the
+    other, else the undecidable tail."""
+    if tail_le(a, b, first):
+        return a
+    return b if tail_le(b, a, first) else Tail.none()
 
 
 def tail_max(a: Tail, b: Tail, first: int) -> Tail:
-    return _tail_select(a, b, first, lower=False)
+    """Pointwise max over j >= first, the mirror of tail_min."""
+    if tail_le(a, b, first):
+        return b
+    return a if tail_le(b, a, first) else Tail.none()
 
 
 def tail_le(a: Tail, b: Tail, first: int):

@@ -431,31 +431,23 @@ def load_space(path, fmt: str) -> FiniteMetricSpace:
 # tails, elements, tags
 
 
+#: each tail kind's stored fields, in the order its Tail constructor takes them
+_TAIL_FIELDS = {"zero": (), "none": (), "constant": ("value",), "power": ("exponent", "scale")}
+
+
 def tail_to_json(tail: Tail | None):
     if tail is None:
         return None
-    doc = {"kind": tail.kind}
-    if tail.kind == "constant":
-        doc["value"] = tail.value
-    elif tail.kind == "power":
-        doc["exponent"] = tail.exponent
-        doc["scale"] = tail.scale
-    return doc
+    return {"kind": tail.kind, **{f: getattr(tail, f) for f in _TAIL_FIELDS[tail.kind]}}
 
 
 def tail_from_json(obj, where: str) -> Tail | None:
     if obj is None:
         return None
     kind = _require(obj, "kind", where)
-    if kind == "zero":
-        return Tail.zero()
-    if kind == "none":
-        return Tail.none()
-    if kind == "constant":
-        return Tail.constant(_number(obj, "value", where))
-    if kind == "power":
-        return Tail.power(_number(obj, "exponent", where), _number(obj, "scale", where))
-    raise InputError(f"{where}: unknown tail kind {kind!r}")
+    if type(kind) is not str or kind not in _TAIL_FIELDS:
+        raise InputError(f"{where}: unknown tail kind {kind!r}")
+    return getattr(Tail, kind)(*(_number(obj, f, where) for f in _TAIL_FIELDS[kind]))
 
 
 def element_to_json(x: LatticeElement | None):
@@ -486,7 +478,11 @@ def tag_from_json(obj, where: str) -> SpaceTag | None:
         return None
     kind = _require(obj, "kind", where)
     p = obj.get("p")
-    return SpaceTag(kind, None if p is None else _parsed(_real, p, f"{where}.p"))
+    p = None if p is None else _parsed(_real, p, f"{where}.p")
+    try:
+        return SpaceTag(kind, p)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +540,7 @@ def _metadata_from_json(obj, carrier: Carrier, where: str) -> FamilyMetadata:
     for i, note in enumerate(notes, start=1):
         if type(note) is not str:
             raise InputError(f"{where}.notes[{i}]: expected a string, got {json.dumps(note)}")
-    return FamilyMetadata(
+    fields = dict(
         monotone_decreasing=decreasing,
         common_bound=element_from_json(obj.get("common_bound"), carrier,
                                        f"{where}.common_bound"),
@@ -555,6 +551,10 @@ def _metadata_from_json(obj, carrier: Carrier, where: str) -> FamilyMetadata:
         growth=obj.get("growth"),
         notes=tuple(notes),
     )
+    try:
+        return FamilyMetadata(**fields)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
 
 
 def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:

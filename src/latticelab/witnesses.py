@@ -29,16 +29,15 @@ import numpy as np
 
 from .config import CheckConfig, DEFAULT_CONSTANTS, ProofConstants
 from .convergence import SequenceFamily, pointwise_limit
-from .core import LatticeElement, SpaceTag, Tail, member_of, tail_abs, tail_sub
+from .core import LatticeElement, SpaceTag, member_of, tail_abs, tail_sub
 from .errors import (
     DominatingConditionError,
     HorizonExhaustedError,
     InputError,
     InternalInvariantError,
     LimitInSpaceRefusal,
-    UndecidableTailError,
 )
-from .numerics import COORDINATE_CAP, power_sum
+from .numerics import COORDINATE_CAP
 
 __all__ = [
     "JumpWitness",
@@ -387,21 +386,6 @@ def _least(lo: int, hi: int, pred) -> int | None:
     return lo
 
 
-def _tail_partial_mass(tail: Tail, p: float, start: int, stop) -> float:
-    """Sum of |tail(j)|**p over start <= j < stop (stop may be inf)."""
-    if stop <= start:
-        return 0.0
-    if tail.kind == "zero":
-        return 0.0
-    if tail.kind == "constant":
-        if math.isinf(stop):
-            return math.inf
-        return (stop - start) * abs(tail.value) ** p
-    if tail.kind == "power":
-        return abs(tail.scale) ** p * power_sum(tail.exponent * p, start, stop)
-    raise UndecidableTailError("a block reaches past the prefix of an undeclared tail")
-
-
 def _element_mass(x: LatticeElement, p: float):
     """mass(a, b) = sum of |x(j)|**p over a <= j < b, prefix + tail."""
     first = x.first_tail_index
@@ -417,7 +401,7 @@ def _element_mass(x: LatticeElement, p: float):
             total += float(cum[eb - 1] - cum[a - 1])
         ta = max(a, first)
         if b > ta:
-            total += _tail_partial_mass(x.tail, p, ta, b)
+            total += x.tail.p_power_sum(p, ta, b)
         return total
 
     return mass

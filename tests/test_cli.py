@@ -753,6 +753,30 @@ def test_a_directory_given_as_an_input_file_exits_two_naming_it(argv, family_fil
     assert "Traceback" not in err
 
 
+# 10**15 float64 entries are 7 PiB, past any address space: numpy refuses at once
+_HUGE = str(10**15)
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "truncation", "--exponent", "1", "--size", _HUGE],
+    ["generate", "steps", "--size", _HUGE, "--depth", "1"],
+    ["generate", "hats", "--depth", _HUGE],
+    ["check", "--family", "{huge}", "--mode", "order"],
+])
+def test_a_size_too_large_to_allocate_exits_two(argv, tmp_path, capsys):
+    assert main(["generate", "truncation", "--exponent", "1", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "truncation_family.json").read_text())
+    doc["generator"]["size"] = int(_HUGE)
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = [a.format(huge=huge) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "Unable to allocate" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("path, value, field", [
     (("members", 2, 3), "x", ".members[3]: malformed value"),
     (("carrier",), 5, ".carrier: expected an object"),
@@ -774,6 +798,13 @@ def test_a_directory_given_as_an_input_file_exits_two_naming_it(argv, family_fil
     (("members",), "abc", ".members: malformed value (expected a list, got str)"),
     (("tails",), "z" * 30, ".tails: malformed value (expected a list, got str)"),
     (("metadata", "notes"), "abc", ".metadata.notes: malformed value (expected a list, got str)"),
+    (("metadata", "growth"), "huge",
+     ".metadata: growth must be bounded/unbounded/None, got 'huge'"),
+    (("metadata", "space_tag"), {"kind": "l2"}, ".metadata.space_tag: unknown space tag 'l2'"),
+    (("metadata", "space_tag"), {"kind": "lp"},
+     ".metadata.space_tag: lp tag needs 1 <= p < inf, got None"),
+    (("metadata", "uniformly_cauchy_norms"), [-1.0],
+     ".metadata: uniform Cauchy norms must be finite and non-negative"),
 ])
 def test_a_damaged_family_file_exits_two_naming_the_field(path, value, field, tmp_path,
                                                           capsys):

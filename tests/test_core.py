@@ -295,6 +295,12 @@ _tails = st.one_of(st.just(Tail.zero()), _levels.map(Tail.constant),
                    st.builds(Tail.power, st.sampled_from([0.5, 1.0, 2.0]), _levels))
 
 
+def test_a_divergent_tail_p_sum_is_inf_where_the_level_underflows():
+    # 1e-200**2 underflows to 0.0, which must not turn the inf sum into nan
+    for t in (Tail.constant(1e-200), Tail.power(0.5, 1e-200)):
+        assert t.p_power_sum(2.0, 5) == math.inf
+
+
 @given(_tails, _tails, st.sampled_from([1, 2, 4, 9]))
 def test_a_decided_tail_comparison_holds_at_every_coordinate(a, b, first):
     window = range(first, first + 201)
@@ -305,3 +311,8 @@ def test_a_decided_tail_comparison_holds_at_every_coordinate(a, b, first):
     below = tail_le(a, b, first)
     if below is not None:
         assert below == all(_at(a, j) <= _at(b, j) for j in window)
+    if below:
+        assert tail_min(a, b, first) == a and tail_max(a, b, first) == b
+    for p in (1.0, 2.0, 2.5):
+        direct = math.fsum(abs(_at(a, j)) ** p for j in window)
+        assert math.isclose(a.p_power_sum(p, first, first + 201), direct, rel_tol=1e-12)
