@@ -7,13 +7,18 @@ scale and the pairwise discreteness constant.
 """
 
 import argparse
+import pathlib
+import sys
 
-from latticelab.counterexamples import (
+# the package is imported from src/ of this checkout, installed or not
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from latticelab.counterexamples import (  # noqa: E402
     build_refinement,
     lip_counterexample,
     verify_escape,
 )
-from latticelab.serialize import write_csv
+from latticelab.serialize import write_csv  # noqa: E402
 
 
 def main(argv=None):

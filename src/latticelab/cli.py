@@ -486,10 +486,8 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (InputError, UndecidableTailError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, MemoryError) as exc:  # a missing file, a size too large to allocate, ...
+    # bad input, a missing file, a size too large to allocate, ...
+    except (InputError, UndecidableTailError, OSError, MemoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except LatticeLabError as exc:

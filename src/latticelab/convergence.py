@@ -647,15 +647,40 @@ def _fold_suffix_tails(dtails, first):
     return _running_max(dtails[::-1], first)[::-1]
 
 
-def _stuck(family, per_member, upto, worst_idx, final) -> StuckCoordinate:
+def _stuck(family, per_member, worst_idx, final) -> StuckCoordinate:
     trace = per_member[:, worst_idx]
-    start = max(0, upto - TRACE_KEEP)
+    start = max(0, len(per_member) - TRACE_KEEP)
     return StuckCoordinate(
         coordinate=family.carrier.coordinate_name(worst_idx),
         final_regulator=final,
         trace_start=start + 1,
         trace=tuple(float(v) for v in trace[start:]),
     )
+
+
+def _final_level(family, rows, tail, tolerance, tail_start):
+    """(level, stuck) of the regulator of ``rows`` and the ``tail`` past
+    the prefix (None on metric-points carriers).  The regulator's final
+    level is the last row itself, raised to the tail's sup; it is None when
+    the tail is undeclared.  ``stuck`` is the witness of the prefix, else of
+    the tail, that stays above the tolerance, or None."""
+    level = float(rows[-1].max())
+    if level > tolerance:
+        return level, _stuck(family, rows, int(np.argmax(rows[-1])), level)
+    if tail is None:
+        return level, None
+    if not tail.decidable:
+        return None, None
+    first = family.carrier.size + 1
+    tail_sup = tail.sup_abs(first)
+    if tail_sup > tolerance:
+        return tail_sup, StuckCoordinate(f"tail(j>={first})", tail_sup, tail_start, ())
+    return max(level, tail_sup), None
+
+
+def _verdict(mode, outcome, cfg, upto, notes, **claims) -> ConvergenceVerdict:
+    return ConvergenceVerdict(mode=mode, outcome=outcome, tolerance=cfg.tolerance,
+                              horizon=upto, notes=tuple(notes), **claims)
 
 
 def check_order_convergence(family: SequenceFamily, candidate: LatticeElement,
@@ -671,44 +696,20 @@ def check_order_convergence(family: SequenceFamily, candidate: LatticeElement,
         raise InputError("candidate lives on a different carrier")
     upto = family.prefix_count(cfg.horizon)
     diffs = np.abs(family.stacked(upto) - candidate.values[None, :])
-    reg = _suffix_sup(diffs)
-    final = float(reg[-1].max())
     notes = []
     if upto < family.horizon:
         notes.append(f"checked {upto} of {family.horizon} members (horizon cap)")
-
-    if final > cfg.tolerance:
-        worst = int(np.argmax(reg[-1]))
-        return ConvergenceVerdict(
-            mode="order", outcome="fails", tolerance=cfg.tolerance, horizon=upto,
-            witness=_stuck(family, diffs, upto, worst, final),
-            limit=candidate, notes=tuple(notes),
-        )
-
-    dtails = _diff_tails(family, candidate, upto)
-    ztails = _fold_suffix_tails(dtails, family.carrier.size + 1)
-    if ztails is not None:
-        last = ztails[-1]
-        if not last.decidable:
-            notes.append("tail behavior undeclared; the prefix alone cannot certify")
-            return ConvergenceVerdict(
-                mode="order", outcome="inconclusive", tolerance=cfg.tolerance,
-                horizon=upto, limit=candidate, notes=tuple(notes),
-            )
-        tail_sup = last.sup_abs(family.carrier.size + 1)
-        if tail_sup > cfg.tolerance:
-            return ConvergenceVerdict(
-                mode="order", outcome="fails", tolerance=cfg.tolerance, horizon=upto,
-                witness=StuckCoordinate(
-                    coordinate=f"tail(j>={family.carrier.size + 1})",
-                    final_regulator=tail_sup, trace_start=upto, trace=(),
-                ),
-                limit=candidate, notes=tuple(notes),
-            )
-        final = max(final, tail_sup)
+    ztails = _fold_suffix_tails(_diff_tails(family, candidate, upto), family.carrier.size + 1)
+    last = None if ztails is None else ztails[-1]
+    final, stuck = _final_level(family, diffs, last, cfg.tolerance, upto)
+    if stuck is not None:
+        return _verdict("order", "fails", cfg, upto, notes, witness=stuck, limit=candidate)
+    if final is None:
+        notes.append("tail behavior undeclared; the prefix alone cannot certify")
+        return _verdict("order", "inconclusive", cfg, upto, notes, limit=candidate)
 
     cert = OrderCertificate(
-        regulator_values=reg,
+        regulator_values=_suffix_sup(diffs),
         regulator_tails=tuple(ztails) if ztails is not None else None,
         thresholds=tuple(range(1, upto + 1)),
         final_sup=final,
@@ -724,10 +725,7 @@ def check_order_convergence(family: SequenceFamily, candidate: LatticeElement,
         else:
             word = "lies in" if verdict else "leaves"
             notes.append(f"limit {word} {tag.describe()}: {verdict.reason}")
-    return ConvergenceVerdict(
-        mode="order", outcome="holds", tolerance=cfg.tolerance, horizon=upto,
-        certificate=cert, limit=candidate, notes=tuple(notes),
-    )
+    return _verdict("order", "holds", cfg, upto, notes, certificate=cert, limit=candidate)
 
 
 def _uo_probes(family: SequenceFamily, dominator: LatticeElement | None, seed: int):
@@ -758,15 +756,10 @@ def check_buo_convergence(family: SequenceFamily, candidate: LatticeElement,
         notes.append(f"checked {upto} of {family.horizon} members (horizon cap)")
 
     if meta.growth == "unbounded":
-        x = family.stacked(upto)
-        trace = np.abs(x).max(axis=1)
-        return ConvergenceVerdict(
-            mode="buo", outcome="fails", tolerance=cfg.tolerance, horizon=upto,
-            witness=UnboundedGrowth(declared="unbounded",
-                                    norm_trace=tuple(float(v) for v in trace)),
-            limit=candidate,
-            notes=tuple(notes + ["declared unbounded growth rules out a common dominator"]),
-        )
+        trace = np.abs(family.stacked(upto)).max(axis=1)
+        notes.append("declared unbounded growth rules out a common dominator")
+        return _verdict("buo", "fails", cfg, upto, notes, limit=candidate, witness=UnboundedGrowth(
+            declared="unbounded", norm_trace=tuple(float(v) for v in trace)))
 
     y = dominating_element(family)
     tag = meta.space_tag or (SpaceTag.linf() if family.carrier.is_index_set
@@ -775,16 +768,10 @@ def check_buo_convergence(family: SequenceFamily, candidate: LatticeElement,
         membership = member_of(y, tag)
     except UndecidableTailError:
         notes.append("dominating element tail undeclared; boundedness undecidable")
-        return ConvergenceVerdict(
-            mode="buo", outcome="inconclusive", tolerance=cfg.tolerance, horizon=upto,
-            limit=candidate, notes=tuple(notes),
-        )
+        return _verdict("buo", "inconclusive", cfg, upto, notes, limit=candidate)
     if not membership:
-        return ConvergenceVerdict(
-            mode="buo", outcome="fails", tolerance=cfg.tolerance, horizon=upto,
-            witness=DominationFailure(tag=tag.describe(), reason=membership.reason),
-            limit=candidate, notes=tuple(notes),
-        )
+        return _verdict("buo", "fails", cfg, upto, notes, limit=candidate,
+                        witness=DominationFailure(tag=tag.describe(), reason=membership.reason))
     bound = sup_norm(y)
 
     diffs = np.abs(family.stacked(upto) - candidate.values[None, :])
@@ -793,49 +780,25 @@ def check_buo_convergence(family: SequenceFamily, candidate: LatticeElement,
     probe_sups = []
     tail_blocked = None
     for name, uvals, utail in _uo_probes(family, y, cfg.seed):
-        cut = np.minimum(diffs, uvals[None, :])
-        # the regulator's final level is the last truncated difference itself
-        final = float(cut[-1].max())
-        if final > cfg.tolerance:
-            worst = int(np.argmax(cut[-1]))
-            return ConvergenceVerdict(
-                mode="buo", outcome="fails", tolerance=cfg.tolerance, horizon=upto,
-                witness=_stuck(family, cut, upto, worst, final),
-                limit=candidate, bound=bound,
-                notes=tuple(notes + [f"probe {name} stays above tolerance at the horizon"]),
-            )
-        if dtails is not None:
-            cut_tail = tail_min(dtails[-1], utail, first)
-            if not cut_tail.decidable:
-                tail_blocked = name
-            else:
-                tsup = cut_tail.sup_abs(first)
-                if tsup > cfg.tolerance:
-                    return ConvergenceVerdict(
-                        mode="buo", outcome="fails", tolerance=cfg.tolerance,
-                        horizon=upto,
-                        witness=StuckCoordinate(
-                            coordinate=f"tail(j>={first})", final_regulator=tsup,
-                            trace_start=upto, trace=(),
-                        ),
-                        limit=candidate, bound=bound,
-                        notes=tuple(notes + [f"probe {name} stuck on the tail"]),
-                    )
-                final = max(final, tsup)
+        cut_tail = None if dtails is None else tail_min(dtails[-1], utail, first)
+        final, stuck = _final_level(family, np.minimum(diffs, uvals[None, :]), cut_tail,
+                                    cfg.tolerance, upto)
+        if stuck is not None:  # only a tail witness has an empty trace
+            where = "stays above tolerance at the horizon" if stuck.trace else "stuck on the tail"
+            notes.append(f"probe {name} {where}")
+            return _verdict("buo", "fails", cfg, upto, notes, witness=stuck, limit=candidate,
+                            bound=bound)
+        if final is None:
+            tail_blocked = name
         probe_sups.append((name, final))
     if tail_blocked is not None:
         notes.append(f"probe {tail_blocked}: tail undeclared, prefix alone cannot certify")
-        return ConvergenceVerdict(
-            mode="buo", outcome="inconclusive", tolerance=cfg.tolerance, horizon=upto,
-            limit=candidate, bound=bound, notes=tuple(notes),
-        )
+        return _verdict("buo", "inconclusive", cfg, upto, notes, limit=candidate, bound=bound)
 
     cert = BuoCertificate(dominator=y, membership_reason=membership.reason,
                           probe_sups=tuple(probe_sups))
-    return ConvergenceVerdict(
-        mode="buo", outcome="holds", tolerance=cfg.tolerance, horizon=upto,
-        certificate=cert, limit=candidate, bound=bound, notes=tuple(notes),
-    )
+    return _verdict("buo", "holds", cfg, upto, notes, certificate=cert, limit=candidate,
+                    bound=bound)
 
 
 def buo_equals_order(family: SequenceFamily, candidate: LatticeElement,
@@ -934,26 +897,11 @@ def _check_subsequence(family, indices, tolerance):
     """Order-check the consecutive differences along one subsequence; None
     when they vanish, else the stuck-coordinate witness."""
     rows = family.stacked(max(indices))[np.asarray(indices) - 1]
-    diffs = np.abs(rows[1:] - rows[:-1])
-    # the regulator's final level is the last difference itself
-    final = float(diffs[-1].max())
-    if final <= tolerance:
-        if family.carrier.is_index_set:
-            first = family.carrier.size + 1
-            t = tail_abs(tail_sub(family.tail(indices[-1]), family.tail(indices[-2])))
-            if t.decidable and t.sup_abs(first) > tolerance:
-                return SubsequenceWitness(
-                    indices=tuple(indices),
-                    stuck=StuckCoordinate(coordinate=f"tail(j>={first})",
-                                          final_regulator=t.sup_abs(first),
-                                          trace_start=len(indices), trace=()),
-                )
-        return None
-    worst = int(np.argmax(diffs[-1]))
-    return SubsequenceWitness(
-        indices=tuple(indices),
-        stuck=_stuck(family, diffs, len(diffs), worst, final),
-    )
+    tail = None
+    if family.carrier.is_index_set:
+        tail = tail_abs(tail_sub(family.tail(indices[-1]), family.tail(indices[-2])))
+    _, stuck = _final_level(family, np.abs(rows[1:] - rows[:-1]), tail, tolerance, len(indices))
+    return None if stuck is None else SubsequenceWitness(indices=tuple(indices), stuck=stuck)
 
 
 def check_buo_cauchy(family: SequenceFamily, policy, config: CheckConfig | None = None
@@ -970,8 +918,7 @@ def check_buo_cauchy(family: SequenceFamily, policy, config: CheckConfig | None 
     upto = family.prefix_count(cfg.horizon)
 
     def verdict(outcome: str, note: str, **claims) -> ConvergenceVerdict:
-        return ConvergenceVerdict(mode="buo_cauchy", outcome=outcome, tolerance=cfg.tolerance,
-                                  horizon=upto, policy=policy, notes=(note,), **claims)
+        return _verdict("buo_cauchy", outcome, cfg, upto, (note,), policy=policy, **claims)
 
     if isinstance(policy, CertificatePolicy):
         if meta.monotone_decreasing and meta.common_bound is not None:

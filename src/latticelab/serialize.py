@@ -24,6 +24,7 @@ file is read by json.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -239,6 +240,15 @@ def _parsed(cast, value, where: str):
         raise InputError(f"{where}: malformed value ({exc})") from None
 
 
+@contextlib.contextmanager
+def _naming(where: str):
+    """Put ``where: `` before the message of an InputError the block raises."""
+    try:
+        yield
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
+
+
 def _real(value) -> float:
     """A JSON number as a float; any other value, true and false included,
     raises rather than being read as one."""
@@ -447,7 +457,9 @@ def tail_from_json(obj, where: str) -> Tail | None:
     kind = _require(obj, "kind", where)
     if type(kind) is not str or kind not in _TAIL_FIELDS:
         raise InputError(f"{where}: unknown tail kind {kind!r}")
-    return getattr(Tail, kind)(*(_number(obj, f, where) for f in _TAIL_FIELDS[kind]))
+    args = [_number(obj, f, where) for f in _TAIL_FIELDS[kind]]
+    with _naming(where):
+        return getattr(Tail, kind)(*args)
 
 
 def element_to_json(x: LatticeElement | None):
@@ -479,10 +491,8 @@ def tag_from_json(obj, where: str) -> SpaceTag | None:
     kind = _require(obj, "kind", where)
     p = obj.get("p")
     p = None if p is None else _parsed(_real, p, f"{where}.p")
-    try:
+    with _naming(where):
         return SpaceTag(kind, p)
-    except InputError as exc:
-        raise InputError(f"{where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +561,8 @@ def _metadata_from_json(obj, carrier: Carrier, where: str) -> FamilyMetadata:
         growth=obj.get("growth"),
         notes=tuple(notes),
     )
-    try:
+    with _naming(where):
         return FamilyMetadata(**fields)
-    except InputError as exc:
-        raise InputError(f"{where}: {exc}") from None
 
 
 def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
@@ -562,8 +570,10 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
     car_doc = _require(obj, "carrier", where)
     kind = _require(car_doc, "kind", f"{where}.carrier")
     if kind == "index_set":
-        size = _require(car_doc, "size", f"{where}.carrier")
-        carrier = Carrier.index_set(_parsed(_int, size, f"{where}.carrier.size"))
+        size = _parsed(_int, _require(car_doc, "size", f"{where}.carrier"),
+                       f"{where}.carrier.size")
+        with _naming(f"{where}.carrier.size"):
+            carrier = Carrier.index_set(size)
     elif kind == "points":
         space = space_from_json(_require(obj, "space", where), f"{where}.space")
         carrier = Carrier.points(space)
@@ -575,14 +585,13 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
         w = f"{where}.generator"
         if _require(gen, "kind", w) != "truncation":
             raise InputError(f"{w}: unknown kind {gen.get('kind')!r}")
-        p = gen.get("p")
-        return truncation_family(
-            _number(gen, "exponent", w),
-            _parsed(_real, gen.get("coeff", 1.0), f"{w}.coeff"),
-            size=_parsed(_int, _require(gen, "size", w), f"{w}.size"),
-            horizon=_parsed(_int, _require(gen, "horizon", w), f"{w}.horizon"),
-            p=None if p is None else _parsed(_real, p, f"{w}.p"),
-        )
+        exponent = _number(gen, "exponent", w)
+        coeff = _parsed(_real, gen.get("coeff", 1.0), f"{w}.coeff")
+        size = _parsed(_int, _require(gen, "size", w), f"{w}.size")
+        horizon = _parsed(_int, _require(gen, "horizon", w), f"{w}.horizon")
+        p = None if gen.get("p") is None else _parsed(_real, gen["p"], f"{w}.p")
+        with _naming(w):
+            return truncation_family(exponent, coeff, size=size, horizon=horizon, p=p)
 
     rows = _parsed(_list, _require(obj, "members", where), f"{where}.members")
     if not rows:
@@ -590,6 +599,8 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
     tails = obj.get("tails")
     if tails is not None:
         tails = _parsed(_list, tails, f"{where}.tails")
+        if not carrier.is_index_set:
+            raise InputError(f"{where}.tails: tail descriptors apply to index-set carriers only")
         if len(tails) != len(rows):
             raise InputError(f"{where}: {len(tails)} tails for {len(rows)} members")
     try:
@@ -613,7 +624,8 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
             tails.append(tails[-1] if i > 1 and doc == docs[i - 2]
                          else tail_from_json(doc, f"{where}.tails[{i}]"))
     meta = _metadata_from_json(obj.get("metadata"), carrier, f"{where}.metadata")
-    return SequenceFamily(values=values, tails=tails or None, carrier=carrier, metadata=meta)
+    with _naming(f"{where}.metadata"):
+        return SequenceFamily(values=values, tails=tails or None, carrier=carrier, metadata=meta)
 
 
 #: the largest file read_json decodes whole with orjson.  orjson holds the
@@ -716,34 +728,11 @@ def load_family(path) -> SequenceFamily:
 # verdicts and certificates
 
 
-def _certificate_to_json(cert):
-    if cert is None:
-        return None
-    if isinstance(cert, OrderCertificate):
-        return {
-            "type": "order",
-            "regulator_values": cert.regulator_values.tolist(),
-            "regulator_tails": (None if cert.regulator_tails is None
-                                else [tail_to_json(t) for t in cert.regulator_tails]),
-            "thresholds": list(cert.thresholds),
-            "final_sup": cert.final_sup,
-        }
-    if isinstance(cert, MonotoneCertificate):
-        return {"type": "monotone", "bound": element_to_json(cert.bound), "note": cert.note}
-    if isinstance(cert, UniformCauchyCertificate):
-        return {"type": "uniform_cauchy", "eps": list(cert.eps)}
-    if isinstance(cert, BuoCertificate):
-        return {
-            "type": "buo",
-            "dominator": element_to_json(cert.dominator),
-            "membership_reason": cert.membership_reason,
-            "probe_sups": [list(pair) for pair in cert.probe_sups],
-        }
-    raise InternalInvariantError(f"no report record for certificate type {type(cert).__name__}")
-
-
-#: the type a check report records for each verdict witness, stored field by field
-_VERDICT_WITNESS_TYPES = {
+#: the type a check report records for each certificate and verdict witness,
+#: stored field by field
+_RECORD_TYPES = {
+    OrderCertificate: "order", MonotoneCertificate: "monotone",
+    UniformCauchyCertificate: "uniform_cauchy", BuoCertificate: "buo",
     SubsequenceWitness: "subsequence", StuckCoordinate: "stuck_coordinate",
     UnboundedGrowth: "unbounded_growth", DominationFailure: "domination_failure",
 }
@@ -751,19 +740,29 @@ _VERDICT_WITNESS_TYPES = {
 
 def _plain(v):
     """``v`` with each dataclass as an object of its fields, under their own
-    names, and each tuple as a list."""
+    names, each tuple as a list, and each tail, element and array as its
+    JSON value."""
+    if isinstance(v, Tail):
+        return tail_to_json(v)
+    if isinstance(v, LatticeElement):
+        return element_to_json(v)
+    if isinstance(v, np.ndarray):
+        return v.tolist()
     if dataclasses.is_dataclass(v):
         return {f.name: _plain(getattr(v, f.name)) for f in dataclasses.fields(v)}
-    return [_plain(e) for e in v] if isinstance(v, tuple) else v
+    if isinstance(v, tuple):  # a run of scalars, such as thresholds, is copied in C
+        return list(v) if set(map(type, v)) <= _SCALARS else list(map(_plain, v))
+    return v
 
 
-def _witness_obj_to_json(w):
-    if w is None:
+def _typed(obj, part: str):
+    """The report record of a verdict's ``part`` (certificate or witness)."""
+    if obj is None:
         return None
-    kind = _VERDICT_WITNESS_TYPES.get(type(w))
+    kind = _RECORD_TYPES.get(type(obj))
     if kind is None:
-        raise InternalInvariantError(f"no report record for witness type {type(w).__name__}")
-    return {"type": kind, **_plain(w)}
+        raise InternalInvariantError(f"no report record for {part} type {type(obj).__name__}")
+    return {"type": kind, **_plain(obj)}
 
 
 #: the policy text of a sampled Buo-Cauchy verdict, as _policy_to_json writes it
@@ -797,8 +796,8 @@ def verdict_to_json(verdict) -> dict:
         "outcome": verdict.outcome,
         "tolerance": verdict.tolerance,
         "horizon": verdict.horizon,
-        "certificate": _certificate_to_json(verdict.certificate),
-        "witness": _witness_obj_to_json(verdict.witness),
+        "certificate": _typed(verdict.certificate, "certificate"),
+        "witness": _typed(verdict.witness, "witness"),
         "limit": element_to_json(verdict.limit),
         "bound": verdict.bound,
         "policy": _policy_to_json(policy),
@@ -856,13 +855,11 @@ def recorded_check(doc, family: SequenceFamily, where: str = "report"):
                            f"{where}.provenance.seed")
     tolerance = _number(head, "tolerance", at)
     horizon = _parsed(_int, _require(head, "horizon", at), f"{at}.horizon")
-    try:
+    with _naming(where):
         config = CheckConfig(tolerance=tolerance, horizon=horizon, seed=seed)
         if mode == "buo-cauchy":
             policy = CertificatePolicy() if sampled is None else SampledPolicy(
                 count=int(sampled[1]), max_len=int(sampled[2]), seed=seed, include=included)
-    except InputError as exc:
-        raise InputError(f"{where}: {exc}") from None
     return mode, candidate, policy, config
 
 

@@ -657,6 +657,9 @@ def test_the_tail_branches_of_the_buo_check_replay(branch, tmp_path, capsys):
     doc = json.loads((out / "check_report.json").read_text())
     assert doc["outcome"] == outcome
     assert note in doc["notes"][-1]
+    if branch == "tail-stuck":
+        assert doc["witness"]["trace_start"] == doc["horizon"] == 4
+        assert doc["witness"]["trace"] == []
     capsys.readouterr()
     report = str(out / "check_report.json")
     assert main(["verify", "--family", path, "--report", report]) == 0
@@ -805,6 +808,14 @@ def test_a_size_too_large_to_allocate_exits_two(argv, tmp_path, capsys):
      ".metadata.space_tag: lp tag needs 1 <= p < inf, got None"),
     (("metadata", "uniformly_cauchy_norms"), [-1.0],
      ".metadata: uniform Cauchy norms must be finite and non-negative"),
+    # refusals raised by the constructors behind the reader
+    (("tails", 2), {"kind": "power", "exponent": 0.0, "scale": 1.0},
+     ".tails[3]: power tail needs exponent > 0, got 0.0"),
+    (("carrier", "size"), 0, ".carrier.size: index-set carrier needs size >= 1, got 0"),
+    (("metadata", "monotone_decreasing"), True,
+     ".metadata: family declared decreasing but member 2 exceeds member 1"),
+    (("metadata", "common_bound"), {"values": [0.1] * 30, "tail": {"kind": "zero"}},
+     ".metadata: member 1 exceeds the declared common bound"),
 ])
 def test_a_damaged_family_file_exits_two_naming_the_field(path, value, field, tmp_path,
                                                           capsys):
@@ -822,6 +833,41 @@ def test_a_damaged_family_file_exits_two_naming_the_field(path, value, field, tm
     err = capsys.readouterr().err
     assert f"{bad}{field}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("p", 0.5, ".generator: lp tag needs 1 <= p < inf, got 0.5"),
+    ("exponent", -1.0, ".generator: truncation model needs exponent > 0, got -1.0"),
+    ("coeff", -1, ".generator: truncation model needs coeff > 0, got -1.0"),
+    ("size", 0, ".generator: index-set carrier needs size >= 1, got 0"),
+    ("horizon", 0, ".generator: generator families need a horizon >= 1"),
+])
+def test_a_damaged_truncation_generator_exits_two_naming_it(key, value, field, tmp_path,
+                                                            capsys):
+    assert main(["generate", "truncation", "--exponent", "1", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "truncation_family.json").read_text())
+    doc["generator"][key] = value
+    bad = tmp_path / "damaged.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", "--family", str(bad), "--mode", "order",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}{field}" in err
+    assert "Traceback" not in err
+
+
+def test_tails_on_a_points_family_exit_two_naming_the_field(tmp_path, capsys):
+    assert main(["generate", "hats", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "hat_family.json").read_text())
+    doc["tails"] = [{"kind": "zero"}] * len(doc["members"])
+    bad = tmp_path / "damaged.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", "--family", str(bad), "--mode", "order",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}.tails: tail descriptors apply to index-set carriers only" in err
 
 
 # true and false in a list of numbers, which numpy would read as 1.0 and 0.0,

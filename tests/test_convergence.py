@@ -21,6 +21,7 @@ from latticelab.convergence import (
     MonotoneCertificate,
     SampledPolicy,
     SequenceFamily,
+    StuckCoordinate,
     SubsequenceWitness,
     TruncationModel,
     UniformCauchyCertificate,
@@ -324,12 +325,22 @@ def test_order_failure_names_the_stuck_coordinate():
     assert v.witness.final_regulator == 1.0
 
 
+def test_a_stuck_witness_keeps_the_last_trace_entries_of_the_order_and_buo_checks():
+    fam = const_family(seq([1.0, 0.0, 0.0]), count=100)
+    order = check_order_convergence(fam, seq([0.0] * 3))
+    buo = check_buo_convergence(fam, seq([0.0] * 3))
+    assert buo.notes[-1] == "probe ones stays above tolerance at the horizon"
+    for v in (order, buo):
+        assert v.outcome == "fails"
+        assert v.witness == StuckCoordinate("1", 1.0, 37, (1.0,) * 64)
+
+
 def test_order_failure_on_the_tail_alone():
     members = [seq([0.0] * 3, Tail.constant(1.0))] * 4
     fam = SequenceFamily(members=members)
     v = check_order_convergence(fam, seq([0.0] * 3))
     assert v.outcome == "fails"
-    assert v.witness.coordinate == "tail(j>=4)"
+    assert v.witness == StuckCoordinate("tail(j>=4)", 1.0, 4, ())
     # against a candidate with the members' tail the tail differences vanish
     v = check_order_convergence(fam, seq([0.0] * 3, Tail.constant(1.0)))
     assert v.outcome == "holds"
@@ -579,6 +590,9 @@ def test_sampled_policy_sees_a_gap_that_lives_only_in_the_tails():
     assert v.witness.indices == (1, 2)
     assert v.witness.stuck.coordinate == "tail(j>=4)"
     assert v.witness.stuck.final_regulator == 0.5
+    # the tail witness counts the subsequence's indices, not its differences
+    assert v.witness.stuck.trace_start == 2
+    assert v.witness.stuck.trace == ()
 
 
 def test_included_subsequence_beyond_horizon_is_rejected():
