@@ -208,8 +208,12 @@ def _config(args) -> CheckConfig:
     return CheckConfig(**kw)
 
 
-def _ints(text: str):
-    return [int(v) for v in text.split(",") if v.strip()]
+def _ints(text: str, option: str):
+    """The comma-separated integers of ``option``'s value ``text``."""
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise InputError(f"{option}: expected comma-separated integers, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +263,7 @@ def cmd_envelope(args) -> int:
         raise InputError("--set needs at least one label")
     dist = dist_to_set_all(space, targets)
     g = LatticeElement(Carrier.points(space), np.minimum(np.sqrt(dist), 1.0))
-    ns = _ints(args.ns)
+    ns = _ints(args.ns, "--ns")
     if not ns:
         raise InputError("--ns needs at least one index")
     results = inf_convolution_ladder(g, ns)
@@ -327,7 +331,8 @@ def cmd_witness(args) -> int:
     family = serialize.load_family(args.family)
     constants = parse_constants(args.constants)
     if args.witness_kind == "jumps":
-        coords = _ints(args.coordinates) or list(range(1, family.carrier.size + 1))
+        coords = (_ints(args.coordinates, "--coordinates")
+                  or list(range(1, family.carrier.size + 1)))
         witness = extract_big_jump_witness(family, coords, args.eps, args.count,
                                            constants=constants)
         verify_jump_witness(witness, family)
@@ -351,7 +356,7 @@ def cmd_witness(args) -> int:
 
 def cmd_generate(args) -> int:
     if args.scenario == "hats":
-        levels = _ints(args.levels)
+        levels = _ints(args.levels, "--levels")
         refinement = build_refinement("accumulation", levels)
         scenario = hat_scenario(refinement, args.depth)
         family = scenario.families[-1]
@@ -365,7 +370,7 @@ def cmd_generate(args) -> int:
         print(f"hats: depth {args.depth} on levels {levels}")
         return EXIT_OK
     if args.scenario == "ladder":
-        levels = _ints(args.levels)
+        levels = _ints(args.levels, "--levels")
         refinement = build_refinement(args.kind, levels)
         cex = lip_counterexample(refinement, args.n_max)
         doc = serialize.family_to_json(cex.family)

@@ -9,7 +9,8 @@ from .errors import InputError
 #: Absolute comparison tolerance used by every convergence verdict.
 DEFAULT_TOLERANCE = 1e-9
 
-#: Default number of members inspected when a family is generator-backed.
+#: Default number of members a check inspects; it caps only families longer
+#: than that, such as a truncation family's model-defined ones.
 DEFAULT_HORIZON = 10_000
 
 DEFAULT_SEED = 0

@@ -76,7 +76,7 @@ __all__ = [
     "norm_bound",
 ]
 
-# most members a generator family will materialize for a single check
+# most members a model family will materialize for a single check
 MEMBER_MATERIALIZE_LIMIT = 100_000
 
 # how many trailing per-member values a failure witness keeps
@@ -153,28 +153,29 @@ class SequenceFamily:
     Members are one read-only (N, size) value matrix plus their tails: one
     Tail shared by all, or one per member (none on metric-points carriers).
     Pass ``members=`` (elements), ``values=`` with ``carrier=`` and
-    ``tails=`` (a Tail or a list; None is undeclared), or a generator
-    ``make(n)`` with a horizon, whose matrix fills lazily and which may
-    attach a TruncationModel so downstream analysis can reach coordinates
-    the prefix never stores.  ``member(n)`` wraps a read-only row.
+    ``tails=`` (a Tail or a list; None is undeclared), or a TruncationModel
+    ``model=`` with an index-set ``carrier=`` and a ``horizon``.  A model
+    family fills its matrix from the model, up to the most members asked
+    for; its tails are zero through ``size`` and undeclared past it, and
+    downstream analysis reaches coordinates the prefix never stores through
+    the model.  ``member(n)`` wraps a read-only row.
     """
 
-    def __init__(self, *, members=None, values=None, tails=None, make=None, horizon=None,
-                 metadata=None, verification_horizon=None, model=None, carrier=None):
-        if sum(x is not None for x in (members, values, make)) != 1:
-            raise InputError("supply exactly one of members=, values= or make=")
+    def __init__(self, *, members=None, values=None, tails=None, model=None, carrier=None,
+                 horizon=None, metadata=None):
+        if sum(x is not None for x in (members, values, model)) != 1:
+            raise InputError("supply exactly one of members=, values= or model=")
         self.metadata = metadata if metadata is not None else FamilyMetadata()
-        self.model, self.make = model, make
-        if make is not None:
+        self.model = model
+        if model is not None:
+            if carrier is None or not carrier.is_index_set:
+                raise InputError("a model family needs an index-set carrier=")
             if horizon is None or horizon < 1:
                 raise InputError("generator families need a horizon >= 1")
-            self.horizon = int(horizon)
-            first = make(1)
-            self.carrier = first.carrier if carrier is None else carrier
-            self._values = first.values[None, :]
-            self._tails = (first.tail,) if self.carrier.is_index_set else None
-            vh = verification_horizon if verification_horizon is not None else min(horizon, 64)
-            self.verification_horizon = min(int(vh), self.horizon)
+            self.carrier, self.horizon = carrier, int(horizon)
+            self.verification_horizon = min(carrier.size, 64, self.horizon)
+            self._values = np.empty((0, carrier.size))  # filled by stacked()
+            self._tails = (Tail.zero(), Tail.none())  # through size, past it
         else:
             if members is not None:
                 members = tuple(members)
@@ -216,18 +217,15 @@ class SequenceFamily:
     def member(self, n: int) -> LatticeElement:
         if not 1 <= n <= self.horizon:
             raise InputError(f"member index {n} outside 1..{self.horizon}")
-        if n <= len(self._values):
-            return LatticeElement(self.carrier, self._values[n - 1], self.tail(n),
-                                  _family_row=True)
-        got = self.make(n)  # a generated member past the stacked prefix
-        if not self.carrier.compatible(got.carrier):
-            raise InternalInvariantError(f"generator changed carriers at n={n}")
-        return got
+        if n > len(self._values):  # a model member past the filled prefix
+            return LatticeElement(self.carrier, self.model.member_values(n, self.carrier.size),
+                                  self.tail(n))
+        return LatticeElement(self.carrier, self._values[n - 1], self.tail(n), _family_row=True)
 
     @property
     def members(self):
-        """Every member as a LatticeElement; None for generator families."""
-        return None if self.make else tuple(map(self.member, range(1, self.horizon + 1)))
+        """Every member as a LatticeElement; None for model families."""
+        return None if self.model else tuple(map(self.member, range(1, self.horizon + 1)))
 
     def prefix_count(self, upto: int) -> int:
         return min(upto, self.horizon)
@@ -235,32 +233,33 @@ class SequenceFamily:
     def stacked(self, upto: int) -> np.ndarray:
         """Member values for n = 1..upto as a read-only (upto, size) matrix."""
         upto = self.prefix_count(upto)
-        if upto > len(self._values):
+        if upto > len(self._values):  # a model family fills its matrix this far
             if upto > MEMBER_MATERIALIZE_LIMIT:
                 raise InputError(
                     f"materializing {upto} generated members exceeds the limit "
                     f"{MEMBER_MATERIALIZE_LIMIT}; lower the horizon or use the model"
                 )
-            new = [self.member(n) for n in range(len(self._values) + 1, upto + 1)]
-            if self._tails is not None:
-                self._tails += tuple(m.tail for m in new)
-            grown = np.concatenate([self._values, [m.values for m in new]])
-            grown.setflags(write=False)
-            self._values = grown
+            size = self.carrier.size
+            self._values = np.where(np.arange(1, size + 1) <= np.arange(1, upto + 1)[:, None],
+                                    self.model.member_values(size, size), 0.0)
+            self._values.setflags(write=False)
         return self._values[:upto]
 
     def tail(self, n: int):
         """Tail of member n, or None on metric-points carriers."""
-        if not isinstance(self._tails, tuple):
-            return self._tails
-        return self._tails[n - 1] if n <= len(self._tails) else self.make(n).tail
+        if self.model is not None:
+            return self._tails[n > self.carrier.size]
+        return self._tails[n - 1] if isinstance(self._tails, tuple) else self._tails
 
     def tails(self, upto: int):
         """Member tails for n = 1..upto, or None on metric-points carriers."""
         upto = self.prefix_count(upto)
+        if self.model is not None:
+            self.stacked(upto)  # the same materialize limit as the values
+            exact = min(upto, self.carrier.size)
+            return (self._tails[0],) * exact + (self._tails[1],) * (upto - exact)
         if not isinstance(self._tails, tuple):
             return self._tails and (self._tails,) * upto
-        self.stacked(upto)
         return self._tails[:upto]
 
     def _verify_metadata(self) -> None:
@@ -415,11 +414,6 @@ def truncation_family(exponent: float, coeff: float = 1.0, *, size: int = 64,
     model = TruncationModel(exponent=exponent, coeff=coeff)
     carrier = Carrier.index_set(size)
     limit = LatticeElement(carrier, model.member_values(size, size), model.limit_tail())
-
-    def make(n: int) -> LatticeElement:
-        tail = Tail.zero() if n <= size else Tail.none()
-        return LatticeElement(carrier, model.member_values(n, size), tail)
-
     meta = FamilyMetadata(
         common_bound=limit,
         space_tag=SpaceTag.lp(p) if p is not None else None,
@@ -427,8 +421,7 @@ def truncation_family(exponent: float, coeff: float = 1.0, *, size: int = 64,
         growth="bounded",
         notes=(f"truncations of coeff*j**-a with a={exponent:g}, coeff={coeff:g}",),
     )
-    return SequenceFamily(make=make, horizon=horizon, metadata=meta,
-                          verification_horizon=min(size, 64), model=model)
+    return SequenceFamily(model=model, carrier=carrier, horizon=horizon, metadata=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,8 @@ class Carrier:
     def index_set(size: int) -> "Carrier":
         if size < 1:
             raise InputError(f"index-set carrier needs size >= 1, got {size}")
+        if size > np.iinfo(np.intp).max:  # numpy refuses such a shape with a ValueError
+            raise InputError(f"index-set carrier size {size} exceeds the largest array index")
         return Carrier("index_set", int(size))
 
     @staticmethod

@@ -302,19 +302,28 @@ def _bool_row(value, arr: np.ndarray):
 
 def _array(value) -> np.ndarray:
     """A JSON list of numbers, or of rows of numbers, as a float64 array;
-    true and false raise rather than being read as 1.0 and 0.0."""
-    out = np.asarray(value, dtype=np.float64)
+    true, false, strings, null and integers beyond the float range raise
+    rather than being read as numbers.  np.asarray, given no dtype, reads a
+    list holding any of those (but a bool among numbers) as a non-numeric
+    array, whose leaves alone are then read one by one."""
+    out = np.asarray(value)
+    if out.dtype.kind not in "iuf":
+        leaves = np.asarray(value, dtype=object).ravel()
+        out = np.array(list(map(_real, leaves)), dtype=np.float64).reshape(out.shape)
     row = _bool_row(value, out)
     if row is not None:
         flag = next(v for v in row if type(v) is bool)
         raise TypeError(f"expected a number, got {json.dumps(flag)}")
-    return out
+    return out.astype(np.float64, copy=False)
 
 
 def _floats(value) -> np.ndarray:
-    """A JSON list of numbers as a 1-d array; other shapes, true and false
-    raise."""
-    return _array(value).reshape(len(value))
+    """A JSON list of numbers as a 1-d array; other shapes, true, false,
+    strings and null raise."""
+    out = _array(value)
+    if out.ndim != 1:
+        raise TypeError(f"expected a list of numbers, got an array of shape {out.shape}")
+    return out
 
 
 def _check_version(obj: dict, where: str) -> None:
@@ -344,10 +353,12 @@ def space_from_json(obj: dict, where: str = "space json") -> FiniteMetricSpace:
         coords = _parsed(_array, obj["coords"], f"{where}.coords")
         if coords.ndim == 1:
             coords = coords.reshape(-1, 1)
-        return FiniteMetricSpace.from_coords(coords, labels)
+        with _naming(where):
+            return FiniteMetricSpace.from_coords(coords, labels)
     if "matrix" in obj:
-        return FiniteMetricSpace.from_matrix(
-            _parsed(_array, obj["matrix"], f"{where}.matrix"), labels)
+        matrix = _parsed(_array, obj["matrix"], f"{where}.matrix")
+        with _naming(where):
+            return FiniteMetricSpace.from_matrix(matrix, labels)
     raise InputError(f"{where}: needs either coords or matrix")
 
 
@@ -384,25 +395,26 @@ def read_distance_csv(path) -> FiniteMetricSpace:
         raise InputError(
             f"{path}: {len(labels)} labels in the header but {len(rows) - 1} body rows"
         )
-    for r, row in enumerate(rows[1:], start=2):
-        row = [f.strip() for f in row]
-        if labeled:
-            if row[0] != labels[r - 2]:
+    with _naming(path):  # the messages below name the line, this the file
+        for r, row in enumerate(rows[1:], start=2):
+            row = [f.strip() for f in row]
+            if labeled:
+                if row[0] != labels[r - 2]:
+                    raise InputError(
+                        f"line {r}, field 1: row label {row[0]!r} does not match "
+                        f"header label {labels[r - 2]!r}"
+                    )
+                row = row[1:]
+            if len(row) != len(labels):
                 raise InputError(
-                    f"line {r}, field 1: row label {row[0]!r} does not match "
-                    f"header label {labels[r - 2]!r}"
+                    f"line {r}: expected {len(labels)} numeric fields, got {len(row)}"
                 )
-            row = row[1:]
-        if len(row) != len(labels):
-            raise InputError(
-                f"line {r}: expected {len(labels)} numeric fields, got {len(row)}"
-            )
-        try:
-            body[r - 2] = [float(cell) for cell in row]
-        except ValueError:  # parse cell by cell, for the message naming it
-            for c, cell in enumerate(row):
-                body[r - 2, c] = _parse_float(cell, r, c + (2 if labeled else 1))
-    return FiniteMetricSpace.from_matrix(body, labels)
+            try:
+                body[r - 2] = [float(cell) for cell in row]
+            except ValueError:  # parse cell by cell, for the message naming it
+                for c, cell in enumerate(row):
+                    body[r - 2, c] = _parse_float(cell, r, c + (2 if labeled else 1))
+        return FiniteMetricSpace.from_matrix(body, labels)
 
 
 def read_coords_csv(path) -> FiniteMetricSpace:
@@ -414,16 +426,17 @@ def read_coords_csv(path) -> FiniteMetricSpace:
     if width < 1:
         raise InputError(f"{path}: header must name a label column and >= 1 coordinate")
     labels, coords = [], []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != width + 1:
-            raise InputError(f"line {r}: expected {width + 1} fields, got {len(row)}")
-        labels.append(row[0].strip())
-        try:  # float() ignores the whitespace that strip() removes
-            coords.append(list(map(float, row[1:])))
-        except ValueError:  # parse cell by cell, for the message naming it
-            for c, cell in enumerate(row[1:]):
-                _parse_float(cell.strip(), r, c + 2)
-    return FiniteMetricSpace.from_coords(np.asarray(coords), labels)
+    with _naming(path):  # the messages below name the line, this the file
+        for r, row in enumerate(rows[1:], start=2):
+            if len(row) != width + 1:
+                raise InputError(f"line {r}: expected {width + 1} fields, got {len(row)}")
+            labels.append(row[0].strip())
+            try:  # float() ignores the whitespace that strip() removes
+                coords.append(list(map(float, row[1:])))
+            except ValueError:  # parse cell by cell, for the message naming it
+                for c, cell in enumerate(row[1:]):
+                    _parse_float(cell.strip(), r, c + 2)
+        return FiniteMetricSpace.from_coords(np.asarray(coords), labels)
 
 
 def load_space(path, fmt: str) -> FiniteMetricSpace:
@@ -476,7 +489,7 @@ def element_from_json(obj, carrier: Carrier, where: str) -> LatticeElement | Non
         raise InputError(
             f"{where}: {values.shape[0]} values for a carrier of size {carrier.size}"
         )
-    return LatticeElement(carrier, values, tail_from_json(obj.get("tail"), where))
+    return LatticeElement(carrier, values, tail_from_json(obj.get("tail"), f"{where}.tail"))
 
 
 def tag_to_json(tag: SpaceTag | None):
@@ -603,11 +616,12 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
             raise InputError(f"{where}.tails: tail descriptors apply to index-set carriers only")
         if len(tails) != len(rows):
             raise InputError(f"{where}: {len(tails)} tails for {len(rows)} members")
-    try:
-        values = np.asarray(rows, dtype=np.float64)
-    except (TypeError, ValueError):
+    try:  # no dtype: strings, null and integers beyond the float range stay non-numeric
+        values = np.asarray(rows)
+    except ValueError:
         values = None
-    if (values is None or values.shape != (len(rows), carrier.size)
+    if (values is None or values.dtype.kind not in "iuf"
+            or values.shape != (len(rows), carrier.size)
             or not np.isfinite(values).all() or _bool_row(rows, values) is not None):
         # walk the rows in order to name the first bad member: its length, its tail,
         # then its values
@@ -618,10 +632,11 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
                                  f"for a carrier of size {carrier.size}")
             LatticeElement(carrier, row, tail_from_json(tails[i - 1], f"{where}.tails[{i}]")
                            if tails else None)
-    if tails:  # a tail document equal to the one before it reuses that one's Tail
+    if tails:  # a tail document the same as the one before it (a true never passes
+        # for the 1.0 there) reuses that one's Tail
         docs, tails = tails, []
         for i, doc in enumerate(docs, start=1):
-            tails.append(tails[-1] if i > 1 and doc == docs[i - 2]
+            tails.append(tails[-1] if i > 1 and _same(doc, docs[i - 2])
                          else tail_from_json(doc, f"{where}.tails[{i}]"))
     meta = _metadata_from_json(obj.get("metadata"), carrier, f"{where}.metadata")
     with _naming(f"{where}.metadata"):

@@ -4,15 +4,22 @@ Exit code contract: 0 holds / success, 1 legitimate failure or refusal,
 2 malformed input, 3 a stored record that no longer replays.
 """
 
+import contextlib
+import copy
+import functools
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticelab.cli import main
 from latticelab.convergence import (
@@ -21,6 +28,7 @@ from latticelab.convergence import (
     SequenceFamily,
     check_buo_cauchy,
     check_order_convergence,
+    truncation_family,
 )
 from latticelab.config import CheckConfig
 from latticelab.core import Carrier, LatticeElement, SpaceTag, Tail
@@ -816,6 +824,16 @@ def test_a_size_too_large_to_allocate_exits_two(argv, tmp_path, capsys):
      ".metadata: family declared decreasing but member 2 exceeds member 1"),
     (("metadata", "common_bound"), {"values": [0.1] * 30, "tail": {"kind": "zero"}},
      ".metadata: member 1 exceeds the declared common bound"),
+    # the space of a metric-points family (an empty path sets top-level fields)
+    ((), {"carrier": {"kind": "points"},
+          "space": {"schema_version": 1, "labels": ["a"], "coords": [[0.0], [1.0]]}},
+     ".space: 1 labels for 2 points"),
+    ((), {"carrier": {"kind": "points"},
+          "space": {"schema_version": 1, "labels": ["a", "b"], "coords": [[0.0], [0.0]]}},
+     ".space: metric axioms violated: points 'a' and 'b' coincide"),
+    (("metadata", "common_bound"), {"values": [1.0] * 30, "tail": {"kind": "constant",
+                                                                   "value": "1"}},
+     ".metadata.common_bound.tail.value: malformed value"),
 ])
 def test_a_damaged_family_file_exits_two_naming_the_field(path, value, field, tmp_path,
                                                           capsys):
@@ -824,7 +842,10 @@ def test_a_damaged_family_file_exits_two_naming_the_field(path, value, field, tm
     node = doc
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if path:
+        node[path[-1]] = value
+    else:
+        doc.update(value)
     bad = tmp_path / "damaged.json"
     bad.write_text(json.dumps(doc))  # an infinite tail value is written as Infinity
     capsys.readouterr()
@@ -841,6 +862,7 @@ def test_a_damaged_family_file_exits_two_naming_the_field(path, value, field, tm
     ("coeff", -1, ".generator: truncation model needs coeff > 0, got -1.0"),
     ("size", 0, ".generator: index-set carrier needs size >= 1, got 0"),
     ("horizon", 0, ".generator: generator families need a horizon >= 1"),
+    pytest.param("size", 10**400, ".generator: index-set carrier size 1000", id="size-huge"),
 ])
 def test_a_damaged_truncation_generator_exits_two_naming_it(key, value, field, tmp_path,
                                                             capsys):
@@ -920,6 +942,185 @@ def test_a_boolean_in_a_stored_space_exits_two_naming_the_field(key, value, flag
     err = capsys.readouterr().err
     assert f"{bad}.{key}: malformed value (expected a number, got {flag})" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value, text", [
+    ("coords", [[0.0], ["1.5"], [2.5]], '"1.5"'),
+    ("matrix", [[0.0, 1.0, 2.0], [1.0, 0.0, "1"], [2.0, 1.0, 0.0]], '"1"'),
+])
+def test_a_numeric_string_in_a_stored_space_exits_two_naming_the_field(key, value, text,
+                                                                       tmp_path, capsys):
+    bad = tmp_path / "space.json"
+    write_json(bad, {"schema_version": 1, "labels": ["a", "b", "c"], key: value})
+    assert main(["metric", "--space", str(bad), "--format", "space-json",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}.{key}: malformed value (expected a number, got {text})" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("members", 2, 3), "1.5", '.members[3]: malformed value (expected a number, got "1.5")'),
+    (("members", 0, 0), 10**400,
+     ".members[1]: malformed value (int too large to convert to float)"),
+    (("metadata", "common_bound"), dict(_ELEMENT, values=["1"] * 30),
+     '.metadata.common_bound.values: malformed value (expected a number, got "1")'),
+    (("metadata", "limit"), dict(_ELEMENT, values=[0.0] * 29 + ["0"]),
+     '.metadata.limit.values: malformed value (expected a number, got "0")'),
+    (("metadata", "uniformly_cauchy_norms"), [1.0] * 29 + ["1.0"],
+     '.metadata.uniformly_cauchy_norms: malformed value (expected a number, got "1.0")'),
+], ids=["member-string", "member-huge", "common-bound-string", "limit-string",
+        "uniform-norms-string"])
+def test_a_numeric_string_or_an_integer_beyond_floats_exits_two_naming_the_field(
+        path, value, field, tmp_path, capsys):
+    assert main(["generate", "steps", "--out", str(tmp_path / "gen")]) == 0
+    doc = json.loads((tmp_path / "gen" / "step_family.json").read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "damaged.json"
+    write_json(bad, doc)
+    for argv in (["check", "--mode", "order", "--candidate", "zero"],
+                 ["verify", "--report", str(tmp_path / "report.json")]):
+        capsys.readouterr()
+        assert main(argv + ["--family", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}{field}" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, fmt, text, message", [
+    ("space.json", "space-json", '{"schema_version": 1, "labels": ["a"], "coords": [[0], [1]]}',
+     "1 labels for 2 points"),
+    ("space.json", "space-json",
+     '{"schema_version": 1, "labels": ["a", "b"], "matrix": [[0, 1], [2, 0]]}',
+     "metric axioms violated: d(0,1) = 1.0 but d(1,0) = 2.0"),
+    ("dist.csv", "distance-csv", "a,b\n0,1\n2,0\n",
+     "metric axioms violated: d(0,1) = 1.0 but d(1,0) = 2.0"),
+    ("coords.csv", "coords-csv", "label,x1\na,0\nb,0\n",
+     "metric axioms violated: points 'a' and 'b' coincide"),
+    ("coords.csv", "coords-csv", "label,x1\na,0\nb,x\n",
+     "line 3, field 2: could not parse 'x' as a number"),
+    ("dist.csv", "distance-csv", "a,b\n0,1\n1\n", "line 3: expected 2 numeric fields, got 1"),
+], ids=["json-labels", "json-asymmetric", "csv-asymmetric", "csv-coincident", "csv-cell",
+        "csv-row"])
+def test_a_refused_space_file_exits_two_naming_it(name, fmt, text, message, tmp_path, capsys):
+    bad = tmp_path / name
+    bad.write_text(text)
+    assert main(["metric", "--space", str(bad), "--format", fmt,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"input error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("argv, option, text", [
+    (["generate", "hats", "--levels", "3,x,10"], "--levels", "3,x,10"),
+    (["generate", "ladder", "--levels", "10,1e3"], "--levels", "10,1e3"),
+    (["envelope", "--space", "{space}", "--format", "space-json", "--set", "x0",
+      "--ns", "1,two"], "--ns", "1,two"),
+    (["witness", "jumps", "--family", "{family}", "--eps", "0.1", "--coordinates", "1,a"],
+     "--coordinates", "1,a"),
+], ids=["hats-levels", "ladder-levels", "ns", "coordinates"])
+def test_a_non_integer_list_entry_exits_two_naming_the_option(argv, option, text, space_file,
+                                                              family_file, tmp_path, capsys):
+    argv = [a.format(space=space_file, family=family_file) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: {option}: expected comma-separated integers, got {text!r}\n"
+
+
+def _number_leaves(node, path=()):
+    """The paths of the number leaves of a JSON document."""
+    if isinstance(node, dict):
+        return [p for k, v in node.items() for p in _number_leaves(v, path + (k,))]
+    if isinstance(node, list):
+        return [p for i, v in enumerate(node) for p in _number_leaves(v, path + (i,))]
+    return [path] if type(node) in (int, float) else []
+
+
+def _named_field(path) -> str:
+    """The field a refusal of the leaf at ``path`` names: a member or a tail by
+    its 1-based index, a list of numbers as a whole, a schema version by the
+    document that holds it, and every other field by its key."""
+    text = ""
+    for parent, key in zip(("",) + path, path):
+        if key == "schema_version":
+            return f"{text}: schema_version"
+        if type(key) is str:
+            text += f".{key}"
+        elif parent not in ("members", "tails"):
+            return text  # an entry of a list of numbers
+        else:
+            text += f"[{key + 1}]"
+            if parent == "members":
+                return text
+    return text
+
+
+@functools.cache
+def _mutation_documents() -> dict:
+    """Valid family documents that hold every kind of number field: member
+    values, tail fields, elements and their tails, uniform Cauchy norms, a
+    stored space and a truncation generator."""
+    halving = family_to_json(halving_family())
+    members = [el([2.0 ** -n, 0.0, 1.0], Tail.power(1.0, 1.0)) for n in range(1, 9)]
+    uniform = family_to_json(SequenceFamily(members=members, metadata=FamilyMetadata(
+        uniformly_cauchy_norms=tuple(2.0 ** -n for n in range(1, 9)),
+        space_tag=SpaceTag.c0())))
+    points = build_refinement("accumulation", [4]).spaces[0]
+    on_points = family_to_json(SequenceFamily(
+        values=[[1.0, 0.0, 0.5, 0.25, 0.0], [1.0, 0.0, 0.0, 0.25, 0.0]],
+        carrier=Carrier.points(points),
+        metadata=FamilyMetadata(common_bound=LatticeElement(Carrier.points(points), [1.0] * 5),
+                                monotone_decreasing=True)))
+    one = Carrier.index_set(1)  # where a list in place of a number keeps the rows even
+    single = family_to_json(SequenceFamily(
+        values=[[0.5], [0.25]], tails=Tail.zero(), carrier=one,
+        metadata=FamilyMetadata(common_bound=LatticeElement(one, [1.0], Tail.constant(1.0)))))
+    truncation = family_to_json(truncation_family(1.0, size=8, horizon=100))
+    docs = {"halving": halving, "uniform": uniform, "points": on_points, "single": single,
+            "truncation": truncation}
+    return {name: json.loads(canonical_json(doc)) for name, doc in docs.items()}
+
+
+@st.composite
+def _mutations(draw):
+    """A family document with one number leaf replaced by a bool, a numeric
+    string, null, a list, or (where the field holds a float) an integer
+    beyond the float range."""
+    name = draw(st.sampled_from(sorted(_mutation_documents())))
+    doc = copy.deepcopy(_mutation_documents()[name])
+    fields = {}  # each field equally likely, however many numbers it holds
+    for path in _number_leaves(doc):
+        fields.setdefault(tuple(k for k in path if type(k) is str), []).append(path)
+    path = draw(st.sampled_from(draw(st.sampled_from(sorted(fields.values())))))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    leaf = node[path[-1]]
+    # a bool that compares equal to the number it replaces, where one does
+    flag = leaf == 1 if leaf in (0, 1) else draw(st.booleans())
+    kinds = ["bool", "string", "null", "list"] + (["huge"] if type(leaf) is float else [])
+    node[path[-1]] = {"bool": flag, "string": json.dumps(leaf), "null": None,
+                      "list": [leaf], "huge": 10**400}[draw(st.sampled_from(kinds))]
+    return doc, path
+
+
+@settings(max_examples=300)
+@given(_mutations())
+def test_a_mistyped_number_leaf_exits_two_naming_the_field(mutation):
+    doc, path = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = os.path.join(tmp, "family.json")
+        with open(bad, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["check", "--family", bad, "--mode", "order", "--candidate", "zero",
+                         "--out", os.path.join(tmp, "o")])
+    assert code == 2
+    assert f"{bad}{_named_field(path)}" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_a_string_of_labels_exits_two_naming_the_field(tmp_path, capsys):

@@ -139,8 +139,13 @@ def test_family_needs_members_or_generator():
         SequenceFamily()
     with pytest.raises(InputError):
         SequenceFamily(members=[])
-    with pytest.raises(InputError):
-        SequenceFamily(make=lambda n: seq([0.0] * 3))
+    with pytest.raises(InputError, match="generator families need a horizon >= 1"):
+        SequenceFamily(model=TruncationModel(exponent=1.0), carrier=CAR3)
+    with pytest.raises(InputError, match="index-set carrier"):
+        SequenceFamily(model=TruncationModel(exponent=1.0), horizon=4)
+    for retired in ("make", "verification_horizon"):  # the generator callback is gone
+        with pytest.raises(TypeError, match=retired):
+            SequenceFamily(members=[seq([0.0] * 3)], **{retired: 3})
     with pytest.raises(InputError, match="exactly one"):
         SequenceFamily(values=[[0.0] * 3], members=[seq([0.0] * 3)])
     with pytest.raises(InputError, match="carrier"):
@@ -216,14 +221,9 @@ def test_divergent_coordinate_is_named():
 
 
 def test_model_route_rejects_a_wrong_declared_limit():
-    model = TruncationModel(exponent=1.0)
     carrier = Carrier.index_set(4)
-
-    def make(n):
-        return LatticeElement(carrier, model.member_values(n, 4), Tail.zero())
-
     fam = SequenceFamily(
-        make=make, horizon=100, model=model,
+        model=TruncationModel(exponent=1.0), carrier=carrier, horizon=100,
         metadata=FamilyMetadata(limit=LatticeElement(carrier, np.ones(4), Tail.zero())),
     )
     with pytest.raises(MetadataError, match="disagrees with the truncation model"):
@@ -273,15 +273,22 @@ def test_model_dominator_is_the_full_limit():
     y = dominating_element(fam)
     assert y.values[0] == 1.0
     assert y.tail == Tail.power(1.0, 1.0)
-    # sampled draws stack the generated prefix lazily, each up to its own
-    # last index; row n of the matrix is still member n, tails included
+    # sampled draws fill the model's matrix lazily, each up to its own last
+    # index; row n of the matrix is still member n, bit for bit, tails included
     fam = truncation_family(1.0, size=512, horizon=600)
     check_buo_cauchy(fam, SampledPolicy(count=32, max_len=8, seed=5,
                                         include=tuple((1, k) for k in range(3, 400, 7))),
                      CheckConfig(horizon=600, tolerance=1e-3))
-    assert np.array_equal(fam.stacked(600), np.stack([fam.make(n).values
-                                                      for n in range(1, 601)]))
-    assert fam.tails(600) == tuple(fam.make(n).tail for n in range(1, 601))
+    rows = np.stack([fam.model.member_values(n, 512) for n in range(1, 601)])
+    assert fam.stacked(600).tobytes() == rows.tobytes()
+    assert fam.tails(600) == (Tail.zero(),) * 512 + (Tail.none(),) * 88
+    for n in (1, 512, 513, 600):
+        x = fam.member(n)
+        assert x.values.tobytes() == rows[n - 1].tobytes() and x.tail == fam.tails(600)[n - 1]
+    # a single member is built on its own, never by filling the matrix up to it
+    far = truncation_family(1.0, size=8, horizon=10**9).member(10**9)
+    assert far.values.tobytes() == TruncationModel(1.0).member_values(8, 8).tobytes()
+    assert far.tail == Tail.none()
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +304,8 @@ def test_constant_family_order_converges_with_zero_regulator():
 
 
 def test_harmonic_scaling_family_holds_at_loose_tolerance():
-    fam = SequenceFamily(
-        make=lambda n: seq([1.0 / n] * 3, Tail.zero()), horizon=10_000
-    )
+    fam = SequenceFamily(values=np.repeat(1.0 / np.arange(1, 10_001), 3).reshape(-1, 3),
+                         tails=Tail.zero(), carrier=CAR3)
     zero = seq([0.0] * 3)
     v = check_order_convergence(fam, zero, CheckConfig(tolerance=1e-3))
     assert v.outcome == "holds"
@@ -507,24 +513,28 @@ def test_monotone_certificate_route_on_hats():
 
 
 def test_certificate_route_rechecks_claims_past_the_verification_horizon():
-    # construction only checks members 1..3; the certificate route covers
-    # every member its verdict claims, so breaks at 5 and 6 surface there
-    bound = seq([1.0, 1.0, 1.0], Tail.constant(1.0))
-
-    def family(values_at):
-        fam = SequenceFamily(
-            make=lambda n: seq(values_at(n)), horizon=8, verification_horizon=3,
-            metadata=FamilyMetadata(monotone_decreasing=True, common_bound=bound),
-        )
-        assert fam.verification_horizon == 3
-        return fam
-
-    rising = family(lambda n: [1.0 / n if n != 5 else 0.5, 0.0, 0.0])
-    with pytest.raises(MetadataError, match="declared decreasing but member 5 exceeds member 4"):
-        check_buo_cauchy(rising, CertificatePolicy())
-    escaping = family(lambda n: [1.0 / n, 0.0, -2.0 if n >= 6 else 0.0])
-    with pytest.raises(MetadataError, match="member 6 exceeds the declared common bound"):
-        check_buo_cauchy(escaping, CertificatePolicy())
+    # construction only checks members 1..min(size, 64) of a model family;
+    # the certificate route covers every member its verdict claims, so
+    # claims that break after that surface there
+    model = TruncationModel(exponent=1.0)
+    x = model.member_values(100, 100)  # eps_j = x(j + 1) bounds every gap from member j
+    uniform = SequenceFamily(
+        model=model, carrier=Carrier.index_set(100), horizon=100,
+        metadata=FamilyMetadata(uniformly_cauchy_norms=tuple(x[1:65]) + (0.0,) * 36))
+    assert uniform.verification_horizon == 64
+    with pytest.raises(MetadataError, match=r"certificate violated: \|\|x_65 - x_66\|\| = "
+                                            r"0\.0151515 exceeds the declared eps_65 = 0"):
+        check_buo_cauchy(uniform, CertificatePolicy(), CheckConfig(horizon=100))
+    # a size-1 truncation: member 1 holds, every later member has an undeclared tail
+    one = Carrier.index_set(1)
+    decreasing = SequenceFamily(
+        model=model, carrier=one, horizon=8,
+        metadata=FamilyMetadata(monotone_decreasing=True,
+                                common_bound=LatticeElement(one, [1.0], Tail.constant(1.0))))
+    assert decreasing.verification_horizon == 1
+    with pytest.raises(MetadataError, match=r"cannot verify claim \(member 2 vs the common "
+                                            r"bound\) through undeclared tails"):
+        check_buo_cauchy(decreasing, CertificatePolicy())
 
 
 def test_uniform_certificate_route():
@@ -630,7 +640,7 @@ def test_sampled_route_returns_at_the_first_failing_draw():
     # the included (1, 2) fails; every later draw ends at the horizon, past
     # the materialize limit, and would raise if it were evaluated
     horizon = MEMBER_MATERIALIZE_LIMIT + 1
-    fam = SequenceFamily(make=lambda n: seq([(-1.0) ** n] * 3), horizon=horizon)
+    fam = truncation_family(1.0, size=3, horizon=horizon)
     v = check_buo_cauchy(fam, SampledPolicy(count=4, include=((1, 2),)),
                          CheckConfig(horizon=horizon))
     assert v.outcome == "fails" and v.witness.indices == (1, 2)
