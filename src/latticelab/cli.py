@@ -183,20 +183,13 @@ def _provenance(args: argparse.Namespace, inputs: dict) -> dict:
     }
 
 
-def _emit(args, name: str, doc: dict) -> str:
+def _emit(args, name: str, *data) -> None:
+    """Write ``data``, a JSON document or a CSV header and rows, to ``name``
+    under --out."""
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, name)
-    serialize.write_json(path, doc)
+    (serialize.write_csv if name.endswith(".csv") else serialize.write_json)(path, *data)
     print(f"wrote {path}")
-    return path
-
-
-def _emit_csv(args, name: str, header, rows) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, name)
-    serialize.write_csv(path, header, rows)
-    print(f"wrote {path}")
-    return path
 
 
 def _config(args) -> CheckConfig:
@@ -238,11 +231,11 @@ def cmd_metric(args) -> int:
     # cells go to write_csv as text, each radius formatted as it is written;
     # the running minimum of the increasing radii is their first, delta
     text, least = float.__repr__, float.__repr__(delta)
-    _emit_csv(args, "isolation_profile.csv", ["label", "isolation_radius"],
-              zip(profile.labels, map(text, radii)))
-    _emit_csv(args, "delta_trend.csv", ["rank", "label", "isolation_radius", "running_min"],
-              ((str(r), profile.labels[i], text(radii[i]), least)
-               for r, i in enumerate(np.argsort(profile.radii, kind="stable").tolist(), 1)))
+    _emit(args, "isolation_profile.csv", ["label", "isolation_radius"],
+          zip(profile.labels, map(text, radii)))
+    _emit(args, "delta_trend.csv", ["rank", "label", "isolation_radius", "running_min"],
+          ((str(r), profile.labels[i], text(radii[i]), least)
+           for r, i in enumerate(np.argsort(profile.radii, kind="stable").tolist(), 1)))
     doc = {
         "schema_version": serialize.SCHEMA_VERSION,
         "type": "metric",
@@ -267,9 +260,8 @@ def cmd_envelope(args) -> int:
     if not ns:
         raise InputError("--ns needs at least one index")
     results = inf_convolution_ladder(g, ns)
-    _emit_csv(args, "envelope_table.csv",
-              ["n", "alpha", "achieved_error", "lipschitz"],
-              ((r.n, r.alpha, r.achieved_error, r.lipschitz) for r in results))
+    _emit(args, "envelope_table.csv", ["n", "alpha", "achieved_error", "lipschitz"],
+          ((r.n, r.alpha, r.achieved_error, r.lipschitz) for r in results))
     doc = {
         "schema_version": serialize.SCHEMA_VERSION,
         "type": "envelope",
@@ -376,12 +368,11 @@ def cmd_generate(args) -> int:
         doc = serialize.family_to_json(cex.family)
         doc["provenance"] = _provenance(args, {})
         _emit(args, "ladder_family.json", doc)
-        _emit_csv(args, "blowups.csv",
-                  ["b_label", "a_label", "t", "ratio", "lower_bound"],
-                  ((b, a, t, r, 1.0 / (2.0 * np.sqrt(t)))
-                   for (b, a), t, r in zip(cex.blow_up_pairs, cex.t, cex.blow_up)))
-        _emit_csv(args, "level_trend.csv", ["level", "scale", "delta", "lipschitz"],
-                  cex.level_rows)
+        _emit(args, "blowups.csv",
+              ["b_label", "a_label", "t", "ratio", "lower_bound"],
+              ((b, a, t, r, 1.0 / (2.0 * np.sqrt(t)))
+               for (b, a), t, r in zip(cex.blow_up_pairs, cex.t, cex.blow_up)))
+        _emit(args, "level_trend.csv", ["level", "scale", "delta", "lipschitz"], cex.level_rows)
         if len(levels) >= 3:
             esc = serialize.escape_report_to_json(verify_escape(cex))
             esc["provenance"] = doc["provenance"]

@@ -7,6 +7,12 @@ is deterministic: sorted keys, fixed indentation, shortest round-trip float
 rendering, LF newlines, UTF-8 bytes.  Ingestion errors always name the
 offending line, field or member.
 
+``write_json`` gets the bytes of json.dumps(sort_keys=True, indent=2,
+ensure_ascii=False) from one orjson call and respells the floats orjson
+spells unlike repr (0.00001, 1e-7 and 1e16 for 1e-05, 1e-07 and 1e+16).  A
+pre-walk names the first non-finite number, and json writes what orjson
+refuses or would spell otherwise: float32 values, wide ints, lone surrogates.
+
 JSON files are read by ``read_json``.  orjson, whose correctly rounded
 number parser gives the floats json gives, bit for bit, in a third of the
 time, decodes a file of at most ``ORJSON_MAX_BYTES`` unless it holds an
@@ -33,7 +39,6 @@ import json
 import math
 import re
 import struct
-from json.encoder import encode_basestring
 
 import numpy as np
 import orjson
@@ -91,106 +96,107 @@ SCHEMA_VERSION = 1
 # deterministic writers
 
 
+#: the types of the JSON scalars read_json returns
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+#: under these options orjson's layout, key order and string escapes are
+#: those of json.dumps(sort_keys=True, indent=2, ensure_ascii=False)
+_ORJSON_OPTIONS = (orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+                   | orjson.OPT_APPEND_NEWLINE)
+#: the arrays orjson writes as their tolist() values, in native byte order
+_ORJSON_DTYPES = (np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.bool_))
+# The three forms in which orjson spells a float unlike repr, matched only
+# where the number ends a line (no JSON string does).  Each pattern starts
+# with a literal, so re finds its candidates by a prefix search.
+_FIXED_SMALL = re.compile(rb"\.0000(?<=0\.0000)(?<![\d.]0\.0000)([1-9]\d*)(?=,?\n)")  # 0.000012
+_SHORT_EXPONENT = re.compile(rb"e-(?=\d,?\n)")  # 1e-7
+_BARE_EXPONENT = re.compile(rb"e(?<=\de)(?=\d+,?\n)")  # 1e16
+#: the bytes of orjson's text searched at a time, up to the next newline
+_RESPELL_CHUNK = 1 << 16
+
+
 def _non_finite(x) -> InputError:
     return InputError(f"cannot serialize non-finite number {float(x)!r}")
 
 
-def _leaf_run(x, sep: str) -> str | None:
-    """The elements of list ``x`` joined by ``sep`` in one C-level map when
-    all of them are floats, all ints or all strings; else None."""
-    kinds = set(map(type, x))
-    if kinds == {float}:
-        text = sep.join(map(float.__repr__, x))
-        if "n" in text:  # only inf and nan render with an n
-            raise _non_finite(next(v for v in x if not math.isfinite(v)))
-        return text
-    if kinds == {int}:
-        return sep.join(map(int.__repr__, x))
-    if kinds == {str}:
-        return sep.join(map(encode_basestring, x))
-    return None
-
-
-def _scalar(x) -> str | None:
-    """The text of a JSON scalar (a numpy scalar as its Python value), or
-    None for a container."""
-    if isinstance(x, str):
-        return encode_basestring(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
+def _orjson_fits(x) -> bool:
+    """Whether orjson, where it accepts ``x``, writes it as json does, numpy
+    values as their Python values.  ``x`` is screened in the order json
+    writes it (sorted keys, arrays row-major): the first non-finite number
+    raises an InputError, and a value json cannot write a TypeError."""
+    if isinstance(x, dict):
+        keys = sorted(x)
+        if not all(isinstance(k, str) for k in keys):
+            raise TypeError("keys must be str")
+        x = [x[k] for k in keys]
+    if isinstance(x, (list, tuple)):
+        kinds = set(map(type, x))
+        floats = x if kinds == {float} else [v for v in x if type(v) is float]
+        # an inf or a nan makes the sum one, and so may an overflow
+        if not math.isfinite(sum(floats)) and not all(map(math.isfinite, floats)):
+            return all([*map(_orjson_fits, x)])  # raises at the first bad value
+        return kinds <= _SCALARS or all([_orjson_fits(v) for v in x if type(v) not in _SCALARS])
+    if isinstance(x, np.ndarray):
+        if x.dtype in _ORJSON_DTYPES and x.ndim and x.flags.c_contiguous:
+            finite = np.isfinite(x)
+            if not finite.all():
+                raise _non_finite(x.flat[np.argmin(finite)])
+            return True
+        _orjson_fits(x.tolist())
+        return False
+    if isinstance(x, (float, np.floating)):
         if not math.isfinite(x):
             raise _non_finite(x)
-        return float.__repr__(x)
-    if isinstance(x, np.floating):
-        return _scalar(float(x))
-    if isinstance(x, np.integer):
-        return int.__repr__(int(x))
-    return None
+        return not isinstance(x, np.floating) or type(x) is np.float64
+    if x is None or isinstance(x, (str, int, np.integer)):
+        return True
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-def _emit(x, pad: str, out: list) -> None:
-    """Append to ``out`` the text json.dumps(..., sort_keys=True, indent=2,
-    ensure_ascii=False) gives ``x`` at indentation ``pad``.  Dict keys must
-    be strings."""
-    text = _scalar(x)
-    if text is not None:
-        out.append(text)
-        return
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if isinstance(x, dict):
-        if not x:
-            out.append("{}")
-            return
-        lead = "{\n" + inner
-        for k in sorted(x):
-            out.append(f"{lead}{encode_basestring(k)}: ")
-            _emit(x[k], inner, out)
-            lead = sep
-        out.append("\n" + pad + "}")
-    elif isinstance(x, np.ndarray):
-        # a matrix goes row by row, so no row's Python floats outlive it
-        _emit(list(x) if x.ndim > 1 and x.dtype.kind in "biuf" else x.tolist(), pad, out)
-    elif isinstance(x, (list, tuple)):
-        if not x:
-            out.append("[]")
-            return
-        run = _leaf_run(x, sep)
-        if run is not None:
-            out += ("[\n" + inner, run, "\n" + pad + "]")
-            return
-        lead = "[\n" + inner
-        for v in x:
-            out.append(lead)
-            _emit(v, inner, out)
-            lead = sep
-        out.append("\n" + pad + "]")
-    else:
-        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+def _respelled(raw: bytes):
+    """Yield orjson's text ``raw`` in pieces, each float that orjson spells
+    unlike repr respelled: 0.000012 as 1.2e-05, 1e-7 as 1e-07 and 1e16 as
+    1e+16.  The unchanged spans are views of ``raw``, so the text is never
+    copied, and it is searched a chunk of whole lines at a time."""
+    view, at, start = memoryview(raw), 0, 0
+    while start < len(raw):
+        stop = raw.find(b"\n", start + _RESPELL_CHUNK) + 1 or len(raw)
+        fixes = [(m.start() - 1, m.end(), (m[1][:1] + b"." + m[1][1:]).rstrip(b".") + b"e-05")
+                 for m in _FIXED_SMALL.finditer(raw, start, stop)]
+        fixes += [(m.end(), m.end(), b"0") for m in _SHORT_EXPONENT.finditer(raw, start, stop)]
+        fixes += [(m.end(), m.end(), b"+") for m in _BARE_EXPONENT.finditer(raw, start, stop)]
+        for begin, end, text in sorted(fixes):
+            yield view[at:begin]
+            yield text
+            at = end
+        start = stop
+    yield view[at:]
+
+
+def _canonical_bytes(obj):
+    """The canonical bytes of ``obj``, in pieces to be written in turn."""
+    if _orjson_fits(obj):
+        # orjson refuses ints beyond 64 bits, lone surrogates, str subclasses
+        # as keys and nesting past its depth limit
+        with contextlib.suppress(orjson.JSONEncodeError):
+            return _respelled(orjson.dumps(obj, option=_ORJSON_OPTIONS))
+    text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False,
+                      default=lambda v: float(v) if isinstance(v, np.floating) else v.tolist())
+    return [(text + "\n").encode("utf-8")]
 
 
 def canonical_json(obj) -> str:
-    """The bytes of json.dumps(obj, sort_keys=True, indent=2,
+    """The text of json.dumps(obj, sort_keys=True, indent=2,
     ensure_ascii=False), numpy values as their Python values, plus a newline,
-    written in one walk that joins runs of same-typed leaves in C loops.  A
-    non-finite number, numpy scalars included, is an InputError."""
-    out: list = []
-    _emit(obj, "", out)
-    out.append("\n")
-    return "".join(out)
+    as orjson writes it where it can.  A non-finite number, numpy scalars
+    included, is an InputError."""
+    return b"".join(_canonical_bytes(obj)).decode("utf-8")
 
 
 def write_json(path, obj) -> None:
-    data = canonical_json(obj).encode("utf-8")  # an encoding error leaves the file as it was
+    pieces = _canonical_bytes(obj)  # an error leaves the file as it was
     with open(path, "wb") as fh:
-        fh.write(data)
+        fh.writelines(pieces)
 
 
 def _cell(v) -> str:
@@ -604,7 +610,11 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
         horizon = _parsed(_int, _require(gen, "horizon", w), f"{w}.horizon")
         p = None if gen.get("p") is None else _parsed(_real, gen["p"], f"{w}.p")
         with _naming(w):
-            return truncation_family(exponent, coeff, size=size, horizon=horizon, p=p)
+            family = truncation_family(exponent, coeff, size=size, horizon=horizon, p=p)
+        if not family.carrier.compatible(carrier):
+            raise InputError(f"{where}.carrier: expected an index set of generator.size {size}, "
+                             f"got {carrier.kind} of size {carrier.size}")
+        return family
 
     rows = _parsed(_list, _require(obj, "members", where), f"{where}.members")
     if not rows:
@@ -879,9 +889,6 @@ def recorded_check(doc, family: SequenceFamily, where: str = "report"):
 
 
 _ABSENT = object()
-
-#: the types of the JSON scalars read_json returns
-_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 def _brief(value) -> str:

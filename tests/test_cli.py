@@ -863,12 +863,15 @@ def test_a_damaged_family_file_exits_two_naming_the_field(path, value, field, tm
     ("size", 0, ".generator: index-set carrier needs size >= 1, got 0"),
     ("horizon", 0, ".generator: generator families need a horizon >= 1"),
     pytest.param("size", 10**400, ".generator: index-set carrier size 1000", id="size-huge"),
+    pytest.param("carrier.size", 65, ".carrier: expected an index set of generator.size 64, "
+                 "got index_set of size 65", id="carrier-size-65"),
 ])
 def test_a_damaged_truncation_generator_exits_two_naming_it(key, value, field, tmp_path,
                                                             capsys):
     assert main(["generate", "truncation", "--exponent", "1", "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "truncation_family.json").read_text())
-    doc["generator"][key] = value
+    part, _, key = key.rpartition(".")
+    doc[part or "generator"][key] = value
     bad = tmp_path / "damaged.json"
     bad.write_text(json.dumps(doc))
     capsys.readouterr()

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from latticelab import serialize
 from latticelab.cli import main
 from latticelab.errors import InputError
-from latticelab.serialize import family_from_json, load_family, read_json
+from latticelab.serialize import canonical_json, family_from_json, load_family, read_json
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -270,6 +270,19 @@ def test_every_json_file_of_the_benchmark_workloads_decodes_the_same_both_ways(
     for path, oracle in zip(benchmark_json_files, oracles):
         assert typed(read_json(path)) == oracle, path
     assert read_by_json == set(map(str, benchmark_json_files)) - families
+
+
+def test_every_json_file_of_the_benchmark_workloads_re_encodes_to_its_own_bytes(
+        benchmark_json_files):
+    """More than 20,000 floats in these files have a one-digit negative
+    exponent, which orjson spells otherwise (1e-7 for 1e-07, and 0.00001 for
+    1e-05); none is as large as 1e16."""
+    short_exponents = 0
+    for path in benchmark_json_files:
+        raw = path.read_bytes()
+        assert canonical_json(json.loads(raw)).encode("utf-8") == raw, path
+        short_exponents += raw.count(b"e-0")
+    assert short_exponents > 20_000
 
 
 def test_the_sampled_family_of_the_benchmark_takes_the_row_route(benchmark_json_files,

@@ -1,12 +1,14 @@
 """Round trips, byte determinism and ingestion diagnostics for stored records."""
 
 import json
+import math
 import pathlib
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -117,10 +119,18 @@ def oracle_json(obj) -> str:
     return json.dumps(plain(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+#: floats at the edges of the forms in which orjson and repr spell a float
+#: differently, and at the ends of the float64 range
+_PINNED_FLOATS = [
+    *(math.nextafter(x, toward) for x in (1e-5, 1e-4, 1e16) for toward in (0.0, math.inf)),
+    9999999999999998.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+]
+_PINNED_FLOATS += [-x for x in _PINNED_FLOATS] + [-0.0]
+
 _texts = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\x1f\n\r\t\x7fé€\u2028😀'),
                            st.characters()), max_size=6)
 _floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                    st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 0.1, 2.0**53 + 1]))
+                    st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 0.1, 2.0**53 + 1, *_PINNED_FLOATS]))
 _ints = st.one_of(st.integers(), st.integers(min_value=2**63, max_value=2**200),
                   st.sampled_from([0, -1, 2**53 + 1]))
 _shapes = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)
@@ -150,6 +160,38 @@ def test_canonical_json_matches_the_standard_library_byte_for_byte(doc):
     text = canonical_json(doc)
     assert text == oracle_json(doc)
     assert json.loads(text) == plain(doc)
+
+
+def assert_spelled_as_repr(x: float) -> None:
+    """x is written as float.__repr__ spells it at top level, in a list, in a
+    float64 array row and as an object value."""
+    r = float.__repr__(x)
+    assert canonical_json(x) == f"{r}\n"
+    assert canonical_json([x, x]) == f"[\n  {r},\n  {r}\n]\n"
+    assert canonical_json(np.array([[x, x]])) == f"[\n  [\n    {r},\n    {r}\n  ]\n]\n"
+    assert canonical_json({"k": x}) == f'{{\n  "k": {r}\n}}\n'
+
+
+#: float64 bit patterns: any, and ones in 2**-38 to 2**78 (about 4e-12 to
+#: 3e23), around the forms in which orjson spells a float unlike repr
+_float_bits = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.tuples(st.integers(0, 1), st.integers(985, 1100), st.integers(0, 2**52 - 1)).map(
+        lambda f: f[0] << 63 | f[1] << 52 | f[2]),
+)
+
+
+@settings(max_examples=1000)
+@given(_float_bits)
+def test_every_finite_float_is_spelled_as_repr_spells_it(bits):
+    x = struct.unpack("<d", struct.pack("<Q", bits))[0]
+    assume(math.isfinite(x))
+    assert_spelled_as_repr(x)
+
+
+@pytest.mark.parametrize("x", _PINNED_FLOATS, ids=repr)
+def test_a_float_at_the_edge_of_a_respelled_form_is_spelled_as_repr_spells_it(x):
+    assert_spelled_as_repr(x)
 
 
 REFERENCE_BYTES = pathlib.Path(__file__).parent / "data" / "reference_bytes"
@@ -187,6 +229,21 @@ def test_canonical_json_peak_memory_stays_near_the_size_of_its_text():
     finally:
         tracemalloc.stop()
     assert peak < 3 * len(text)
+
+
+def test_write_json_peak_memory_stays_near_the_size_of_its_file(tmp_path):
+    rng = np.random.default_rng(7)
+    family = SequenceFamily(values=rng.standard_normal((300, 3000)), tails=Tail.zero(),
+                            carrier=Carrier.index_set(3000))
+    doc = family_to_json(family)
+    path = tmp_path / "family.json"
+    tracemalloc.start()
+    try:
+        write_json(path, doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.1 * path.stat().st_size
 
 
 def test_write_json_bytes_are_reproducible(tmp_path):
