@@ -157,7 +157,8 @@ def _respelled(raw: bytes):
     """Yield orjson's text ``raw`` in pieces, each float that orjson spells
     unlike repr respelled: 0.000012 as 1.2e-05, 1e-7 as 1e-07 and 1e16 as
     1e+16.  The unchanged spans are views of ``raw``, so the text is never
-    copied, and it is searched a chunk of whole lines at a time."""
+    copied, and it is searched a chunk of whole lines at a time, so a text
+    of many such floats holds one chunk's fixes at a time."""
     view, at, start = memoryview(raw), 0, 0
     while start < len(raw):
         stop = raw.find(b"\n", start + _RESPELL_CHUNK) + 1 or len(raw)

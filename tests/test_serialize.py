@@ -120,9 +120,10 @@ def oracle_json(obj) -> str:
 
 
 #: floats at the edges of the forms in which orjson and repr spell a float
-#: differently, and at the ends of the float64 range
+#: differently, with their neighbours, and at the ends of the float64 range
 _PINNED_FLOATS = [
-    *(math.nextafter(x, toward) for x in (1e-5, 1e-4, 1e16) for toward in (0.0, math.inf)),
+    *(y for x in (1e-5, 1e-4, 1e16)
+      for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))),
     9999999999999998.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
 ]
 _PINNED_FLOATS += [-x for x in _PINNED_FLOATS] + [-0.0]
@@ -181,7 +182,7 @@ _float_bits = st.one_of(
 )
 
 
-@settings(max_examples=1000)
+@settings(max_examples=500)
 @given(_float_bits)
 def test_every_finite_float_is_spelled_as_repr_spells_it(bits):
     x = struct.unpack("<d", struct.pack("<Q", bits))[0]
