@@ -13,19 +13,17 @@ spells unlike repr (0.00001, 1e-7 and 1e16 for 1e-05, 1e-07 and 1e+16).  A
 pre-walk names the first non-finite number, and json writes what orjson
 refuses or would spell otherwise: float32 values, wide ints, lone surrogates.
 
-JSON files are read by ``read_json``.  orjson, whose correctly rounded
-number parser gives the floats json gives, bit for bit, in a third of the
-time, decodes a file of at most ``ORJSON_MAX_BYTES`` unless it holds an
-integer literal of 19 or more digits (orjson reads one outside
-[-2**63, 2**64) as a float) or orjson refuses the text (so NaN, Infinity,
-1e400, lone surrogates and every error message stay json's).  A larger file,
-which orjson would decode whole at 1.5 times json's peak memory, takes the
-row route: its top-level ``"members"`` list of number rows is decoded by
-orjson one row at a time, and the rest of the document with that list
-spliced out.  The route applies only where every row holds nothing but
-number bytes and no integer literal of 19 or more digits, orjson accepts
-every piece, and the list is the value the top-level key reads; any other
-file is read by json.
+JSON files are read by ``read_json``, which returns json's document: orjson,
+whose correctly rounded number parser gives json's floats bit for bit in a
+third of the time, decodes a file of at most ``ORJSON_MAX_BYTES`` unless it
+holds an integer literal of 19 or more digits (orjson reads one outside
+[-2**63, 2**64) as a float) or orjson refuses the text (NaN, Infinity, 1e400,
+lone surrogates, damage); json reads every other file.  ``load_family`` reads
+a larger family file by the row route: orjson decodes each row of its
+top-level ``"members"`` list into one float64 matrix, and the rest with that
+list spliced out.  The route applies where the rows are a non-empty list of
+number rows of one length, orjson accepts every piece, and the list is the
+value the top-level key reads; any other file goes to ``read_json``.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import struct
 
@@ -63,7 +62,7 @@ from .convergence import (
 from .core import Carrier, LatticeElement, SpaceTag, Tail
 from .counterexamples import EscapeReport
 from .errors import InputError, InternalInvariantError
-from .metric import BLOCK_ENTRIES, FiniteMetricSpace
+from .metric import FiniteMetricSpace
 from .witnesses import BlockWitness, JumpWitness, RefutationCertificate
 
 __all__ = [
@@ -291,19 +290,14 @@ def _bool_row(value, arr: np.ndarray):
     """The first row of the JSON list ``value`` (a list of numbers is its own
     one row) that holds true or false, or None.  np.asarray read ``value`` as
     ``arr``, with true and false as 1.0 and 0.0, so only the rows with such
-    an entry are walked.  The rows are screened in blocks of BLOCK_ENTRIES:
-    masks of a whole 300 x 3000 matrix left the heap fragmented enough to
-    raise the next large read's peak by 15 MB."""
+    an entry are walked."""
     if arr.ndim == 1:
         value, arr = [value], arr[None]
     elif arr.ndim != 2:  # not a shape any caller accepts
         return None
-    step = max(1, BLOCK_ENTRIES // max(1, arr.shape[1]))
-    for start in range(0, len(arr), step):
-        block = arr[start:start + step]
-        for i in np.flatnonzero(((block == 0.0) | (block == 1.0)).any(axis=1)):
-            if bool in set(map(type, value[start + i])):
-                return value[start + i]
+    for i in np.flatnonzero(((arr == 0.0) | (arr == 1.0)).any(axis=1)):
+        if bool in set(map(type, value[i])):
+            return value[i]
     return None
 
 
@@ -617,8 +611,10 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
                              f"got {carrier.kind} of size {carrier.size}")
         return family
 
-    rows = _parsed(_list, _require(obj, "members", where), f"{where}.members")
-    if not rows:
+    rows = _require(obj, "members", where)
+    if type(rows) is not np.ndarray:  # load_family's row route gives the matrix
+        rows = _parsed(_list, rows, f"{where}.members")
+    if not len(rows):
         raise InputError(f"{where}: members is empty")
     tails = obj.get("tails")
     if tails is not None:
@@ -633,7 +629,8 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
         values = None
     if (values is None or values.dtype.kind not in "iuf"
             or values.shape != (len(rows), carrier.size)
-            or not np.isfinite(values).all() or _bool_row(rows, values) is not None):
+            or not np.isfinite(values).all()
+            or (type(rows) is list and _bool_row(rows, values) is not None)):
         # walk the rows in order to name the first bad member: its length, its tail,
         # then its values
         for i, row in enumerate(rows, start=1):
@@ -656,7 +653,7 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
 
 #: the largest file read_json decodes whole with orjson.  orjson holds the
 #: input and its own tree while it builds the objects, so on a 24 MB family
-#: its peak is 1.5 times that of json; a larger file takes the row route.
+#: its peak is 1.5 times that of json; load_family takes the row route above it.
 ORJSON_MAX_BYTES = 4 << 20
 
 #: digits to "0" and the other number bytes kept, but "-" and every other
@@ -682,58 +679,57 @@ def _has_wide_int(data: bytes) -> bool:
     return b" " + _WIDE_INT in runs or runs.startswith(_WIDE_INT)
 
 
-def _with_member_rows(data: bytes):
-    """The document ``data`` read by the row route: its top-level "members"
-    list of number rows decoded one row at a time, the rest (the skeleton)
-    with the list spliced out.  None where the route does not apply; orjson
-    refusing a piece raises its JSONDecodeError."""
+def _with_member_matrix(data: bytes):
+    """The family document ``data`` read by the row route: its top-level
+    "members" rows decoded one at a time into one float64 matrix, the rest
+    (the skeleton) with the list spliced out.  None where the route does not
+    apply; orjson refusing a piece raises its JSONDecodeError."""
     key = _MEMBERS.search(data)
     if key is None:
         return None
-    rows, pos = [], key.end()
+    spans, pos = [], key.end()
     while True:
         start, end = data.find(b"[", pos), data.find(b"]", pos)
-        if not 0 <= start < end or data[pos:start].strip(_WHITESPACE) != (b"," if rows else b""):
+        if not 0 <= start < end or data[pos:start].strip(_WHITESPACE) != (b"," if spans else b""):
             break
-        row = data[start:end + 1]
-        if row.translate(None, _ROW_BYTES) != b"[]" or _has_wide_int(row):
-            return None
-        rows.append(orjson.loads(row))
+        spans.append((start, end + 1))
         pos = end + 1
-    if end < 0 or data[pos:end].strip(_WHITESPACE):
+    if not spans or end < 0 or data[pos:end].strip(_WHITESPACE):
         return None
     parts = data[:key.end() - 1], data[end + 1:]
     skeleton = b"0".join(parts)
-    if _has_wide_int(skeleton):
-        return None
     # the list is the value the top-level key reads (the last "members", not
     # one in a string or a nested object) when splicing in 0 and null both show
-    found = orjson.loads(skeleton)
+    found = None if _has_wide_int(skeleton) else orjson.loads(skeleton)
     if type(found) is not dict or found.get("members") != 0:
         return None
     del found, skeleton  # one skeleton tree at a time
     doc = orjson.loads(b"null".join(parts))
     if doc["members"] is not None:
         return None
-    doc["members"] = rows
+    matrix = None
+    for i, (start, end) in enumerate(spans):
+        row = data[start:end]
+        if row.translate(None, _ROW_BYTES) != b"[]":
+            return None
+        row = orjson.loads(row)
+        matrix = np.empty((len(spans), len(row))) if matrix is None else matrix
+        if len(row) != matrix.shape[1]:
+            return None
+        matrix[i] = row  # an int becomes float(int), as the json route's does
+    doc["members"] = matrix
     return doc
 
 
 def read_json(path):
-    """Parse a JSON file, with orjson or json as the module docstring says;
-    malformed JSON is an InputError naming the file and the position of the
-    damage."""
+    """Parse a JSON file into json's document, with orjson or json as the
+    module docstring says; malformed JSON is an InputError naming the file
+    and the position of the damage."""
     with open(path, "rb") as fh:
         data = fh.read()
-        try:
-            if len(data) > ORJSON_MAX_BYTES:
-                doc = _with_member_rows(data)
-                if doc is not None:
-                    return doc
-            elif not _has_wide_int(data):
+        if len(data) <= ORJSON_MAX_BYTES and not _has_wide_int(data):
+            with contextlib.suppress(orjson.JSONDecodeError):
                 return orjson.loads(data)
-        except orjson.JSONDecodeError:
-            pass
         del data  # json reads the file again, so these bytes are not held beside its text
         fh.seek(0)
         # the text file open(path, encoding="utf-8") would give, newlines translated
@@ -747,7 +743,11 @@ def read_json(path):
 
 
 def load_family(path) -> SequenceFamily:
-    return family_from_json(read_json(path), where=str(path))
+    doc = None
+    if os.path.getsize(path) > ORJSON_MAX_BYTES:  # the row route, as the module docstring says
+        with open(path, "rb") as fh, contextlib.suppress(orjson.JSONDecodeError):
+            doc = _with_member_matrix(fh.read())
+    return family_from_json(read_json(path) if doc is None else doc, where=str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,15 @@ from latticelab.convergence import (
     UniformCauchyCertificate,
     buo_equals_order,
     check_buo_cauchy,
+    check_order_convergence,
     dominating_element,
     pointwise_limit,
     truncation_family,
 )
-from latticelab.core import Carrier, LatticeElement, SpaceTag, Tail
+from latticelab.core import Carrier, LatticeElement, SpaceTag, Tail, member_of
 from latticelab.counterexamples import (
     build_refinement,
+    hat_family,
     hat_scenario,
     lip_counterexample,
     verify_escape,
@@ -145,6 +147,42 @@ def test_lipschitz_blowup_scales_as_inverse_sqrt_of_refinement():
     verdict = check_buo_cauchy(cex.family, CertificatePolicy())
     assert verdict.outcome == "holds"
     assert isinstance(verdict.certificate, UniformCauchyCertificate)
+    assert time.perf_counter() - start < 60.0
+
+
+def test_lipschitz_constants_stay_flat_on_uniformly_discrete_levels():
+    """The positive half of the Lip_b theorem, as a control for the test
+    above: on the line {0} u {1.5, 2.5, ..., N + 0.5}, uniformly discrete with
+    delta = 1 at every N, the hat pipeline's limit and the sqrt(dist) ^ 1
+    envelopes keep Lipschitz constants below 2 * max|x| / delta, the same at
+    every N, where the accumulation levels' blow up.  verify_escape takes only
+    a RefinementFamily, whose separation must shrink, so it is not run here."""
+    start = time.perf_counter()
+    constants = []
+    for n_points in (10, 100, 1000):
+        coords = np.r_[0.0, np.arange(1, n_points + 1) + 0.5]
+        space = FiniteMetricSpace.from_coords(
+            coords, labels=["x0", *(f"y{k}" for k in range(1, n_points + 1))])
+        delta = discreteness_constant(space)
+        assert delta == 1.0
+        family = hat_family(space, "x0", 40)
+        assert check_buo_cauchy(family, CertificatePolicy()).outcome == "holds"
+        limit = pointwise_limit(family)
+        assert check_order_convergence(family, limit).outcome == "holds"
+        # brute-force pair scan oracle of the limit's Lipschitz constant
+        gaps = np.abs(coords[:, None] - coords[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        brute = float((np.abs(limit.values[:, None] - limit.values[None, :]) / gaps).max())
+        constant = member_of(limit, SpaceTag.lip_b()).data["constant"]
+        assert constant == pytest.approx(brute, rel=1e-12)
+        assert constant <= 2.0 * float(np.abs(limit.values).max()) / delta
+        g = LatticeElement(Carrier.points(space),
+                           np.minimum(np.sqrt(space.row(space.index("x0"))), 1.0))
+        ladder = inf_convolution_ladder(g, [1, 2, 4, 8, 16, 32])
+        assert all(rung.lipschitz <= 2.0 * float(np.abs(g.values).max()) / delta
+                   for rung in ladder)
+        constants.append((constant, *(rung.lipschitz for rung in ladder)))
+    assert all(row == pytest.approx(constants[0], rel=1e-12) for row in constants)
     assert time.perf_counter() - start < 60.0
 
 

@@ -1,12 +1,15 @@
-"""read_json against json.loads: the same documents, the same refusals.
+"""The two readers against json.loads: the same documents, the same refusals.
 
-read_json decodes small files with orjson, and the "members" rows of a large
-family one row at a time with orjson; it keeps json for every other large
-file, for wide integers and for everything orjson refuses.  json.loads is the
-oracle.
+read_json returns json's document: orjson decodes a small file, json every
+other file, wide integers and everything orjson refuses.  load_family reads
+a large family file by the row route, each "members" row decoded by orjson
+straight into the family's float64 matrix, and gives the family, or the
+InputError, that family_from_json gives on json's document.  json.loads is
+the oracle.
 Documents are compared as json.dumps text, which tells 1, 1.0 and true
 apart, as well as 0.0 and -0.0, and renders each float by its shortest
-round-trip repr, so equal text means equal float bits.
+round-trip repr, so equal text means equal float bits.  Families are
+compared as the canonical text of family_to_json, for the same reason.
 """
 
 import json
@@ -24,7 +27,8 @@ from hypothesis import strategies as st
 from latticelab import serialize
 from latticelab.cli import main
 from latticelab.errors import InputError
-from latticelab.serialize import canonical_json, family_from_json, load_family, read_json
+from latticelab.serialize import (canonical_json, family_from_json, family_to_json, load_family,
+                                  read_json)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -137,79 +141,151 @@ def test_a_damaged_file_keeps_its_message(raw, message, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the integer literals orjson reads as floats
+
+
+def test_orjson_reads_an_integer_literal_as_the_float_of_its_int():
+    """The row route writes what orjson gives for an integer literal into a
+    float64 matrix, and json's int becomes float(n) there too; nothing
+    screens the rows for wide integers, so this pins the installed orjson:
+    every literal of 19 to 309 digits, both signs, gives float(n) bit for bit
+    (near-halfway values at every 2**e from 2**64 to 2**1023 included), and
+    orjson refuses a literal exactly where float(n) overflows, from
+    2**1024 - 2**970 on."""
+    rng = np.random.default_rng(21)
+    literals = [int("".join(map(str, [rng.integers(1, 10), *rng.integers(0, 10, size - 1)])))
+                for size in range(19, 310) for _ in range(20)]
+    for e in range(64, 1024):
+        for near in (1 << e, (1 << e) + (1 << (e - 53)), (1 << e) - (1 << (e - 54))):
+            literals += [near - 1, near, near + 1]
+    top = (1 << 1024) - (1 << 970)  # float(n) rounds up to 2**1024 from here on
+    literals += [top - 1, top, top + 1, 10 ** 309]
+    for n in literals + [-n for n in literals]:
+        try:
+            expected = float(n).hex()
+        except OverflowError:
+            with pytest.raises(orjson.JSONDecodeError):
+                orjson.loads(str(n))
+        else:
+            assert float(orjson.loads(str(n))).hex() == expected, n
+    assert float(top - 1) == sys.float_info.max
+
+
+# ---------------------------------------------------------------------------
 # the row route of a large family
 
 
-def json_reads(path) -> str:
-    """What json reads from the file: the document as typed text, or the
-    message of read_json's InputError."""
+def described(family) -> str:
+    """A family as the canonical text of its document: carrier, values (by
+    shortest round-trip repr, so bit for bit), tails and metadata."""
+    return canonical_json(family_to_json(family))
+
+
+def json_family(path) -> str:
+    """What family_from_json makes of json's document of the file: the
+    family described, or the message of the InputError either raises."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return typed(json.load(fh))
+            doc = json.load(fh)
         except json.JSONDecodeError as exc:
             return f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
+    try:
+        return described(family_from_json(doc, where=str(path)))
+    except InputError as exc:
+        return str(exc)
 
 
-def row_route_reads(path) -> str:
-    """read_json with the gate at 0, so the file takes the row route where it applies."""
+def row_route_family(path) -> str:
+    """load_family with the gate at 0, so the file takes the row route where
+    it applies: the family described, or the InputError's message."""
     with mock.patch.object(serialize, "ORJSON_MAX_BYTES", 0):
         try:
-            return typed(read_json(path))
+            return described(load_family(path))
         except InputError as exc:
             return str(exc)
 
 
-_rows = st.lists(st.tuples(st.lists(_number_texts, max_size=6), _separators).map(
-    lambda t: "[" + t[1].join(t[0]) + "]"), max_size=5)
-_fields = st.lists(st.tuples(_strings, _document_texts), max_size=3)
-_family_texts = st.tuples(_fields, _rows, _fields, _separators).map(
-    lambda t: "{" + t[3].join([*(f"{json.dumps(k)}: {v}" for k, v in t[0]),
-                               '"members": [' + t[3].join(t[1]) + "]",
-                               *(f"{json.dumps(k)}: {v}" for k, v in t[2])]) + "}")
+_tail_texts = st.sampled_from(['{"kind": "zero"}', '{"kind": "none"}', "null",
+                               '{"kind": "constant", "value": 0.0}',
+                               '{"kind": "power", "exponent": 2, "scale": 1.5}'])
+_odd_rows = st.one_of(st.lists(_number_texts, max_size=4),  # ragged or empty
+                      st.sampled_from([["true"], ["null"], ["1", "false"], ["null", "2.5"]]))
+_fields = st.lists(st.tuples(_strings, _document_texts), max_size=2)
 
 
-@given(_family_texts)
+@st.composite
+def _family_texts(draw):
+    """A family document on an index set of 1 to 3 points: its member rows
+    of number texts, in half the documents also rows of another length,
+    empty rows and rows holding true or null; tails or none; and extra
+    fields, wide integers among them, before and after the members."""
+    size = draw(st.integers(1, 3))
+    row = st.lists(_number_texts, min_size=size, max_size=size)
+    if draw(st.booleans()):
+        row = st.one_of(row, _odd_rows)
+    sep = draw(_separators)
+    rows = draw(st.lists(row.map(lambda r: "[" + sep.join(r) + "]"), max_size=4))
+    fields = ['"schema_version": 1', f'"carrier": {{"kind": "index_set", "size": {size}}}',
+              *(f"{json.dumps(k)}: {v}" for k, v in draw(_fields)),
+              '"members": [' + sep.join(rows) + "]",
+              *(f"{json.dumps(k)}: {v}" for k, v in draw(_fields))]
+    tails = draw(st.none() | st.lists(_tail_texts, min_size=len(rows), max_size=len(rows)))
+    if tails is not None:
+        fields.append('"tails": [' + sep.join(tails) + "]")
+    return "{" + sep.join(fields) + "}"
+
+
+@given(_family_texts())
 def test_the_row_route_returns_what_json_loads_returns(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "family.json"
     path.write_bytes(text.encode("utf-8"))
-    assert row_route_reads(path) == typed(json.loads(text))
+    assert row_route_family(path) == json_family(path)
+
+
+def family_text(members: str, size: int = 1, fields: str = "") -> str:
+    return ('{"schema_version": 1, "carrier": {"kind": "index_set", "size": %d}, %s"members": %s}'
+            % (size, fields, members))
 
 
 @pytest.mark.parametrize("text, route", [
-    ('{"a": 1, "members": [[0.5, -2e-3], [1E+2, -0]], "tails": [{"kind": "zero"}]}', True),
-    ('{\n  "members": [\n    [\n      1.5\n    ],\n    [\n      2\n    ]\n  ]\n}\n', True),
-    ('{"members": []}', True),
-    ('{"members": [[1], [2, 3], []]}', True),
-    ('{"members": 5, "members": [[2.5]]}', True),
-    ('{"x\\"members": [[1]], "members": [[2.5]]}', False),
-    ('{"metadata": {"members": [[1]]}, "members": [[2.5]]}', False),
-    ('{"metadata": {"members": [[1]]}, "members": null}', False),
-    ('{"members": [[1]], "members": [[2.5]]}', False),
+    (family_text('[[0.5, -2e-3], [1E+2, -0]], "tails": [{"kind": "zero"}, {"kind": "zero"}]',
+                 2, '"a": 1, '), True),
+    ('{\n  "schema_version": 1,\n  "carrier": {\n    "kind": "index_set",\n    "size": 1\n  },\n'
+     '  "members": [\n    [\n      1.5\n    ],\n    [\n      2\n    ]\n  ]\n}\n', True),
+    (family_text("[]"), False),
+    (family_text("[[1], [2, 3], []]"), False),
+    (family_text('5, "members": [[2.5]]'), True),
+    (family_text('[[2.5]]', 1, '"x\\"members": [[1]], '), False),
+    (family_text('[[2.5]]', 1, '"metadata": {"members": [[1]]}, '), False),
+    (family_text("null", 1, '"metadata": {"members": [[1]]}, '), False),
+    (family_text('[[1]], "members": [[2.5]]'), False),
     ('[{"members": [[1]]}]', False),
-    ('{"members": [[1, [2]], [3]]}', False),
-    ('{"members": [[1], {"a": [2]}]}', False),
-    ('{"members": [[1] [2]]}', False),
-    ('{"members": [[1],]}', False),
-    ('{"members": [[1], true]}', False),
-    ('{"members": [[true]]}', False),
-    ('{"members": [[1, null]]}', False),
-    ('{"members": [[NaN]]}', False),
-    ('{"members": [[1e400]]}', False),
-    ('{"members": [[12345678901234567890]]}', False),
-    ('{"seed": 12345678901234567890, "members": [[1]]}', False),
-    ('\ufeff{"members": [[1]]}', False),
-    ('{"members": [[1]]} x', False),
-    ('{"members": [[1]]', False),
-    ('{"x": [[0.1, 2.5], [3]], "members_of": [[1]]}', False),
+    (family_text("[[1, [2]], [3]]"), False),
+    (family_text('[[1], {"a": [2]}]'), False),
+    (family_text("[[1] [2]]"), False),
+    (family_text("[[1],]"), False),
+    (family_text("[[1], true]"), False),
+    (family_text("[[true]]"), False),
+    (family_text("[[1, null]]", 2), False),
+    (family_text("[[NaN]]"), False),
+    (family_text("[[1e400]]"), False),
+    (family_text("[[12345678901234567890], [-123456789012345678901234567890]]"), True),
+    (family_text("[[1]]", 1, '"seed": 12345678901234567890, '), False),
+    ("\ufeff" + family_text("[[1]]"), False),
+    (family_text("[[1]]") + " x", False),
+    (family_text("[[1]]")[:-1], False),
+    ('{"schema_version": 1, "carrier": {"kind": "index_set", "size": 1}, '
+     '"x": [[0.1, 2.5], [3]], "members_of": [[1]]}', False),
+    (family_text("[[%s], [2]]" % ("1" + "0" * 309)), False),
 ], ids=["fields-around", "indented", "empty", "ragged", "duplicate-after-scalar",
         "key-in-a-string", "key-in-metadata", "key-in-metadata-null", "duplicate",
         "not-an-object", "nested-row", "object-row", "missing-comma", "trailing-comma",
         "true-row", "true", "null", "nan", "1e400", "wide-int", "wide-int-outside",
-        "bom", "trailing-bytes", "unclosed", "no-members-key"])
+        "bom", "trailing-bytes", "unclosed", "no-members-key", "int-beyond-floats"])
 def test_the_row_route_reads_or_declines_as_json_does(text, route, tmp_path, monkeypatch):
     path = tmp_path / "family.json"
     path.write_bytes(text.encode("utf-8"))
-    oracle = json_reads(path)
+    oracle = json_family(path)
     calls = {"orjson": 0, "json": 0}
 
     def counted(name, read):
@@ -220,9 +296,10 @@ def test_the_row_route_reads_or_declines_as_json_does(text, route, tmp_path, mon
 
     monkeypatch.setattr(serialize.orjson, "loads", counted("orjson", orjson.loads))
     monkeypatch.setattr(serialize.json, "load", counted("json", json.load))
-    assert row_route_reads(path) == oracle
+    assert row_route_family(path) == oracle
     assert calls["json"] == (not route)
-    if route:  # each row, and the skeleton twice
+    if route:  # a family, from each row and the skeleton twice
+        assert oracle.startswith("{")
         assert calls["orjson"] == len(json.loads(text)["members"]) + 2
 
 
@@ -249,17 +326,19 @@ def benchmark_json_files(tmp_path_factory):
 
 def test_every_json_file_of_the_benchmark_workloads_decodes_the_same_both_ways(
         benchmark_json_files, monkeypatch):
-    """orjson, json and read_json give the same document, and so does
-    read_json with the gate at 0, where every family file takes the row
-    route."""
+    """orjson, json and read_json give the same document, and read_json still
+    does with the gate at 0, where it reads every file with json.  With the
+    gate at 0 every family file with member rows takes load_family's row
+    route, and gives the family family_from_json makes of json's document,
+    its value matrix bit for bit."""
     assert len(benchmark_json_files) > 100
-    oracles, families = [], set()
+    oracles, families = [], []
     for path in benchmark_json_files:
         raw = path.read_bytes()
         doc = json.loads(raw.decode("utf-8"))
         oracles.append(typed(doc))
         if "members" in doc:
-            families.add(str(path))
+            families.append((path, family_from_json(doc, where=str(path))))
         assert typed(orjson.loads(raw)) == oracles[-1], path
         assert typed(read_json(path)) == oracles[-1], path
     assert len(families) > 30
@@ -269,7 +348,14 @@ def test_every_json_file_of_the_benchmark_workloads_decodes_the_same_both_ways(
     monkeypatch.setattr(serialize, "ORJSON_MAX_BYTES", 0)
     for path, oracle in zip(benchmark_json_files, oracles):
         assert typed(read_json(path)) == oracle, path
-    assert read_by_json == set(map(str, benchmark_json_files)) - families
+    assert read_by_json == set(map(str, benchmark_json_files))
+    read_by_json.clear()
+    for path, by_json in families:
+        by_rows = load_family(path)
+        assert np.array_equal(by_rows.stacked(by_rows.horizon).view(np.uint64),
+                              by_json.stacked(by_json.horizon).view(np.uint64)), path
+        assert described(by_rows) == described(by_json), path
+    assert not read_by_json
 
 
 def test_every_json_file_of_the_benchmark_workloads_re_encodes_to_its_own_bytes(

@@ -247,6 +247,24 @@ def test_write_json_peak_memory_stays_near_the_size_of_its_file(tmp_path):
     assert peak < 2.1 * path.stat().st_size
 
 
+def test_load_family_peak_memory_stays_near_its_file_and_matrix(tmp_path):
+    """Above the gate the rows go straight into the value matrix: the file's
+    bytes, that matrix and the family's own copy of it are the large blocks."""
+    rng = np.random.default_rng(7)
+    family = SequenceFamily(values=rng.standard_normal((300, 3000)), tails=Tail.zero(),
+                            carrier=Carrier.index_set(3000))
+    path = tmp_path / "family.json"
+    write_json(path, family_to_json(family))
+    tracemalloc.start()
+    try:
+        loaded = load_family(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.stacked(300), family.stacked(300))
+    assert peak < path.stat().st_size + 2 * family.stacked(300).nbytes
+
+
 def test_write_json_bytes_are_reproducible(tmp_path):
     doc = {"z": [0.1, 0.2, 0.30000000000000004], "a": "text"}
     p1, p2 = tmp_path / "one.json", tmp_path / "two.json"
