@@ -24,6 +24,15 @@ top-level ``"members"`` list into one float64 matrix, and the rest with that
 list spliced out.  The route applies where the rows are a non-empty list of
 number rows of one length, orjson accepts every piece, and the list is the
 value the top-level key reads; any other file goes to ``read_json``.
+
+A CSV space is read by the number table: lines split as csv.reader splits
+them where no ``"`` quotes a field, and all number cells decoded by one
+orjson call, bit for bit as float() reads them.  The csv route (csv.reader
+and float(), naming the line and field of a refusal) reads a file with a
+``"``, not UTF-8, with a line over csv.field_size_limit(), a shape or label
+unlike the header's, a blank row, or a cell of other bytes than
+``0-9 . e E + -`` and whitespace, the integer -0 or a spelling orjson
+refuses (``1.``, ``+1``, ``1e400``); so ``1_0`` still reads as 10.
 """
 
 from __future__ import annotations
@@ -363,81 +372,97 @@ def space_from_json(obj: dict, where: str = "space json") -> FiniteMetricSpace:
     raise InputError(f"{where}: needs either coords or matrix")
 
 
-def _parse_float(text: str, line: int, field: int) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise InputError(
-            f"line {line}, field {field}: could not parse {text!r} as a number"
-        ) from None
-
-
-def _csv_rows(path) -> list:
-    """The non-blank rows of a UTF-8 CSV file; other bytes are an InputError
-    naming the file."""
+def _csv_table(path, coords: bool) -> tuple:
+    """The csv route: (header, labels, matrix) of a coords (``coords``) or
+    distance CSV file, or an InputError naming the file, line and field."""
     with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
         try:
-            return [row for row in csv.reader(fh) if row and any(f.strip() for f in row)]
+            rows = [row for row in reader if row and any(f.strip() for f in row)]
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+    if len(rows) < 2:
+        kind = "coords" if coords else "distance"
+        raise InputError(f"{path}: a {kind} csv needs a header and at least one row")
+    header = [f.strip() for f in rows[0]]
+    labeled = coords or len(rows[1]) == len(header) + 1
+    width = len(header) - coords
+    if coords and width < 1:
+        raise InputError(f"{path}: header must name a label column and >= 1 coordinate")
+    if not coords and len(rows) - 1 != width:
+        raise InputError(f"{path}: {width} labels in the header but {len(rows) - 1} body rows")
+    labels, values = [], []
+    with _naming(path):  # the messages below name the line, this the file
+        for r, row in enumerate(rows[1:], start=2):
+            if labeled:
+                labels.append(row[0].strip())
+                if not coords and labels[-1] != header[r - 2]:
+                    raise InputError(f"line {r}, field 1: row label {labels[-1]!r} does not "
+                                     f"match header label {header[r - 2]!r}")
+            if len(row) - labeled != width:
+                raise InputError(f"line {r}: expected {width + 1} fields, got {len(row)}" if coords
+                                 else f"line {r}: expected {width} numeric fields, "
+                                      f"got {len(row) - labeled}")
+            for c, cell in enumerate(row[labeled:], start=1 + labeled):
+                try:  # stripped, as float() keeps the \x1c to \x1f that strip() drops
+                    values.append(float(cell.strip()))
+                except ValueError:
+                    raise InputError(f"line {r}, field {c}: could not parse "
+                                     f"{cell.strip()!r} as a number") from None
+    return header, labels, np.array(values).reshape(len(rows) - 1, width)
+
+
+def _number_table(path, coords: bool):
+    """What _csv_table gives, its matrix decoded by one orjson pass over the
+    file's bytes, or None where the module docstring sends the file to it."""
+    with open(path, "rb") as fh:
+        lines = fh.read()
+    lines = [] if b'"' in lines else lines.splitlines()
+    if max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    lines = [line for line in lines if line.strip(b", \t\x0b\x0c")]  # csv drops them too
+    if len(lines) < 2:
+        return None
+    header = lines[0].split(b",")
+    labeled = coords or lines[1].count(b",") == len(header)
+    width = len(header) - coords
+    if ({line.count(b",") for line in lines[1:]} != {width - 1 + labeled} or not width
+            or (not coords and len(lines) - 1 != width)):
+        return None
+    labels, rows = zip(*(line.split(b",", 1) for line in lines[1:])) if labeled else ((), lines[1:])
+    try:
+        header = [cell.decode("utf-8").strip() for cell in header]
+        labels = [cell.decode("utf-8").strip() for cell in labels]
+    except UnicodeDecodeError:
+        return None
+    body = b"],[".join(rows)
+    # deleting the number bytes leaves only the separators; orjson reads a blank
+    # row as [] and the integer -0 as 0, where float() refuses and reads -0.0; and
+    # a line of commas and other whitespace, which csv drops, has a blank label
+    if (body.translate(None, _ROW_BYTES) != b"][" * (len(rows) - 1)
+            or not all(map(bytes.strip, rows)) or re.search(rb"-0(?![.\deE])", body)
+            or not all([header[0], *labels]) or (labels and not coords and labels != header)):
+        return None
+    del lines, rows
+    with contextlib.suppress(orjson.JSONDecodeError):
+        return header, labels, np.array(orjson.loads(b"[[" + body + b"]]"), dtype=np.float64)
 
 
 def read_distance_csv(path) -> FiniteMetricSpace:
     """Header row of labels, then a symmetric numeric body (an optional
     leading label column is accepted and checked against the header)."""
-    rows = _csv_rows(path)
-    if len(rows) < 2:
-        raise InputError(f"{path}: a distance csv needs a header and at least one row")
-    header = [f.strip() for f in rows[0]]
-    labeled = len(rows[1]) == len(header) + 1
-    labels = header
-    body = np.empty((len(rows) - 1, len(labels)))
-    if len(rows) - 1 != len(labels):
-        raise InputError(
-            f"{path}: {len(labels)} labels in the header but {len(rows) - 1} body rows"
-        )
-    with _naming(path):  # the messages below name the line, this the file
-        for r, row in enumerate(rows[1:], start=2):
-            row = [f.strip() for f in row]
-            if labeled:
-                if row[0] != labels[r - 2]:
-                    raise InputError(
-                        f"line {r}, field 1: row label {row[0]!r} does not match "
-                        f"header label {labels[r - 2]!r}"
-                    )
-                row = row[1:]
-            if len(row) != len(labels):
-                raise InputError(
-                    f"line {r}: expected {len(labels)} numeric fields, got {len(row)}"
-                )
-            try:
-                body[r - 2] = [float(cell) for cell in row]
-            except ValueError:  # parse cell by cell, for the message naming it
-                for c, cell in enumerate(row):
-                    body[r - 2, c] = _parse_float(cell, r, c + (2 if labeled else 1))
-        return FiniteMetricSpace.from_matrix(body, labels)
+    header, _, matrix = _number_table(path, False) or _csv_table(path, False)
+    with _naming(path):
+        return FiniteMetricSpace.from_matrix(matrix, header)
 
 
 def read_coords_csv(path) -> FiniteMetricSpace:
     """Header ``label,x1,...``, then one labeled coordinate row per point."""
-    rows = _csv_rows(path)
-    if len(rows) < 2:
-        raise InputError(f"{path}: a coords csv needs a header and at least one row")
-    width = len(rows[0]) - 1
-    if width < 1:
-        raise InputError(f"{path}: header must name a label column and >= 1 coordinate")
-    labels, coords = [], []
-    with _naming(path):  # the messages below name the line, this the file
-        for r, row in enumerate(rows[1:], start=2):
-            if len(row) != width + 1:
-                raise InputError(f"line {r}: expected {width + 1} fields, got {len(row)}")
-            labels.append(row[0].strip())
-            try:  # float() ignores the whitespace that strip() removes
-                coords.append(list(map(float, row[1:])))
-            except ValueError:  # parse cell by cell, for the message naming it
-                for c, cell in enumerate(row[1:]):
-                    _parse_float(cell.strip(), r, c + 2)
-        return FiniteMetricSpace.from_coords(np.asarray(coords), labels)
+    _, labels, coords = _number_table(path, True) or _csv_table(path, True)
+    with _naming(path):
+        return FiniteMetricSpace.from_coords(coords, labels)
 
 
 def load_space(path, fmt: str) -> FiniteMetricSpace:

@@ -747,6 +747,20 @@ def test_csv_that_is_not_utf8_exits_two_naming_the_file(fmt, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt, text", [
+    ("distance-csv", "a,b\n0,{long}\n1,0\n"),
+    ("coords-csv", "label,x1\na,{long}\nb,1.0\n"),
+])
+def test_a_csv_field_over_the_size_limit_exits_two_naming_its_line(fmt, text, tmp_path, capsys):
+    bad = tmp_path / "space.csv"
+    bad.write_text(text.format(long="1." + "0" * 140_000))  # a number orjson reads
+    assert main(["metric", "--space", str(bad), "--format", fmt,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: line 2: field larger than field limit (131072)" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--family", "{folder}", "--mode", "order"],
     ["metric", "--space", "{folder}", "--format", "coords-csv"],

@@ -308,20 +308,27 @@ def test_the_row_route_reads_or_declines_as_json_does(text, route, tmp_path, mon
 
 
 @pytest.fixture(scope="module")
-def benchmark_json_files(tmp_path_factory):
-    """Every input the three workloads write at seed 21 and every report their
-    sessions write."""
+def benchmark_run(tmp_path_factory):
+    """The folder holding every input the three workloads write at seed 21
+    and every report their sessions write, and the argv of each op."""
     root = tmp_path_factory.mktemp("bench")
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import workloads
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
+    argvs = []
     for name in workloads.WORKLOADS:
         for op in workloads.prepare(name, 21, str(root / name / "inputs"),
                                     str(root / name / "out")):
             assert main(list(op.argv)) == op.expect_rc, op.argv
-    return sorted(root.rglob("*.json"))
+            argvs.append(list(op.argv))
+    return root, argvs
+
+
+@pytest.fixture(scope="module")
+def benchmark_json_files(benchmark_run):
+    return sorted(benchmark_run[0].rglob("*.json"))
 
 
 def test_every_json_file_of_the_benchmark_workloads_decodes_the_same_both_ways(
@@ -381,3 +388,34 @@ def test_the_sampled_family_of_the_benchmark_takes_the_row_route(benchmark_json_
     assert by_rows.horizon == by_json.horizon == 300
     assert np.array_equal(by_rows.stacked(300).view(np.uint64),
                           by_json.stacked(300).view(np.uint64))
+
+
+def test_every_csv_space_of_the_benchmark_workloads_takes_the_number_table(benchmark_run,
+                                                                           monkeypatch):
+    """Each --space CSV file of the ops (the clouds, the matrix and the line)
+    loads through the number table, with one orjson call and no csv call,
+    and gives the labels and the bitwise-equal coords or matrix that the csv
+    route gives."""
+    spaces = {(a[a.index("--space") + 1], a[a.index("--format") + 1])
+              for a in benchmark_run[1] if "--space" in a}
+    assert {fmt for _, fmt in spaces} == {"coords-csv", "distance-csv"} and len(spaces) == 5
+    calls = {"orjson": 0, "csv": 0}
+
+    def counted(name, read):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return read(*args, **kwargs)
+        return call
+
+    for path, fmt in sorted(spaces):
+        with monkeypatch.context() as patch:
+            patch.setattr(serialize.orjson, "loads", counted("orjson", orjson.loads))
+            patch.setattr(serialize.csv, "reader", counted("csv", serialize.csv.reader))
+            by_table = serialize.load_space(path, fmt)
+        with monkeypatch.context() as patch:
+            patch.setattr(serialize, "_number_table", lambda path, coords: None)
+            by_csv = serialize.load_space(path, fmt)
+        assert by_table.labels == by_csv.labels, path
+        values = [s.matrix if s.coords is None else s.coords for s in (by_table, by_csv)]
+        assert values[0].tobytes() == values[1].tobytes(), path
+    assert calls == {"orjson": len(spaces), "csv": 0}

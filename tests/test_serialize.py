@@ -5,13 +5,15 @@ import math
 import pathlib
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from latticelab import serialize
 from latticelab.cli import replay_report
 from latticelab.config import CheckConfig
 from latticelab.convergence import (
@@ -474,6 +476,127 @@ def test_coords_csv_diagnostics(tmp_path):
     path.write_text("label\np0\n")
     with pytest.raises(InputError, match=">= 1 coordinate"):
         read_coords_csv(path)
+
+
+# number spellings float() and orjson read alike, padded with ASCII
+# whitespace, and in the other files also those orjson refuses or reads
+# otherwise (the integer -0, integers beyond the float range, what only
+# float() reads) and other whitespace
+_plain_numbers = st.one_of(
+    st.tuples(st.sampled_from(["", "-"]), st.integers(0, 10**25).map(str),
+              st.sampled_from(["", "."]), st.text("0123456789", max_size=25),
+              st.sampled_from(["", "e", "E-", "e+"]), st.integers(0, 400).map(str)).map(
+        lambda t: "".join(t[:3]) + (t[3] or "0" if t[2] else "") + (t[4] and t[4] + t[5])),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**25, 10**25).map(str),
+)
+_odd_numbers = st.one_of(
+    st.integers(10**399, 10**400).map(str),
+    st.sampled_from(["1.", ".5", "+1", "1_0", "inf", "-inf", "nan", "1e400", "-1e-400", "-0",
+                     "-0.0", "-0e0", "00", "0x1", "1e", "", "x", "1 2", "\uff11"]),
+)
+_zeros = ["0", "0.0", " -0.0", "0e5\t", "-0", " -0\t", "0.", ".0", "00"]
+_pads = ["", " ", "\t", "\xa0", "\u2003", "\x0c", "\x1c"]
+_labels = ["a", "b", "c", " d ", "\xe9", "\ufeffe", "\x00f", "-0", "", " ", "\xa0"]
+_blank_lines = ["", ",", ",,", " , ", "\t", "\xa0", "\x1c,", ",\u2003"]
+
+
+@st.composite
+def _csv_spaces(draw):
+    """(coords, raw) of a coords (``coords``) or distance CSV file on 1 to 4
+    points; a distance body is symmetric (one text per pair), labeled or
+    bare.  Half the files are plain: distinct labels, plain numbers, ASCII
+    padding, blank and comma-only lines of ASCII whitespace.  The others
+    draw from every list above and take up to two changes (a cell or a row
+    dropped or added, a cell quoted, a row label replaced) and, one in five,
+    an invalid UTF-8 byte.  Line ends are LF, CRLF or CR, line by line, and
+    some files start with a BOM."""
+    coords, n, plain = draw(st.booleans()), draw(st.integers(1, 4)), draw(st.booleans())
+    numbers = _plain_numbers if plain else st.one_of(_plain_numbers, _odd_numbers)
+    pads = st.sampled_from(_pads[:3] if plain else _pads)
+    cell = st.tuples(pads, numbers, pads).map("".join)
+    labels = draw(st.lists(st.sampled_from(_labels[:7] if plain else _labels),
+                           min_size=n, max_size=n, unique=plain))
+    if coords:
+        width = draw(st.integers(1, 3))
+        lines = [["label", *(f"x{k}" for k in range(1, width + 1))]]
+        lines += [[label, *draw(st.lists(cell, min_size=width, max_size=width))]
+                  for label in labels]
+    else:
+        pairs = {(i, j): draw(cell) for i in range(n) for j in range(i + 1, n)}
+        zeros = st.sampled_from(_zeros[:4] if plain else _zeros)
+        body = [[draw(zeros) if i == j else pairs[min(i, j), max(i, j)] for j in range(n)]
+                for i in range(n)]
+        labeled = draw(st.booleans())
+        lines = [labels, *([label, *row] if labeled else row for label, row in zip(labels, body))]
+    for _ in range(0 if plain else draw(st.integers(0, 2))):
+        row = lines[draw(st.integers(0, len(lines) - 1))]
+        if not row:
+            continue
+        at = draw(st.integers(0, len(row) - 1))
+        change = draw(st.sampled_from(["drop cell", "add cell", "drop row", "quote", "relabel"]))
+        if change == "drop cell":
+            del row[at]
+        elif change == "add cell":
+            row.insert(at, draw(cell))
+        elif change == "drop row" and len(lines) > 1:
+            lines.remove(row)
+        elif change == "quote":
+            row[at] = f'"{row[at]}"'
+        else:
+            row[0] = draw(st.sampled_from(_labels))
+    texts = [",".join(row) for row in lines]
+    blank = st.sampled_from(_blank_lines[:5] if plain else _blank_lines)
+    for _ in range(draw(st.integers(0, 2))):
+        texts.insert(draw(st.integers(0, len(texts))), draw(blank))
+    raw = "".join(text + draw(st.sampled_from(["\n", "\r\n", "\r"])) for text in texts)
+    raw = draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + raw.encode("utf-8")
+    if not plain and draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    return coords, raw
+
+
+def read_space(read, path):
+    """What ``read`` makes of the file: the labels and the coords (else the
+    matrix) as bytes, so bit for bit, or the message of its InputError."""
+    try:
+        space = read(path)
+    except InputError as exc:
+        return str(exc)
+    values = space.matrix if space.coords is None else space.coords
+    return space.labels, values.shape, values.tobytes()
+
+
+@settings(max_examples=200)
+@given(_csv_spaces())
+@example((True, b'label,x\n"a",1\n'))  # a quoted label
+@example((False, b"\x1c\n0\n"))  # a header line csv drops
+@example((False, b"\x1c\n\x1c,0\n"))  # and a body line it drops
+@example((True, b"label,x\na,\nb, \n"))  # rows with no number text
+@example((False, b"a,b\n-0,1\n1,0\n"))
+@example((True, b"label,x\r\na,1_0\rb,\t2e-0\n"))
+def test_the_number_table_reads_a_csv_space_as_the_csv_route_does(tmp_path_factory, drawn):
+    """The csv route, with the number table declining every file, is the
+    oracle: the same labels and bitwise-equal coords or matrix, or the same
+    refusal."""
+    coords, raw = drawn
+    path = tmp_path_factory.getbasetemp() / "space.csv"
+    path.write_bytes(raw)
+    read = read_coords_csv if coords else read_distance_csv
+    by_table = read_space(read, path)
+    with mock.patch.object(serialize, "_number_table", lambda path, coords: None):
+        assert read_space(read, path) == by_table
+
+
+def test_a_cell_padded_with_a_separator_control_reads_as_its_stripped_text(tmp_path):
+    """float() refuses the \\x1c to \\x1f that strip() removes; a coords row
+    with such a cell was once dropped, and the file refused for a count."""
+    path = tmp_path / "pts.csv"
+    path.write_text("label,x\na,\x1c1\x1f\nb,2\n")
+    assert read_coords_csv(path).coords.tolist() == [[1.0], [2.0]]
+    path.write_text("a,b\n0,\x1d1\n1\x1e,0\n")
+    assert read_distance_csv(path).matrix.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_load_space_dispatch(tmp_path):
