@@ -416,7 +416,7 @@ def _csv_table(path, coords: bool) -> tuple:
 
 def _number_table(path, coords: bool):
     """What _csv_table gives, its matrix decoded by one orjson pass over the
-    file's bytes, or None where the module docstring sends the file to it."""
+    file's bytes, or None for a file the module docstring sends to the csv route."""
     with open(path, "rb") as fh:
         lines = fh.read()
     lines = [] if b'"' in lines else lines.splitlines()

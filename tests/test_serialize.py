@@ -568,7 +568,7 @@ def read_space(read, path):
     return space.labels, values.shape, values.tobytes()
 
 
-@settings(max_examples=200)
+@settings(max_examples=150)
 @given(_csv_spaces())
 @example((True, b'label,x\n"a",1\n'))  # a quoted label
 @example((False, b"\x1c\n0\n"))  # a header line csv drops
