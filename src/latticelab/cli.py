@@ -40,7 +40,7 @@ from .convergence import (
     pointwise_limit,
     truncation_family,
 )
-from .core import Carrier, LatticeElement, SpaceTag, Tail
+from .core import Carrier, LatticeElement, SpaceTag, Tail, zeros
 from .counterexamples import build_refinement, hat_scenario, lip_counterexample, verify_escape
 from .envelopes import inf_convolution_ladder
 from .errors import (
@@ -164,7 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
 # provenance and output plumbing
 
 
-def _provenance(args: argparse.Namespace, inputs: dict) -> dict:
+def _provenance(args: argparse.Namespace) -> dict:
+    """The block each JSON report of the command ``args`` records: what ran,
+    with which settings, on input files of which SHA-256 digests."""
     skip = {"command", "witness_kind", "scenario", "out", "func"}
     arg_doc = {k: v for k, v in sorted(vars(args).items())
                if k not in skip and v is not None}
@@ -178,18 +180,25 @@ def _provenance(args: argparse.Namespace, inputs: dict) -> dict:
         "seed": getattr(args, "seed", 0),
         "tolerance": getattr(args, "tolerance", None),
         "horizon": getattr(args, "horizon", None),
-        "inputs": {name: serialize.sha256_of(path) for name, path in sorted(inputs.items())},
+        "inputs": {name: serialize.sha256_of(arg_doc[name]) for name in ("family", "space")
+                   if name in arg_doc},
         "args": arg_doc,
     }
 
 
-def _emit(args, name: str, *data) -> None:
-    """Write ``data``, a JSON document or a CSV header and rows, to ``name``
-    under --out."""
+def _emit(args, *outputs) -> None:
+    """Write each output, a file name followed by a JSON document or by a
+    CSV header and rows, under --out in order.  Every JSON document gets
+    the command's one provenance block."""
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, name)
-    (serialize.write_csv if name.endswith(".csv") else serialize.write_json)(path, *data)
-    print(f"wrote {path}")
+    provenance = _provenance(args)
+    for name, *data in outputs:
+        path = os.path.join(args.out, name)
+        if name.endswith(".csv"):
+            serialize.write_csv(path, *data)
+        else:
+            serialize.write_json(path, {**data[0], "provenance": provenance})
+        print(f"wrote {path}")
 
 
 def _config(args) -> CheckConfig:
@@ -231,20 +240,14 @@ def cmd_metric(args) -> int:
     # cells go to write_csv as text, each radius formatted as it is written;
     # the running minimum of the increasing radii is their first, delta
     text, least = float.__repr__, float.__repr__(delta)
-    _emit(args, "isolation_profile.csv", ["label", "isolation_radius"],
-          zip(profile.labels, map(text, radii)))
-    _emit(args, "delta_trend.csv", ["rank", "label", "isolation_radius", "running_min"],
-          ((str(r), profile.labels[i], text(radii[i]), least)
-           for r, i in enumerate(np.argsort(profile.radii, kind="stable").tolist(), 1)))
-    doc = {
-        "schema_version": serialize.SCHEMA_VERSION,
-        "type": "metric",
-        "n": space.n,
-        "discreteness_constant": delta,
-        "closest_pair": list(pair),
-        "provenance": _provenance(args, {"space": args.space}),
-    }
-    _emit(args, "metric_report.json", doc)
+    _emit(args,
+          ("isolation_profile.csv", ["label", "isolation_radius"],
+           zip(profile.labels, map(text, radii))),
+          ("delta_trend.csv", ["rank", "label", "isolation_radius", "running_min"],
+           ((str(r), profile.labels[i], text(radii[i]), least)
+            for r, i in enumerate(np.argsort(profile.radii, kind="stable").tolist(), 1))),
+          ("metric_report.json", serialize.record("metric", {
+              "n": space.n, "discreteness_constant": delta, "closest_pair": list(pair)})))
     print(f"n={space.n} delta={delta!r}")
     return EXIT_OK
 
@@ -260,28 +263,18 @@ def cmd_envelope(args) -> int:
     if not ns:
         raise InputError("--ns needs at least one index")
     results = inf_convolution_ladder(g, ns)
-    _emit(args, "envelope_table.csv", ["n", "alpha", "achieved_error", "lipschitz"],
-          ((r.n, r.alpha, r.achieved_error, r.lipschitz) for r in results))
-    doc = {
-        "schema_version": serialize.SCHEMA_VERSION,
-        "type": "envelope",
-        "set": targets,
-        "rows": [
-            {"n": r.n, "alpha": r.alpha, "achieved_error": r.achieved_error,
-             "lipschitz": r.lipschitz, "pair": list(r.pair)}
-            for r in results
-        ],
-        "provenance": _provenance(args, {"space": args.space}),
-    }
-    _emit(args, "envelope_report.json", doc)
+    rows = [{"n": r.n, "alpha": r.alpha, "achieved_error": r.achieved_error,
+             "lipschitz": r.lipschitz, "pair": list(r.pair)} for r in results]
+    _emit(args,
+          ("envelope_table.csv", ["n", "alpha", "achieved_error", "lipschitz"],
+           ((r.n, r.alpha, r.achieved_error, r.lipschitz) for r in results)),
+          ("envelope_report.json", serialize.record("envelope", {"set": targets, "rows": rows})))
     return EXIT_OK
 
 
 def _candidate(args, family) -> LatticeElement:
     if args.candidate == "zero":
-        values = np.zeros(family.carrier.size)
-        tail = Tail.zero() if family.carrier.is_index_set else None
-        return LatticeElement(family.carrier, values, tail)
+        return zeros(family.carrier)
     if family.metadata.limit is not None:
         return family.metadata.limit
     return pointwise_limit(family, _config(args))
@@ -309,9 +302,7 @@ def cmd_check(args) -> int:
     else:
         policy = SampledPolicy(count=args.count, max_len=args.max_len, seed=args.seed)
     verdict = _run_check(family, args.mode, candidate, policy, _config(args))
-    doc = serialize.verdict_to_json(verdict)
-    doc["provenance"] = _provenance(args, {"family": args.family})
-    _emit(args, "check_report.json", doc)
+    _emit(args, ("check_report.json", serialize.verdict_to_json(verdict)))
     if hasattr(verdict, "equal"):
         print(f"order={verdict.order.outcome} buo={verdict.buo.outcome} equal={verdict.equal}")
         return EXIT_OK if verdict.equal else EXIT_FAIL
@@ -336,12 +327,8 @@ def cmd_witness(args) -> int:
         verify_block_witness(witness, family)
         cert = refute_order_boundedness(witness, SpaceTag.lp(args.p))
         summary = f"{witness.count} disjoint blocks, norm bound {cert.norm_lower_bound!r}"
-    doc = serialize.witness_to_json(witness)
-    doc["provenance"] = _provenance(args, {"family": args.family})
-    _emit(args, "witness.json", doc)
-    rep = serialize.refutation_to_json(cert)
-    rep["provenance"] = doc["provenance"]
-    _emit(args, "refutation.json", rep)
+    _emit(args, ("witness.json", serialize.witness_to_json(witness)),
+          ("refutation.json", serialize.refutation_to_json(cert)))
     print(f"extracted and re-verified {summary}")
     return EXIT_OK
 
@@ -349,34 +336,29 @@ def cmd_witness(args) -> int:
 def cmd_generate(args) -> int:
     if args.scenario == "hats":
         levels = _ints(args.levels, "--levels")
-        refinement = build_refinement("accumulation", levels)
-        scenario = hat_scenario(refinement, args.depth)
-        family = scenario.families[-1]
-        doc = serialize.family_to_json(family)
-        doc["provenance"] = _provenance(args, {})
-        _emit(args, "hat_family.json", doc)
+        scenario = hat_scenario(build_refinement("accumulation", levels), args.depth)
+        outputs = [("hat_family.json", serialize.family_to_json(scenario.families[-1]))]
         if len(levels) >= 3:
-            esc = serialize.escape_report_to_json(verify_escape(scenario))
-            esc["provenance"] = doc["provenance"]
-            _emit(args, "hat_escape.json", esc)
+            outputs.append(("hat_escape.json",
+                            serialize.escape_report_to_json(verify_escape(scenario))))
+        _emit(args, *outputs)
         print(f"hats: depth {args.depth} on levels {levels}")
         return EXIT_OK
     if args.scenario == "ladder":
         levels = _ints(args.levels, "--levels")
         refinement = build_refinement(args.kind, levels)
         cex = lip_counterexample(refinement, args.n_max)
-        doc = serialize.family_to_json(cex.family)
-        doc["provenance"] = _provenance(args, {})
-        _emit(args, "ladder_family.json", doc)
-        _emit(args, "blowups.csv",
-              ["b_label", "a_label", "t", "ratio", "lower_bound"],
-              ((b, a, t, r, 1.0 / (2.0 * np.sqrt(t)))
-               for (b, a), t, r in zip(cex.blow_up_pairs, cex.t, cex.blow_up)))
-        _emit(args, "level_trend.csv", ["level", "scale", "delta", "lipschitz"], cex.level_rows)
+        outputs = [
+            ("ladder_family.json", serialize.family_to_json(cex.family)),
+            ("blowups.csv", ["b_label", "a_label", "t", "ratio", "lower_bound"],
+             ((b, a, t, r, 1.0 / (2.0 * np.sqrt(t)))
+              for (b, a), t, r in zip(cex.blow_up_pairs, cex.t, cex.blow_up))),
+            ("level_trend.csv", ["level", "scale", "delta", "lipschitz"], cex.level_rows),
+        ]
         if len(levels) >= 3:
-            esc = serialize.escape_report_to_json(verify_escape(cex))
-            esc["provenance"] = doc["provenance"]
-            _emit(args, "ladder_escape.json", esc)
+            outputs.append(("ladder_escape.json",
+                            serialize.escape_report_to_json(verify_escape(cex))))
+        _emit(args, *outputs)
         print(f"ladder: n <= {args.n_max} on {args.kind} levels {levels}")
         return EXIT_OK
     if args.scenario == "steps":
@@ -393,18 +375,14 @@ def cmd_generate(args) -> int:
         )
         family = SequenceFamily(values=values, tails=Tail.zero(),
                                 carrier=Carrier.index_set(args.size), metadata=meta)
-        doc = serialize.family_to_json(family)
-        doc["provenance"] = _provenance(args, {})
-        _emit(args, "step_family.json", doc)
+        _emit(args, ("step_family.json", serialize.family_to_json(family)))
         print(f"steps: eps={args.eps!r} size={args.size} depth={args.depth}")
         return EXIT_OK
     if args.scenario == "truncation":
         horizon = args.horizon if args.horizon is not None else 10**9
         family = truncation_family(args.exponent, args.coeff,
                                    size=args.size, horizon=horizon, p=args.p)
-        doc = serialize.family_to_json(family)
-        doc["provenance"] = _provenance(args, {})
-        _emit(args, "truncation_family.json", doc)
+        _emit(args, ("truncation_family.json", serialize.family_to_json(family)))
         print(f"truncation: j**-{args.exponent!r} scaled by {args.coeff!r}")
         return EXIT_OK
     raise InputError(f"unknown scenario {args.scenario!r}")

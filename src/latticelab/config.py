@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -31,8 +32,12 @@ class CheckConfig:
     def __post_init__(self):
         if not (self.tolerance > 0.0):
             raise InputError(f"tolerance must be positive, got {self.tolerance}")
+        if not math.isfinite(self.tolerance):
+            raise InputError(f"tolerance must be finite, got {self.tolerance}")
         if self.horizon < 1:
             raise InputError(f"horizon must be >= 1, got {self.horizon}")
+        if self.seed < 0:  # numpy's seeding takes no negative entropy
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         # a verdict records the tolerance, and a replay reads it back as a float
         object.__setattr__(self, "tolerance", float(self.tolerance))
 

@@ -836,6 +836,8 @@ class SampledPolicy:
     def __post_init__(self):
         if self.count < 1 or self.max_len < 2:
             raise InputError("sampled policy needs count >= 1 and max_len >= 2")
+        if self.seed < 0:  # numpy's seeding takes no negative entropy
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         seqs = []
         for seq in self.include:
             seq = tuple(int(v) for v in seq)

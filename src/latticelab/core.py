@@ -28,7 +28,6 @@ __all__ = [
     "LatticeElement",
     "SpaceTag",
     "Membership",
-    "element",
     "ones",
     "zeros",
     "meet",
@@ -297,10 +296,6 @@ class LatticeElement:
     def __repr__(self):
         t = f", tail={self.tail.kind}" if self.tail is not None else ""
         return f"LatticeElement(n={self.carrier.size}{t})"
-
-
-def element(carrier: Carrier, values, tail: Tail | None = None) -> LatticeElement:
-    return LatticeElement(carrier, values, tail)
 
 
 def zeros(carrier: Carrier) -> LatticeElement:

@@ -386,18 +386,19 @@ def _dense_ladder(space, gv, ns, need_alpha):
     """Envelopes and raw alphas from one pass over the distance row blocks."""
     env = np.empty((len(ns), space.n))
     alpha_raw = np.zeros(len(ns))
-    for lo, hi in space.block_rows():
-        block = space.row_block(lo, hi)
-        buf = np.empty_like(block)
-        gaps = np.abs(gv[lo:hi, None] - gv[None, :]) if need_alpha else None
-        for k, n in enumerate(ns):
-            np.multiply(block, float(n), out=buf)
-            buf += gv[None, :]
-            env[k, lo:hi] = buf.min(axis=1)
-            if need_alpha:
+    with np.errstate(over="ignore"):  # n * d past the float range is inf, as it should be
+        for lo, hi in space.block_rows():
+            block = space.row_block(lo, hi)
+            buf = np.empty_like(block)
+            gaps = np.abs(gv[lo:hi, None] - gv[None, :]) if need_alpha else None
+            for k, n in enumerate(ns):
                 np.multiply(block, float(n), out=buf)
-                np.subtract(gaps, buf, out=buf)
-                alpha_raw[k] = max(alpha_raw[k], float(buf.max()))
+                buf += gv[None, :]
+                env[k, lo:hi] = buf.min(axis=1)
+                if need_alpha:
+                    np.multiply(block, float(n), out=buf)
+                    np.subtract(gaps, buf, out=buf)
+                    alpha_raw[k] = max(alpha_raw[k], float(buf.max()))
     return env, alpha_raw
 
 
@@ -423,7 +424,8 @@ def _line_ladder(space, gv, ns, need_alpha):
         cols += [-gs] * k_count
         rates = np.concatenate([rates, rates])
     h = np.stack(cols, axis=1)  # (points, columns): each step reads one row
-    step = np.diff(space.coords[order, 0])[:, None] * rates[None, :]
+    with np.errstate(over="ignore"):  # n * dx past the float range is inf, as it should be
+        step = np.diff(space.coords[order, 0])[:, None] * rates[None, :]
     for i in range(1, h.shape[0]):
         np.minimum(h[i], h[i - 1] + step[i - 1], out=h[i])
     for i in range(h.shape[0] - 2, -1, -1):

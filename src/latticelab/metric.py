@@ -66,8 +66,9 @@ class FiniteMetricSpace:
         self.labels = tuple(str(x) for x in labels)
         if len(set(self.labels)) != len(self.labels):
             raise InputError("duplicate labels in metric space")
-        self._matrix = matrix
-        self._coords = coords
+        backing = np.array(coords if matrix is None else matrix, dtype=np.float64)
+        backing.setflags(write=False)  # a copy: no query writes the caller's array
+        self._matrix, self._coords = (None, backing) if matrix is None else (backing, None)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._line_order = None
         self._radii = None
@@ -88,8 +89,6 @@ class FiniteMetricSpace:
             raise InputError(f"{len(labels)} labels for a {n}x{n} matrix")
         if validate:
             validate_matrix(matrix)
-        matrix = matrix.copy()
-        matrix.setflags(write=False)
         return cls(labels, matrix=matrix)
 
     @classmethod
@@ -123,8 +122,6 @@ class FiniteMetricSpace:
                 for i, j in dup[:VIOLATION_CAP]
             ]
             raise MetricValidationError(viols, truncated=len(dup) > VIOLATION_CAP)
-        coords = coords.copy()
-        coords.setflags(write=False)
         return cls(labels, coords=coords)
 
     # -- basic queries -----------------------------------------------------
@@ -198,9 +195,7 @@ class FiniteMetricSpace:
         idx = np.array([self.index(lab) for lab in labels], dtype=np.intp)
         if self._coords is not None:
             return FiniteMetricSpace(labels, coords=self._coords[idx])
-        sub = self._matrix[np.ix_(idx, idx)].copy()
-        sub.setflags(write=False)
-        return FiniteMetricSpace(labels, matrix=sub)
+        return FiniteMetricSpace(labels, matrix=self._matrix[np.ix_(idx, idx)])
 
     def same_points(self, other: "FiniteMetricSpace") -> bool:
         return self is other or self.labels == other.labels
@@ -302,29 +297,31 @@ def validate_matrix(matrix: np.ndarray) -> None:
             # best[i, k] = min over pivots j of d(i,j) + d(j,k), plus tol: as
             # fl(x + tol) is monotone in x, some triple breaks the bound below
             # exactly when the smallest sum does, so the pivot loop that names
-            # the triples runs only then
-            best = np.full_like(matrix, np.inf)
-            through = np.empty_like(matrix)
-            for j in range(n):
-                np.add.outer(matrix[:, j], matrix[j, :], out=through)
-                np.minimum(best, through, out=best)
-            best += tol
-            if not np.any(matrix > best):
-                return
-            for j in range(n):
-                through = matrix[:, j][:, None] + matrix[j, :][None, :]
-                bad_ik = np.argwhere(matrix > through + tol)
-                for i, k in bad_ik:
-                    if i > k:  # the matrix is symmetric here; skip mirrors
-                        continue
-                    push(
-                        "triangle",
-                        (int(i), int(j), int(k)),
-                        f"d({i},{k}) = {float(matrix[i, k])!r} > d({i},{j}) + d({j},{k}) "
-                        f"= {float(through[i, k])!r}",
-                    )
-                if truncated:
-                    break
+            # the triples runs only then.  A sum past the float range is inf,
+            # and the true sum does bound the entry.
+            with np.errstate(over="ignore"):
+                best = np.full_like(matrix, np.inf)
+                through = np.empty_like(matrix)
+                for j in range(n):
+                    np.add.outer(matrix[:, j], matrix[j, :], out=through)
+                    np.minimum(best, through, out=best)
+                best += tol
+                if not np.any(matrix > best):
+                    return
+                for j in range(n):
+                    through = matrix[:, j][:, None] + matrix[j, :][None, :]
+                    bad_ik = np.argwhere(matrix > through + tol)
+                    for i, k in bad_ik:
+                        if i > k:  # the matrix is symmetric here; skip mirrors
+                            continue
+                        push(
+                            "triangle",
+                            (int(i), int(j), int(k)),
+                            f"d({i},{k}) = {float(matrix[i, k])!r} > d({i},{j}) + d({j},{k}) "
+                            f"= {float(through[i, k])!r}",
+                        )
+                    if truncated:
+                        break
     if viols:
         raise MetricValidationError(viols, truncated=truncated)
 

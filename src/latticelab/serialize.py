@@ -76,6 +76,7 @@ from .witnesses import BlockWitness, JumpWitness, RefutationCertificate
 
 __all__ = [
     "SCHEMA_VERSION",
+    "record",
     "canonical_json",
     "write_json",
     "write_csv",
@@ -518,12 +519,6 @@ def element_from_json(obj, carrier: Carrier, where: str) -> LatticeElement | Non
     return LatticeElement(carrier, values, tail_from_json(obj.get("tail"), f"{where}.tail"))
 
 
-def tag_to_json(tag: SpaceTag | None):
-    if tag is None:
-        return None
-    return {"kind": tag.kind, "p": tag.p}
-
-
 def tag_from_json(obj, where: str) -> SpaceTag | None:
     if obj is None:
         return None
@@ -560,21 +555,8 @@ def family_to_json(family: SequenceFamily) -> dict:
     doc["members"] = family.stacked(family.horizon)
     if car.is_index_set:
         doc["tails"] = [tail_to_json(t) for t in family.tails(family.horizon)]
-    doc["metadata"] = _metadata_to_json(family.metadata)
+    doc["metadata"] = _plain(family.metadata)
     return doc
-
-
-def _metadata_to_json(meta: FamilyMetadata) -> dict:
-    return {
-        "monotone_decreasing": meta.monotone_decreasing,
-        "common_bound": element_to_json(meta.common_bound),
-        "uniformly_cauchy_norms": (None if meta.uniformly_cauchy_norms is None
-                                   else list(meta.uniformly_cauchy_norms)),
-        "space_tag": tag_to_json(meta.space_tag),
-        "limit": element_to_json(meta.limit),
-        "growth": meta.growth,
-        "notes": list(meta.notes),
-    }
 
 
 def _metadata_from_json(obj, carrier: Carrier, where: str) -> FamilyMetadata:
@@ -806,6 +788,12 @@ def _plain(v):
     return v
 
 
+def record(kind: str, fields) -> dict:
+    """The versioned report of type ``kind`` that holds ``fields``, a
+    dataclass written field by field or a dict of JSON values."""
+    return {"schema_version": SCHEMA_VERSION, "type": kind, **_plain(fields)}
+
+
 def _typed(obj, part: str):
     """The report record of a verdict's ``part`` (certificate or witness)."""
     if obj is None:
@@ -830,19 +818,15 @@ def _policy_to_json(policy) -> str | None:
 def verdict_to_json(verdict) -> dict:
     """A verdict's report, in plain JSON values that compare with one read back."""
     if isinstance(verdict, PairedVerdict):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "type": "paired",
+        return record("paired", {
             "order": verdict_to_json(verdict.order),
             "buo": verdict_to_json(verdict.buo),
             "equal": verdict.equal,
             "note": verdict.note,
-        }
+        })
     policy = verdict.policy
     sampled = isinstance(policy, SampledPolicy)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "type": "verdict",
+    doc = record("verdict", {
         "mode": verdict.mode,
         "outcome": verdict.outcome,
         "tolerance": verdict.tolerance,
@@ -854,7 +838,7 @@ def verdict_to_json(verdict) -> dict:
         "policy": _policy_to_json(policy),
         "seed": policy.seed if sampled else None,
         "notes": list(verdict.notes),
-    }
+    })
     if sampled and policy.include:  # the caller-supplied subsequences
         doc["included"] = [list(seq) for seq in policy.include]
     return doc
@@ -993,16 +977,11 @@ _WITNESS_CASTS = {
 }
 
 
-def _record(kind: str, obj) -> dict:
-    """A versioned document of dataclass ``obj``, field by field."""
-    return {"schema_version": SCHEMA_VERSION, "type": kind, **_plain(obj)}
-
-
 def witness_to_json(w) -> dict:
     kind = next((k for k, cls in _WITNESS_TYPES.items() if isinstance(w, cls)), None)
     if kind is None:
         raise InputError(f"cannot serialize witness of type {type(w).__name__}")
-    return _record(kind, w)
+    return record(kind, w)
 
 
 def witness_from_json(obj: dict, where: str = "witness json"):
@@ -1034,8 +1013,8 @@ def witness_from_json(obj: dict, where: str = "witness json"):
 
 
 def escape_report_to_json(report: EscapeReport) -> dict:
-    return _record("escape", report)
+    return record("escape", report)
 
 
 def refutation_to_json(cert: RefutationCertificate) -> dict:
-    return _record("refutation", cert)
+    return record("refutation", cert)

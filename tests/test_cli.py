@@ -15,6 +15,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -1321,3 +1322,182 @@ def test_one_parser_serves_every_call_without_carrying_values_over(family_file, 
         assert info.value.code == code
     assert main(check + ["--out", str(tmp_path / "after")]) == 0
     assert (tmp_path / "after" / "check_report.json").read_bytes() == reused
+
+
+# ---------------------------------------------------------------------------
+# report headers and provenance
+
+
+@pytest.fixture
+def inputs(tmp_path, family_file, space_file):
+    """Every kind of input file a subcommand reads, by the name the argv
+    templates below use."""
+    gen = tmp_path / "gen"
+    assert main(["generate", "steps", "--out", str(gen)]) == 0
+    assert main(["generate", "truncation", "--exponent", "1.0", "--p", "1.0",
+                 "--out", str(gen)]) == 0
+    report = tmp_path / "report" / "check_report.json"
+    assert main(["check", "--family", str(family_file), "--mode", "buo-equals-order",
+                 "--tolerance", "1e-6", "--out", str(report.parent)]) == 0
+    return {"halving": str(family_file), "space": str(space_file), "report": str(report),
+            "steps": str(gen / "step_family.json"),
+            "truncation": str(gen / "truncation_family.json")}
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["metric", "--space", "{space}", "--format", "space-json"],
+     ["delta_trend.csv", "isolation_profile.csv", "metric_report.json"]),
+    (["envelope", "--space", "{space}", "--format", "space-json", "--set", "x0", "--ns", "1,2"],
+     ["envelope_report.json", "envelope_table.csv"]),
+    (["check", "--family", "{halving}", "--mode", "order", "--tolerance", "1e-6"],
+     ["check_report.json"]),
+    (["check", "--family", "{halving}", "--mode", "buo-equals-order", "--tolerance", "1e-6"],
+     ["check_report.json"]),
+    (["check", "--family", "{steps}", "--mode", "buo-cauchy", "--policy", "sampled"],
+     ["check_report.json"]),
+    (["witness", "jumps", "--family", "{steps}", "--eps", "0.25", "--count", "5"],
+     ["refutation.json", "witness.json"]),
+    (["witness", "blocks", "--family", "{truncation}", "--p", "1.0", "--count", "2"],
+     ["refutation.json", "witness.json"]),
+    (["generate", "hats", "--levels", "3,5,9", "--depth", "6"],
+     ["hat_escape.json", "hat_family.json"]),
+    (["generate", "ladder", "--levels", "4,8,16", "--n-max", "3"],
+     ["blowups.csv", "ladder_escape.json", "ladder_family.json", "level_trend.csv"]),
+    (["generate", "steps"], ["step_family.json"]),
+    (["generate", "truncation", "--exponent", "1.0"], ["truncation_family.json"]),
+    (["verify", "--family", "{halving}", "--report", "{report}"], []),
+    (["verify", "--family", "{steps}", "--witness", "{witness}"], []),
+], ids=["metric", "envelope", "check-order", "check-paired", "check-sampled", "witness-jumps",
+        "witness-blocks", "generate-hats", "generate-ladder", "generate-steps",
+        "generate-truncation", "verify-report", "verify-witness"])
+def test_every_json_output_carries_the_header_and_one_provenance_block(argv, written, inputs,
+                                                                        tmp_path):
+    if "{witness}" in argv:
+        inputs["witness"] = str(tmp_path / "w" / "witness.json")
+        assert main(["witness", "jumps", "--family", inputs["steps"], "--eps", "0.25",
+                     "--out", str(tmp_path / "w")]) == 0
+    out = tmp_path / "out"
+    argv = [a.format(**inputs) for a in argv]
+    assert main(argv + ["--out", str(out)]) in (0, 1)
+    assert sorted(os.listdir(out)) == written if written else not out.exists()
+    options = dict(zip(argv, argv[1:]))
+    digests = {name: sha256_of(options[f"--{name}"]) for name in ("family", "space")
+               if f"--{name}" in options}
+    blocks = []
+    for name in written:
+        text = (out / name).read_text()
+        if name.endswith(".csv"):
+            header = text.splitlines()[0].split(",")
+            assert not {"schema_version", "type", "provenance"} & set(header), name
+            assert "provenance" not in text and "schema_version" not in text, name
+            continue
+        doc = json.loads(text)
+        assert doc["schema_version"] == 1, name
+        # a family is a document, not a report: it carries no report type
+        assert ("type" in doc) != name.endswith("_family.json"), name
+        assert doc["provenance"]["inputs"] == digests, name
+        blocks.append(doc["provenance"])
+    assert all(block == blocks[0] for block in blocks)
+    if blocks:
+        command = argv[:next((i for i, a in enumerate(argv) if a.startswith("-")), len(argv))]
+        assert blocks[0]["command"] == " ".join(command)
+
+
+@pytest.mark.parametrize("fixture", ["halving", "hats"])
+def test_the_zero_candidate_report_is_the_check_against_explicit_zeros(fixture, family_file,
+                                                                       tmp_path):
+    path = str(family_file) if fixture == "halving" else _hats(tmp_path)
+    out = tmp_path / "zero"
+    assert main(["check", "--family", path, "--mode", "order", "--candidate", "zero",
+                 "--out", str(out)]) == 1
+    family = load_family(path)
+    tail = Tail.zero() if family.carrier.is_index_set else None
+    zero = LatticeElement(family.carrier, np.zeros(family.carrier.size), tail)
+    doc = json.loads((out / "check_report.json").read_text())
+    assert doc.pop("provenance")["args"]["candidate"] == "zero"
+    assert doc == json.loads(canonical_json(verdict_to_json(
+        check_order_convergence(family, zero, CheckConfig()))))
+
+
+# ---------------------------------------------------------------------------
+# seeds, tolerances and numpy warnings
+
+
+def _sampled_report(tmp_path) -> tuple:
+    main(["generate", "steps", "--out", str(tmp_path / "s")])
+    fam = str(tmp_path / "s" / "step_family.json")
+    assert main(["check", "--family", fam, "--mode", "buo-cauchy", "--policy", "sampled",
+                 "--seed", "3", "--out", str(tmp_path / "r")]) == 1
+    return fam, tmp_path / "r" / "check_report.json"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "buo-cauchy", "--policy", "sampled", "--seed", "-1"],
+    ["--mode", "buo", "--candidate", "zero", "--seed", "-1"],
+    ["--mode", "order", "--seed", "-2"],
+], ids=["sampled", "buo-zero", "order"])
+def test_a_negative_seed_exits_two_naming_the_seed(argv, tmp_path, capsys):
+    main(["generate", "steps", "--out", str(tmp_path / "s")])
+    out = tmp_path / "out"
+    assert main(["check", "--family", str(tmp_path / "s" / "step_family.json"), *argv,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"seed must be >= 0, got {argv[-1]}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("where", ["seed", "provenance.seed"])
+def test_a_stored_negative_seed_exits_two_naming_the_seed(where, family_file, tmp_path,
+                                                          capsys):
+    if where == "seed":
+        fam, report = _sampled_report(tmp_path)
+    else:
+        fam, report = str(family_file), tmp_path / "r" / "check_report.json"
+        assert main(["check", "--family", fam, "--mode", "buo-equals-order",
+                     "--tolerance", "1e-6", "--out", str(report.parent)]) == 0
+    doc = json.loads(report.read_text())
+    if where == "seed":
+        doc["seed"] = -1
+    else:
+        doc["provenance"]["seed"] = -1
+    write_json(report, doc)
+    capsys.readouterr()
+    assert main(["verify", "--family", fam, "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert f"{report}: seed must be >= 0, got -1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "-inf"])
+def test_a_tolerance_that_is_not_a_positive_finite_number_exits_two_before_the_check(
+        tolerance, family_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["check", "--family", str(family_file), "--mode", "order",
+                 f"--tolerance={tolerance}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    said = "finite" if tolerance == "inf" else "positive"
+    assert f"tolerance must be {said}, got {tolerance}" in err
+    assert not out.exists()
+
+
+_OVERFLOWING = "a,b,c\na,0,1e308,1e308\nb,1e308,0,1e308\nc,1e308,1e308,0\n"
+
+
+@pytest.mark.parametrize("argv, text, code", [
+    (["metric", "--format", "distance-csv"], _OVERFLOWING, 0),
+    (["envelope", "--format", "distance-csv", "--set", "a"], _OVERFLOWING, 0),
+    (["envelope", "--format", "coords-csv", "--set", "p0", "--ns", "1,10000000000"],
+     "label,x\np0,0\np1,1e300\np2,1.5e300\n", 0),
+    # a triangle breach, d(a, c) > d(a, b) + d(b, c), where the pivot d overflows
+    (["metric", "--format", "distance-csv"],
+     "a,b,c,d\na,0,1,1e308,1e308\nb,1,0,1,1e308\nc,1e308,1,0,1e308\nd,1e308,1e308,1e308,0\n",
+     2),
+], ids=["metric-matrix", "envelope-matrix", "envelope-line", "triangle-breach"])
+def test_a_distance_past_the_float_range_warns_nothing(argv, text, code, tmp_path, capsys):
+    space = tmp_path / "space.csv"
+    space.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([argv[0], "--space", str(space), *argv[1:],
+                     "--out", str(tmp_path / "out")]) == code
+    assert "Warning" not in capsys.readouterr().err

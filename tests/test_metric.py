@@ -664,3 +664,23 @@ def test_target_columns_give_the_full_row_minimum(seed, small_blocks):
         full = space.row_block(0, space.n)[:, idx].min(axis=1)
         got = dist_to_set_all(space, [space.labels[i] for i in idx])
         np.testing.assert_array_equal(got, full)
+
+
+def test_the_constructor_keeps_read_only_copies_of_its_arrays():
+    matrix = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
+    kept = matrix.copy()
+    space = FiniteMetricSpace(["a", "b", "c"], matrix=matrix)
+    np.testing.assert_array_equal(isolation_radii(space), [1.0, 1.0, 2.0])
+    np.testing.assert_array_equal(matrix, kept)  # the radii scan wrote no inf into it
+    matrix[0, 1] = matrix[1, 0] = 5.0
+    assert space.distance("a", "b") == 1.0
+    coords = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]])
+    space = FiniteMetricSpace(["a", "b", "c"], coords=coords)
+    coords[1] = 0.0
+    assert space.distance("a", "b") == 5.0
+    for sub in (space.subspace(["a", "c"]),
+                FiniteMetricSpace.from_matrix(kept).subspace(["p0", "p2"])):
+        backing = sub.coords if sub.coords is not None else sub.matrix
+        assert not backing.flags.writeable
+        with pytest.raises(ValueError):
+            backing[0, 0] = 1.0

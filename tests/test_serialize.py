@@ -40,6 +40,7 @@ from latticelab.serialize import (
     load_space,
     read_coords_csv,
     read_distance_csv,
+    record,
     refutation_to_json,
     sha256_of,
     space_from_json,
@@ -802,3 +803,54 @@ def test_refutation_document():
     assert doc["count"] == cert.count
     assert doc["tag"] == {"kind": "c0", "p": None}
     assert len(doc["lower_bounds"]) == cert.count
+
+
+def test_record_writes_the_header_of_a_dataclass_and_of_a_dict():
+    assert record("metric", {"n": 2}) == {"schema_version": SCHEMA_VERSION, "type": "metric",
+                                          "n": 2}
+    cert = refute_order_boundedness(
+        extract_big_jump_witness(step_family(), range(1, 65), eps=0.25, count=5), SpaceTag.c0())
+    doc = record("refutation", cert)
+    assert (doc["schema_version"], doc["type"]) == (SCHEMA_VERSION, "refutation")
+    assert doc == refutation_to_json(cert)
+    assert doc["lower_bounds"] == list(cert.lower_bounds)
+
+
+def _metadata_layout(meta: FamilyMetadata) -> dict:
+    """The family metadata record spelled out field by field."""
+    def element(x):
+        return None if x is None else {"values": x.values.tolist(),
+                                       "tail": serialize.tail_to_json(x.tail)}
+    tag = meta.space_tag
+    return {
+        "monotone_decreasing": meta.monotone_decreasing,
+        "common_bound": element(meta.common_bound),
+        "uniformly_cauchy_norms": (None if meta.uniformly_cauchy_norms is None
+                                   else list(meta.uniformly_cauchy_norms)),
+        "space_tag": None if tag is None else {"kind": tag.kind, "p": tag.p},
+        "limit": element(meta.limit),
+        "growth": meta.growth,
+        "notes": list(meta.notes),
+    }
+
+
+@pytest.mark.parametrize("metadata", ["empty", "full", "c0"])
+def test_family_metadata_is_written_field_by_field(metadata):
+    car = Carrier.index_set(3)
+    values = np.array([[2.0 ** -n, 2.0 ** -n, 0.0] for n in range(1, 9)])
+    meta = {
+        "empty": FamilyMetadata(),
+        "full": FamilyMetadata(
+            monotone_decreasing=True,
+            common_bound=LatticeElement(car, np.ones(3), Tail.constant(1.0)),
+            uniformly_cauchy_norms=tuple(2.0 ** -n for n in range(1, 9)),
+            space_tag=SpaceTag.lp(2.0),
+            limit=LatticeElement(car, np.zeros(3), Tail.zero()),
+            growth="bounded", notes=("halving", "two coordinates")),
+        "c0": FamilyMetadata(space_tag=SpaceTag.c0(), growth="bounded"),
+    }[metadata]
+    family = SequenceFamily(values=values, tails=Tail.zero(), carrier=car, metadata=meta)
+    doc = family_to_json(family)
+    assert canonical_json(doc["metadata"]) == canonical_json(_metadata_layout(meta))
+    back = family_from_json(json.loads(canonical_json(doc)))
+    assert canonical_json(family_to_json(back)) == canonical_json(doc)
