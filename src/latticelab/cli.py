@@ -453,6 +453,7 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _config(args)  # every subcommand records --seed, --tolerance and --horizon
         return _COMMANDS[args.command](args)
     except _REFUSALS as exc:
         print(f"refused: {exc}", file=sys.stderr)

@@ -162,7 +162,7 @@ class SequenceFamily:
     """
 
     def __init__(self, *, members=None, values=None, tails=None, model=None, carrier=None,
-                 horizon=None, metadata=None):
+                 horizon=None, metadata=None, _adopt=False):
         if sum(x is not None for x in (members, values, model)) != 1:
             raise InputError("supply exactly one of members=, values= or model=")
         self.metadata = metadata if metadata is not None else FamilyMetadata()
@@ -189,7 +189,8 @@ class SequenceFamily:
             elif carrier is None:
                 raise InputError("a value matrix needs its carrier=")
             self.carrier = carrier
-            self._values = np.array(values, dtype=np.float64)  # the family's own copy
+            # the family's own copy, but for load_family's matrix, which it adopts
+            self._values = (np.asarray if _adopt else np.array)(values, dtype=np.float64)
             if not len(self._values):
                 raise InputError("a family needs at least one member")
             if self._values.ndim != 2 or self._values.shape[1] != carrier.size:

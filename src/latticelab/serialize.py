@@ -8,10 +8,11 @@ rendering, LF newlines, UTF-8 bytes.  Ingestion errors always name the
 offending line, field or member.
 
 ``write_json`` gets the bytes of json.dumps(sort_keys=True, indent=2,
-ensure_ascii=False) from one orjson call and respells the floats orjson
-spells unlike repr (0.00001, 1e-7 and 1e16 for 1e-05, 1e-07 and 1e+16).  A
-pre-walk names the first non-finite number, and json writes what orjson
-refuses or would spell otherwise: float32 values, wide ints, lone surrogates.
+ensure_ascii=False) from orjson and respells the floats orjson spells unlike
+repr (0.00001, 1e-7 and 1e16 for 1e-05, 1e-07 and 1e+16), a long array a
+block of rows at a time.  A pre-walk names the first non-finite number, and
+json writes what orjson refuses or would spell otherwise: float32 values,
+wide ints, lone surrogates.  A failed write leaves the old file whole.
 
 JSON files are read by ``read_json``, which returns json's document: orjson,
 whose correctly rounded number parser gives json's floats bit for bit in a
@@ -19,11 +20,12 @@ third of the time, decodes a file of at most ``ORJSON_MAX_BYTES`` unless it
 holds an integer literal of 19 or more digits (orjson reads one outside
 [-2**63, 2**64) as a float) or orjson refuses the text (NaN, Infinity, 1e400,
 lone surrogates, damage); json reads every other file.  ``load_family`` reads
-a larger family file by the row route: orjson decodes each row of its
-top-level ``"members"`` list into one float64 matrix, and the rest with that
-list spliced out.  The route applies where the rows are a non-empty list of
-number rows of one length, orjson accepts every piece, and the list is the
-value the top-level key reads; any other file goes to ``read_json``.
+a larger family file by the row route, ``_READ_BLOCK`` bytes at a time:
+orjson decodes each row of its top-level ``"members"`` list into the one
+float64 matrix the family keeps, and the rest with that list spliced out.
+The route applies where the rows are a non-empty list of number rows of one
+length, orjson accepts every piece, and the list is the value the top-level
+key reads; any other file goes to ``read_json``.
 
 A CSV space is read by the number table: lines split as csv.reader splits
 them where no ``"`` quotes a field, and all number cells decoded by one
@@ -110,8 +112,7 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 #: under these options orjson's layout, key order and string escapes are
 #: those of json.dumps(sort_keys=True, indent=2, ensure_ascii=False)
-_ORJSON_OPTIONS = (orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
-                   | orjson.OPT_APPEND_NEWLINE)
+_ORJSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
 #: the arrays orjson writes as their tolist() values, in native byte order
 _ORJSON_DTYPES = (np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.bool_))
 # The three forms in which orjson spells a float unlike repr, matched only
@@ -122,10 +123,17 @@ _SHORT_EXPONENT = re.compile(rb"e-(?=\d,?\n)")  # 1e-7
 _BARE_EXPONENT = re.compile(rb"e(?<=\de)(?=\d+,?\n)")  # 1e16
 #: the bytes of orjson's text searched at a time, up to the next newline
 _RESPELL_CHUNK = 1 << 16
+#: the bytes read from a file at a time
+_READ_BLOCK = 1 << 20
 
 
 def _non_finite(x) -> InputError:
     return InputError(f"cannot serialize non-finite number {float(x)!r}")
+
+
+def _block_rows(x: np.ndarray) -> int:
+    """The rows of ``x`` that make about _RESPELL_CHUNK of text, 24 bytes a value."""
+    return max(1, _RESPELL_CHUNK // (24 * max(1, math.prod(x.shape[1:]))))
 
 
 def _orjson_fits(x) -> bool:
@@ -162,34 +170,66 @@ def _orjson_fits(x) -> bool:
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-def _respelled(raw: bytes):
-    """Yield orjson's text ``raw`` in pieces, each float that orjson spells
-    unlike repr respelled: 0.000012 as 1.2e-05, 1e-7 as 1e-07 and 1e16 as
-    1e+16.  The unchanged spans are views of ``raw``, so the text is never
-    copied, and it is searched a chunk of whole lines at a time, so a text
-    of many such floats holds one chunk's fixes at a time."""
-    view, at, start = memoryview(raw), 0, 0
+def _respelled(raw: bytes, start: int = 0, end: int | None = None):
+    """Yield orjson's text ``raw[start:end]`` in pieces, each float that
+    orjson spells unlike repr respelled: 0.000012 as 1.2e-05, 1e-7 as 1e-07
+    and 1e16 as 1e+16.  The unchanged spans are views of ``raw``, searched a
+    chunk of whole lines at a time, so one chunk's fixes are held at a time."""
+    view, at = memoryview(raw), start
     while start < len(raw):
         stop = raw.find(b"\n", start + _RESPELL_CHUNK) + 1 or len(raw)
         fixes = [(m.start() - 1, m.end(), (m[1][:1] + b"." + m[1][1:]).rstrip(b".") + b"e-05")
                  for m in _FIXED_SMALL.finditer(raw, start, stop)]
         fixes += [(m.end(), m.end(), b"0") for m in _SHORT_EXPONENT.finditer(raw, start, stop)]
         fixes += [(m.end(), m.end(), b"+") for m in _BARE_EXPONENT.finditer(raw, start, stop)]
-        for begin, end, text in sorted(fixes):
+        for begin, after, text in sorted(fixes):
             yield view[at:begin]
             yield text
-            at = end
+            at = after
         start = stop
-    yield view[at:]
+    yield view[at:end]
+
+
+def _with_blocks(text: bytes, mark: bytes, arrays: list):
+    """Yield orjson's ``text`` respelled, each ``mark`` replaced by the next of
+    ``arrays`` a block of rows at a time.  Under d axes, d the mark's depth, a
+    block's "[" comes after d(d + 3) bytes and its "]" before d(d + 1)."""
+    at = 0
+    for x in arrays:
+        pos = text.index(mark, at)
+        yield from _respelled(text[at:pos])
+        line = text[text.rfind(b"\n", 0, pos) + 1:pos]
+        depth = (len(line) - len(line.lstrip(b" "))) // 2
+        head, tail, rows = depth * (depth + 3), depth * (depth + 1), _block_rows(x)
+        for i in range(0, len(x), rows):  # the rows under depth axes of length one
+            raw = orjson.dumps(x[(None,) * depth + (slice(i, i + rows),)],
+                               option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY)
+            # past the first block its "[" goes, and a comma takes the "\n]" of all but the last
+            more = i + rows < len(x)
+            yield from _respelled(raw, head + bool(i), len(raw) - tail - more * (2 + 2 * depth))
+            yield b"," * more
+        at = pos + len(mark)
+    yield from _respelled(text[at:])
 
 
 def _canonical_bytes(obj):
     """The canonical bytes of ``obj``, in pieces to be written in turn."""
+    # a marker string, and its text, stands for each array longer than a block
+    marker, mark, arrays = "\x00rows", b'"\\u0000rows"', []
+
+    def default(v):  # numpy values, as OPT_SERIALIZE_NUMPY writes them
+        if type(v) is np.ndarray and len(v) > _block_rows(v):
+            arrays.append(v)
+            return marker
+        return v.tolist()
+
     if _orjson_fits(obj):
         # orjson refuses ints beyond 64 bits, lone surrogates, str subclasses
         # as keys and nesting past its depth limit
         with contextlib.suppress(orjson.JSONEncodeError):
-            return _respelled(orjson.dumps(obj, option=_ORJSON_OPTIONS))
+            text = orjson.dumps(obj, default=default, option=_ORJSON_OPTIONS)
+            if text.count(mark) == len(arrays):  # else a string of obj holds the marker
+                return _with_blocks(text, mark, arrays)
     text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False,
                       default=lambda v: float(v) if isinstance(v, np.floating) else v.tolist())
     return [(text + "\n").encode("utf-8")]
@@ -200,13 +240,27 @@ def canonical_json(obj) -> str:
     ensure_ascii=False), numpy values as their Python values, plus a newline,
     as orjson writes it where it can.  A non-finite number, numpy scalars
     included, is an InputError."""
-    return b"".join(_canonical_bytes(obj)).decode("utf-8")
+    text = bytearray()
+    for piece in _canonical_bytes(obj):  # each block's text goes once it is in
+        text += piece
+    return text.decode("utf-8")
+
+
+def _write_whole(path, pieces) -> None:
+    """Write ``pieces`` to a file beside ``path``, then move it into place."""
+    part = f"{os.fspath(path)}.{os.getpid()}-{os.urandom(4).hex()}.part"
+    fh = open(part, "xb")  # the mode open(path, "wb") gives a new file
+    try:
+        with fh:
+            fh.writelines(pieces)
+        os.replace(part, path)
+    except BaseException:
+        os.unlink(part)
+        raise
 
 
 def write_json(path, obj) -> None:
-    pieces = _canonical_bytes(obj)  # an error leaves the file as it was
-    with open(path, "wb") as fh:
-        fh.writelines(pieces)
+    _write_whole(path, _canonical_bytes(obj))  # the pre-walk runs before any file opens
 
 
 def _cell(v) -> str:
@@ -220,17 +274,14 @@ def _cell(v) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    lines = [",".join(map(str, header))]
-    lines += [",".join(map(_cell, row)) for row in rows]
-    lines.append("")
-    with open(path, "wb") as fh:
-        fh.write("\n".join(lines).encode("utf-8"))
+    lines = [",".join(map(str, header)), *(",".join(map(_cell, row)) for row in rows), ""]
+    _write_whole(path, ["\n".join(lines).encode("utf-8")])
 
 
 def sha256_of(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(_READ_BLOCK), b""):
             h.update(chunk)
     return h.hexdigest()
 
@@ -655,12 +706,13 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
                          else tail_from_json(doc, f"{where}.tails[{i}]"))
     meta = _metadata_from_json(obj.get("metadata"), carrier, f"{where}.metadata")
     with _naming(f"{where}.metadata"):
-        return SequenceFamily(values=values, tails=tails or None, carrier=carrier, metadata=meta)
+        return SequenceFamily(values=values, tails=tails or None, carrier=carrier, metadata=meta,
+                              _adopt=type(rows) is np.ndarray)
 
 
-#: the largest file read_json decodes whole with orjson.  orjson holds the
-#: input and its own tree while it builds the objects, so on a 24 MB family
-#: its peak is 1.5 times that of json; load_family takes the row route above it.
+#: the largest file read_json decodes whole with orjson, which holds the input
+#: and its tree at once (1.5 times json's peak on a 24 MB family).  Above it
+#: load_family takes the row route, which holds the matrix and a read block.
 ORJSON_MAX_BYTES = 4 << 20
 
 #: digits to "0" and the other number bytes kept, but "-" and every other
@@ -686,44 +738,60 @@ def _has_wide_int(data: bytes) -> bool:
     return b" " + _WIDE_INT in runs or runs.startswith(_WIDE_INT)
 
 
-def _with_member_matrix(data: bytes):
-    """The family document ``data`` read by the row route: its top-level
-    "members" rows decoded one at a time into one float64 matrix, the rest
-    (the skeleton) with the list spliced out.  None where the route does not
-    apply; orjson refusing a piece raises its JSONDecodeError."""
-    key = _MEMBERS.search(data)
-    if key is None:
-        return None
-    spans, pos = [], key.end()
+def _with_member_matrix(fh, size: int):
+    """The family document in the binary file ``fh`` of ``size`` bytes by the
+    row route, read a block at a time: its top-level "members" rows decoded
+    one by one into a float64 matrix, the rest (the skeleton) with that list
+    spliced out.  None where the route does not apply; a piece orjson refuses raises."""
+    buf, key = bytearray(), None
+    while key is None:  # a match split by a block starts at its last "members"
+        resume = max(0, len(buf.rstrip(b":" + _WHITESPACE)) - len(b'"members"'))
+        block = fh.read(_READ_BLOCK)
+        if not block:
+            return None
+        buf += block
+        key = _MEMBERS.search(buf, resume)
+    head = bytes(buf[:key.end() - 1])
+    matrix, count, pos, searched = None, 0, key.end(), key.end()  # no "]" before searched
     while True:
-        start, end = data.find(b"[", pos), data.find(b"]", pos)
-        if not 0 <= start < end or data[pos:start].strip(_WHITESPACE) != (b"," if spans else b""):
+        end = buf.find(b"]", searched)
+        if end < 0:  # the row goes on in the next block: keep its start alone
+            block = fh.read(_READ_BLOCK)
+            if not block:
+                return None
+            del buf[:pos]
+            pos, searched = 0, len(buf)
+            buf += block
+            continue
+        start = buf.find(b"[", pos, end)
+        if start < 0 or buf[pos:start].strip(_WHITESPACE) != (b"," if count else b""):
             break
-        spans.append((start, end + 1))
-        pos = end + 1
-    if not spans or end < 0 or data[pos:end].strip(_WHITESPACE):
+        row = bytes(memoryview(buf)[start:end + 1])  # bytes translate the fastest
+        if row.translate(None, _ROW_BYTES) != b"[]":
+            return None
+        row = orjson.loads(row)
+        if matrix is None:  # room for as many rows of the first one's length as fit the file
+            matrix = np.empty((size // (end + 1 - start) + 1, len(row)))
+        elif len(row) != matrix.shape[1]:
+            return None
+        if count == len(matrix):  # grown in place, never copied beside itself
+            matrix.resize((count + count // 8 + 1, len(row)), refcheck=False)
+        matrix[count] = row  # an int becomes float(int), as the json route's does
+        count, pos, searched = count + 1, end + 1, end + 1
+    if not count or buf[pos:end].strip(_WHITESPACE):
         return None
-    parts = data[:key.end() - 1], data[end + 1:]
-    skeleton = b"0".join(parts)
+    tail = bytes(buf[end + 1:]) + fh.read()
+    skeleton = b"0".join((head, tail))
     # the list is the value the top-level key reads (the last "members", not
     # one in a string or a nested object) when splicing in 0 and null both show
     found = None if _has_wide_int(skeleton) else orjson.loads(skeleton)
     if type(found) is not dict or found.get("members") != 0:
         return None
     del found, skeleton  # one skeleton tree at a time
-    doc = orjson.loads(b"null".join(parts))
+    doc = orjson.loads(b"null".join((head, tail)))
     if doc["members"] is not None:
         return None
-    matrix = None
-    for i, (start, end) in enumerate(spans):
-        row = data[start:end]
-        if row.translate(None, _ROW_BYTES) != b"[]":
-            return None
-        row = orjson.loads(row)
-        matrix = np.empty((len(spans), len(row))) if matrix is None else matrix
-        if len(row) != matrix.shape[1]:
-            return None
-        matrix[i] = row  # an int becomes float(int), as the json route's does
+    matrix.resize((count, matrix.shape[1]), refcheck=False)
     doc["members"] = matrix
     return doc
 
@@ -750,10 +818,10 @@ def read_json(path):
 
 
 def load_family(path) -> SequenceFamily:
-    doc = None
-    if os.path.getsize(path) > ORJSON_MAX_BYTES:  # the row route, as the module docstring says
+    doc, size = None, os.path.getsize(path)
+    if size > ORJSON_MAX_BYTES:  # the row route, as the module docstring says
         with open(path, "rb") as fh, contextlib.suppress(orjson.JSONDecodeError):
-            doc = _with_member_matrix(fh.read())
+            doc = _with_member_matrix(fh, size)
     return family_from_json(read_json(path) if doc is None else doc, where=str(path))
 
 

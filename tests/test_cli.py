@@ -1480,6 +1480,42 @@ def test_a_tolerance_that_is_not_a_positive_finite_number_exits_two_before_the_c
     assert not out.exists()
 
 
+def _every_subcommand(tmp_path) -> dict:
+    """A valid argv of each subcommand but check, before the common options."""
+    main(["generate", "steps", "--out", str(tmp_path / "s")])
+    fam = str(tmp_path / "s" / "step_family.json")
+    assert main(["witness", "jumps", "--family", fam, "--eps", "0.25",
+                 "--out", str(tmp_path / "w")]) == 0
+    space = tmp_path / "line.csv"
+    space.write_text("label,x\na,0\nb,1\nc,3\n")
+    return {"metric": ["metric", "--space", str(space), "--format", "coords-csv"],
+            "envelope": ["envelope", "--space", str(space), "--format", "coords-csv",
+                         "--set", "a"],
+            "witness": ["witness", "jumps", "--family", fam, "--eps", "0.25"],
+            "generate": ["generate", "steps"],
+            "verify": ["verify", "--family", fam, "--witness", str(tmp_path / "w" / "witness.json")]}
+
+
+@pytest.mark.parametrize("option, value, said", [
+    ("--seed", "-5", "seed must be >= 0, got -5"),
+    ("--tolerance", "-1", "tolerance must be positive, got -1.0"),
+    ("--horizon", "0", "horizon must be >= 1, got 0"),
+], ids=["seed", "tolerance", "horizon"])
+@pytest.mark.parametrize("command", ["metric", "envelope", "witness", "generate", "verify"])
+def test_an_invalid_common_option_exits_two_in_every_subcommand(command, option, value, said,
+                                                               tmp_path, capsys):
+    """Every subcommand records --seed, --tolerance and --horizon in its
+    provenance, so each checks them as check does, even where it reads none."""
+    argv = _every_subcommand(tmp_path)[command]
+    assert main([*argv, "--out", str(tmp_path / "valid")]) == 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*argv, option, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert said in err and "Traceback" not in err
+    assert not out.exists()
+
+
 _OVERFLOWING = "a,b,c\na,0,1e308,1e308\nb,1e308,0,1e308\nc,1e308,1e308,0\n"
 
 

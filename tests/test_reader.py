@@ -242,6 +242,36 @@ def test_the_row_route_returns_what_json_loads_returns(tmp_path_factory, text):
     assert row_route_family(path) == json_family(path)
 
 
+@given(_family_texts(), st.integers(1, 64))
+def test_the_row_route_read_in_blocks_returns_what_json_loads_returns(tmp_path_factory, text,
+                                                                     block):
+    """Read a block of 1 to 64 bytes at a time, a row, a key or a number
+    literal may lie across blocks."""
+    path = tmp_path_factory.getbasetemp() / "family.json"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(serialize, "_READ_BLOCK", block):
+        assert row_route_family(path) == json_family(path)
+
+
+#: rows around a wide integer, fields on both sides, and separators of
+#: several lengths: a family the row route reads
+_SEAMED = ('{"schema_version": 1,  "a": "members", "carrier": {"kind": "index_set", "size": 3},'
+           '\n  "members"  :\t [ [1e-07, -0.0, 12345678901234567890] ,\n\n'
+           '[5e-324,1E+16,  -2.5e-3],[0, 1, 2]\t],"tails": [null, {"kind": "zero"}, null],'
+           ' "metadata": {"notes": ["[x]"]}}')
+
+
+@pytest.mark.parametrize("block", range(1, 65))
+def test_the_row_route_takes_a_family_at_every_block_size(block, tmp_path, monkeypatch):
+    path = tmp_path / "family.json"
+    path.write_bytes(_SEAMED.encode("utf-8"))
+    oracle = json_family(path)
+    assert oracle.startswith("{")
+    monkeypatch.setattr(serialize, "_READ_BLOCK", block)
+    monkeypatch.setattr(serialize.json, "load", None)  # any json call would raise
+    assert row_route_family(path) == oracle
+
+
 def family_text(members: str, size: int = 1, fields: str = "") -> str:
     return ('{"schema_version": 1, "carrier": {"kind": "index_set", "size": %d}, %s"members": %s}'
             % (size, fields, members))

@@ -8,6 +8,7 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -208,6 +209,60 @@ def test_a_reference_file_re_encodes_to_its_own_bytes(path):
     assert canonical_json(json.loads(raw)).encode("utf-8") == raw
 
 
+#: the floats orjson spells unlike repr, and the extremes, to sit on block seams
+_seam_floats = st.one_of(st.sampled_from([1e-07, 1e+16, 1e-05, -0.0, 5e-324]), _floats)
+_block_shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=5)
+_block_arrays = st.one_of(
+    hnp.arrays(np.float64, _block_shapes, elements=_seam_floats),
+    hnp.arrays(np.int64, _block_shapes),
+    hnp.arrays(np.bool_, _block_shapes),
+)
+
+
+@st.composite
+def _blocked_documents(draw):
+    """An object holding one to three arrays, each nested in lists and
+    objects to a drawn depth, beside a float and a string."""
+    doc = {"float": draw(_seam_floats), "text": draw(_texts)}
+    for k in range(draw(st.integers(1, 3))):
+        value = draw(_block_arrays)
+        for outer in draw(st.lists(st.sampled_from(["list", "object", "row"]), max_size=3)):
+            value = {"v": value, "w": 1e-07} if outer == "object" else (
+                [value] if outer == "list" else [1e+16, value, "s"])
+        doc[f"a{k}"] = value
+    return doc
+
+
+@settings(max_examples=200)
+@given(_blocked_documents(), st.integers(1, 3), st.sampled_from([1, 7, 1 << 16]))
+def test_arrays_written_in_row_blocks_give_the_standard_library_bytes(tmp_path_factory, doc,
+                                                                    rows, chunk):
+    """Every array goes out ``rows`` rows at a time, each block respelled on
+    its own (line by line at a chunk of 1) and indented to the array's depth."""
+    path = tmp_path_factory.getbasetemp() / "blocked.json"
+    dumps, calls = orjson.dumps, []
+    with mock.patch.object(serialize, "_block_rows", lambda x: rows), \
+            mock.patch.object(serialize, "_RESPELL_CHUNK", chunk), \
+            mock.patch.object(serialize.orjson, "dumps",
+                              lambda *a, **k: calls.append(a[0]) or dumps(*a, **k)):
+        write_json(path, doc)
+    assert path.read_bytes() == oracle_json(doc).encode("utf-8")
+    # the rest of the document, then each block of every longer array
+    blocks = sum(-(-len(x) // rows) for x in _arrays_in(doc) if len(x) > rows)
+    assert len(calls) == 1 + blocks
+
+
+def _arrays_in(x):
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, dict):
+        for v in x.values():
+            yield from _arrays_in(v)
+    elif isinstance(x, list):
+        for v in x:
+            yield from _arrays_in(v)
+
+
 @pytest.mark.parametrize("doc, named", [
     (np.float64("-inf"), "-inf"),
     (np.float32("inf"), "inf"),
@@ -268,6 +323,40 @@ def test_load_family_peak_memory_stays_near_its_file_and_matrix(tmp_path):
     assert peak < path.stat().st_size + 2 * family.stacked(300).nbytes
 
 
+def test_load_family_holds_the_matrix_and_not_the_text(tmp_path):
+    """The row route reads the file in blocks into one matrix, which the
+    family takes as its own: the 24 MB text is never held, nor a second copy."""
+    rng = np.random.default_rng(7)
+    family = SequenceFamily(values=rng.standard_normal((300, 3000)), tails=Tail.zero(),
+                            carrier=Carrier.index_set(3000))
+    path = tmp_path / "family.json"
+    write_json(path, family_to_json(family))
+    tracemalloc.start()
+    try:
+        loaded = load_family(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.stacked(300), family.stacked(300))
+    assert peak <= 1.25 * family.stacked(300).nbytes + (4 << 20)
+
+
+def test_write_json_holds_a_block_and_not_the_text(tmp_path):
+    rng = np.random.default_rng(7)
+    family = SequenceFamily(values=rng.standard_normal((300, 3000)), tails=Tail.zero(),
+                            carrier=Carrier.index_set(3000))
+    doc = family_to_json(family)
+    path = tmp_path / "family.json"
+    tracemalloc.start()
+    try:
+        write_json(path, doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 20_000_000
+    assert peak <= 4 << 20
+
+
 def test_write_json_bytes_are_reproducible(tmp_path):
     doc = {"z": [0.1, 0.2, 0.30000000000000004], "a": "text"}
     p1, p2 = tmp_path / "one.json", tmp_path / "two.json"
@@ -285,6 +374,39 @@ def test_a_failed_write_json_leaves_the_file_as_it_was(tmp_path):
     with pytest.raises(InputError, match="cannot serialize non-finite number inf"):
         write_json(path, {"x": float("inf")})
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("error", [orjson.JSONEncodeError, KeyboardInterrupt])
+def test_a_write_json_that_fails_between_blocks_leaves_the_file_as_it_was(error, tmp_path,
+                                                                          monkeypatch):
+    path = tmp_path / "family.json"
+    write_json(path, {"x": 1.0})
+    before = path.read_bytes()
+    blocks, dumps = [], orjson.dumps
+
+    def failing(obj, *args, **kwargs):
+        if isinstance(obj, np.ndarray):  # a block of rows, under one axis as the array is
+            blocks.append(obj)
+            if len(blocks) == 2:
+                raise error("failed on the second block")
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(serialize, "_block_rows", lambda x: 2)
+    monkeypatch.setattr(serialize.orjson, "dumps", failing)
+    with pytest.raises(error, match="second block"):
+        write_json(path, {"members": np.arange(12.0).reshape(6, 2)})
+    assert len(blocks) == 2
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_write_json_gives_a_new_file_the_mode_open_gives(tmp_path):
+    opened = tmp_path / "opened.json"
+    with open(opened, "wb"):
+        pass
+    written = tmp_path / "written.json"
+    write_json(written, {"x": 1.0})
+    assert written.stat().st_mode == opened.stat().st_mode
 
 
 def test_write_csv_renders_floats_round_trip_exactly(tmp_path):
