@@ -214,10 +214,9 @@ def _with_blocks(text: bytes, mark: bytes, arrays: list):
 
 def _canonical_bytes(obj):
     """The canonical bytes of ``obj``, in pieces to be written in turn."""
-    # a marker string, and its text, stands for each array longer than a block
-    marker, mark, arrays = "\x00rows", b'"\\u0000rows"', []
+    marker, mark, arrays = "\x00rows", b'"\\u0000rows"', []  # the marker and its text
 
-    def default(v):  # numpy values, as OPT_SERIALIZE_NUMPY writes them
+    def default(v):  # numpy values as OPT_SERIALIZE_NUMPY writes them, long arrays as the marker
         if type(v) is np.ndarray and len(v) > _block_rows(v):
             arrays.append(v)
             return marker
@@ -670,7 +669,7 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
         return family
 
     rows = _require(obj, "members", where)
-    if type(rows) is not np.ndarray:  # load_family's row route gives the matrix
+    if type(rows) is not np.ndarray:  # load_family's row route gives a read-only matrix
         rows = _parsed(_list, rows, f"{where}.members")
     if not len(rows):
         raise InputError(f"{where}: members is empty")
@@ -707,7 +706,7 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
     meta = _metadata_from_json(obj.get("metadata"), carrier, f"{where}.metadata")
     with _naming(f"{where}.metadata"):
         return SequenceFamily(values=values, tails=tails or None, carrier=carrier, metadata=meta,
-                              _adopt=type(rows) is np.ndarray)
+                              _adopt=type(rows) is np.ndarray and not rows.flags.writeable)
 
 
 #: the largest file read_json decodes whole with orjson, which holds the input
@@ -792,6 +791,7 @@ def _with_member_matrix(fh, size: int):
     if doc["members"] is not None:
         return None
     matrix.resize((count, matrix.shape[1]), refcheck=False)
+    matrix.setflags(write=False)  # the one matrix family_from_json gives the family uncopied
     doc["members"] = matrix
     return doc
 

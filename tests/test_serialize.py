@@ -341,6 +341,16 @@ def test_load_family_holds_the_matrix_and_not_the_text(tmp_path):
     assert peak <= 1.25 * family.stacked(300).nbytes + (4 << 20)
 
 
+def test_family_from_json_copies_a_writable_matrix_it_is_given():
+    """Only load_family's read-only matrix is taken uncopied; a caller's own
+    array stays theirs and writable."""
+    values = np.arange(6.0).reshape(3, 2)
+    family = family_from_json({"schema_version": 1, "members": values,
+                               "carrier": {"kind": "index_set", "size": 2}})
+    assert values.flags.writeable and not np.shares_memory(family.stacked(3), values)
+    assert np.array_equal(family.stacked(3), values)
+
+
 def test_write_json_holds_a_block_and_not_the_text(tmp_path):
     rng = np.random.default_rng(7)
     family = SequenceFamily(values=rng.standard_normal((300, 3000)), tails=Tail.zero(),
@@ -376,7 +386,8 @@ def test_a_failed_write_json_leaves_the_file_as_it_was(tmp_path):
     assert path.read_bytes() == before
 
 
-@pytest.mark.parametrize("error", [orjson.JSONEncodeError, KeyboardInterrupt])
+@pytest.mark.parametrize("error", [orjson.JSONEncodeError, KeyboardInterrupt],
+                         ids=["refused", "interrupted"])
 def test_a_write_json_that_fails_between_blocks_leaves_the_file_as_it_was(error, tmp_path,
                                                                           monkeypatch):
     path = tmp_path / "family.json"
