@@ -236,16 +236,14 @@ def cmd_metric(args) -> int:
     profile = isolation_profile(space)
     delta = profile.delta
     pair = find_close_pair(space, excluded=(), eps=2.0 * delta)
-    radii = profile.radii.tolist()
-    # cells go to write_csv as text, each radius formatted as it is written;
-    # the running minimum of the increasing radii is their first, delta
-    text, least = float.__repr__, float.__repr__(delta)
+    order = np.argsort(profile.radii, kind="stable").tolist()
+    # by column; the running minimum of the increasing radii is their first, delta
     _emit(args,
           ("isolation_profile.csv", ["label", "isolation_radius"],
-           zip(profile.labels, map(text, radii))),
+           zip(profile.labels, profile.radii.tolist())),
           ("delta_trend.csv", ["rank", "label", "isolation_radius", "running_min"],
-           ((str(r), profile.labels[i], text(radii[i]), least)
-            for r, i in enumerate(np.argsort(profile.radii, kind="stable").tolist(), 1))),
+           zip(map(str, range(1, space.n + 1)), map(profile.labels.__getitem__, order),
+               profile.radii[order].tolist(), [delta] * space.n)),
           ("metric_report.json", serialize.record("metric", {
               "n": space.n, "discreteness_constant": delta, "closest_pair": list(pair)})))
     print(f"n={space.n} delta={delta!r}")
@@ -351,8 +349,8 @@ def cmd_generate(args) -> int:
         outputs = [
             ("ladder_family.json", serialize.family_to_json(cex.family)),
             ("blowups.csv", ["b_label", "a_label", "t", "ratio", "lower_bound"],
-             ((b, a, t, r, 1.0 / (2.0 * np.sqrt(t)))
-              for (b, a), t, r in zip(cex.blow_up_pairs, cex.t, cex.blow_up))),
+             zip(*zip(*cex.blow_up_pairs), cex.t, cex.blow_up,  # b and a labels, then numbers
+                 (1.0 / (2.0 * np.sqrt(cex.t))).tolist())),
             ("level_trend.csv", ["level", "scale", "delta", "lipschitz"], cex.level_rows),
         ]
         if len(levels) >= 3:

@@ -115,14 +115,17 @@ class RefinementFamily:
             b_set = {b for _, b in self.pairs}
             if a_set & b_set or len(a_set) < len(self.pairs) or len(b_set) < len(self.pairs):
                 raise InputError("pair labels must be distinct and non-overlapping")
-            top = self.spaces[-1]
-            for i, (a, b) in enumerate(self.pairs[: self.levels[-1]], start=1):
-                gap = top.distance(top.index(a), top.index(b))
-                if not 0.0 < gap < 1.0 / i:
-                    raise InputError(
-                        f"pair {i} sits at distance {gap:.6g}, not inside (0, 1/{i})"
-                    )
-            _check_pair_separation(top, self.pairs[: self.levels[-1]])
+            top, pairs = self.spaces[-1], self.pairs[: self.levels[-1]]
+            a, b = (np.array([top.index(p[k]) for p in pairs], dtype=np.intp) for k in (0, 1))
+            # each pair's gap on the diagonal of a distance block, in bounded memory
+            gaps = np.concatenate([np.diagonal(top.distances(a[lo:hi], b[lo:hi]))
+                                   for lo, hi in row_windows(len(pairs), len(pairs))])
+            bad = np.flatnonzero(~((gaps > 0.0) & (gaps < 1.0 / np.arange(1, len(pairs) + 1))))
+            if bad.size:
+                i = int(bad[0]) + 1
+                raise InputError(f"pair {i} sits at distance {gaps[i - 1]:.6g}, "
+                                 f"not inside (0, 1/{i})")
+            _check_pair_separation(top, pairs)
 
     def space_at(self, level: int) -> FiniteMetricSpace:
         try:
@@ -320,28 +323,29 @@ class LipCounterexample:
     family: SequenceFamily = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "t", tuple(float(v) for v in self.t))
-        object.__setattr__(self, "blow_up", tuple(float(v) for v in self.blow_up))
+        object.__setattr__(self, "t", tuple(map(float, self.t)))
+        object.__setattr__(self, "blow_up", tuple(map(float, self.blow_up)))
         if not self.a_labels:
             raise InputError("the target set A is empty")
         if len(self.b_labels) != len(self.t) or len(self.t) != len(self.blow_up):
             raise InputError("b labels, t values and blow-up ratios disagree in length")
         if not self.t:
             raise InputError("no approach points: every candidate sits at distance >= 1")
-        if not all(0.0 < v < 1.0 for v in self.t):
+        t = np.array(self.t)
+        if not ((t > 0.0) & (t < 1.0)).all():
             raise InputError("approach distances must lie in (0, 1)")
-        if not all(b < a for a, b in zip(self.t, self.t[1:])):
+        if not (t[1:] < t[:-1]).all():
             raise InputError("approach distances must strictly decrease")
         space = self.refinement.spaces[-1]
         expected = np.minimum(np.sqrt(dist_to_set_all(space, self.a_labels)), 1.0)
         if not np.array_equal(self.g.values, expected):
             raise InputError("g disagrees with sqrt(dist(., A)) ∧ 1 on some point")
-        for i, (ratio, t_val) in enumerate(zip(self.blow_up, self.t)):
-            if not ratio > 1.0 / (2.0 * math.sqrt(t_val)):
-                raise InputError(
-                    f"blow-up {i + 1} is {ratio:.6g}, not above "
-                    f"1/(2*sqrt(t)) = {1.0 / (2.0 * math.sqrt(t_val)):.6g}"
-                )
+        floor = 1.0 / (2.0 * np.sqrt(t))
+        low = np.flatnonzero(~(np.array(self.blow_up) > floor))
+        if low.size:
+            i = int(low[0])
+            raise InputError(f"blow-up {i + 1} is {self.blow_up[i]:.6g}, not above "
+                             f"1/(2*sqrt(t)) = {floor[i]:.6g}")
         for res in self.envelopes:
             if np.any(res.g_n.values > self.g.values):
                 raise InputError(f"envelope n={res.n} exceeds g somewhere")
@@ -435,21 +439,15 @@ def _approach_points(refinement, space, a_labels, dist):
     if refinement.kind == "pairs":
         labs = [b for _, b in refinement.pairs[:refinement.levels[-1]]]
         return tuple(labs), tuple(float(dist[space.index(b)]) for b in labs)
-    order = []
-    for i, lab in enumerate(space.labels):
-        if lab not in a_labels and 0.0 < dist[i] < 1.0:
-            order.append((float(dist[i]), lab))
-    order.sort(key=lambda item: (-item[0], item[1]))
-    labs, t, seen = [], [], set()
-    for d, lab in order:
-        if d in seen:
-            continue  # strict decrease: keep the first label per distance
-        seen.add(d)
-        labs.append(lab)
-        t.append(d)
-    if not labs:
+    inside = (dist > 0.0) & (dist < 1.0)
+    inside[[space.index(a) for a in a_labels]] = False
+    if not inside.any():
         raise InputError("no approach points: every candidate sits at distance >= 1")
-    return tuple(labs), tuple(t)
+    # by label, then stably by distance down: ties stay in label order
+    idx = np.array(sorted(np.flatnonzero(inside).tolist(), key=space.labels.__getitem__))
+    idx = idx[np.argsort(-dist[idx], kind="stable")]
+    idx = idx[np.r_[True, np.diff(dist[idx]) != 0.0]]  # strict decrease: first label per distance
+    return tuple(map(space.labels.__getitem__, idx.tolist())), tuple(dist[idx].tolist())
 
 
 # ---------------------------------------------------------------------------

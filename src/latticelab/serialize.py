@@ -13,6 +13,10 @@ repr (0.00001, 1e-7 and 1e16 for 1e-05, 1e-07 and 1e+16), a long array a
 block of rows at a time.  A pre-walk names the first non-finite number, and
 json writes what orjson refuses or would spell otherwise: float32 values,
 wide ints, lone surrogates.  A failed write leaves the old file whole.
+``write_csv`` renders a table by column: a float64 column in one orjson
+call, str cells as they are, any other cell as repr or str spells it.  The
+one respell scans a float column or array block only where numpy finds a
+value orjson spells unlike repr, 0 < |x| < 1e-4 or |x| >= 1e16.
 
 JSON files are read by ``read_json``, which returns json's document: orjson,
 whose correctly rounded number parser gives json's floats bit for bit in a
@@ -170,6 +174,15 @@ def _orjson_fits(x) -> bool:
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
+def _spelled(x: np.ndarray, raw: bytes, start: int, end: int):
+    """orjson's text ``raw[start:end]`` of the array ``x``, respelled only where ``x`` needs it."""
+    if x.dtype.kind == "f":
+        mag = np.abs(x)
+        if ((mag > 0.0) & (mag < 1e-4)).any() or (mag >= 1e16).any():
+            return _respelled(raw, start, end)
+    return [memoryview(raw)[start:end]]
+
+
 def _respelled(raw: bytes, start: int = 0, end: int | None = None):
     """Yield orjson's text ``raw[start:end]`` in pieces, each float that
     orjson spells unlike repr respelled: 0.000012 as 1.2e-05, 1e-7 as 1e-07
@@ -206,7 +219,8 @@ def _with_blocks(text: bytes, mark: bytes, arrays: list):
                                option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY)
             # past the first block its "[" goes, and a comma takes the "\n]" of all but the last
             more = i + rows < len(x)
-            yield from _respelled(raw, head + bool(i), len(raw) - tail - more * (2 + 2 * depth))
+            yield from _spelled(x[i:i + rows], raw, head + bool(i),
+                                len(raw) - tail - more * (2 + 2 * depth))
             yield b"," * more
         at = pos + len(mark)
     yield from _respelled(text[at:])
@@ -272,8 +286,22 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _column(values) -> list:
+    """The CSV cells of one column, as the module docstring says."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return values
+    x = np.array(values) if kinds <= {float, np.float64} else None
+    if x is None or not np.isfinite(x).all():  # orjson writes nan and inf as null
+        return list(map(_cell, values))
+    raw = orjson.dumps(x, option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY)
+    return b"".join(_spelled(x, raw, 4, len(raw) - 2)).decode().split(",\n  ")
+
+
 def write_csv(path, header, rows) -> None:
-    lines = [",".join(map(str, header)), *(",".join(map(_cell, row)) for row in rows), ""]
+    """One line per row under the header; a ragged row raises a ValueError."""
+    columns = map(_column, zip(*rows, strict=True))
+    lines = [",".join(map(str, header)), *map(",".join, zip(*columns)), ""]
     _write_whole(path, ["\n".join(lines).encode("utf-8")])
 
 

@@ -135,6 +135,48 @@ def test_pairs_validation():
                          pairs=(("a1", "b1"), ("a2", "b2")))
 
 
+def pairs_space(gaps):
+    """Pair i at 3i, its b-point ``gaps[i - 1]`` to the right."""
+    coords = [c for i, gap in enumerate(gaps, 1) for c in (3.0 * i, 3.0 * i + gap)]
+    labels = [lab for i in range(1, len(gaps) + 1) for lab in (f"a{i}", f"b{i}")]
+    pairs = tuple((f"a{i}", f"b{i}") for i in range(1, len(gaps) + 1))
+    return line_space(coords, labels), pairs
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 8])
+def test_the_first_pair_outside_its_window_is_named(k):
+    gaps = [0.5 / i for i in range(1, 9)]
+    gaps[k - 1] = 1.5 / k
+    if k < 8:
+        gaps[-1] = 2.0  # a later pair outside its window too
+    top, pairs = pairs_space(gaps)
+    gap = top.distance(f"a{k}", f"b{k}")
+    with pytest.raises(InputError) as err:
+        RefinementFamily(kind="pairs", levels=(8,), spaces=(top,), pairs=pairs)
+    assert str(err.value) == f"pair {k} sits at distance {gap:.6g}, not inside (0, 1/{k})"
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_approach_points_keep_the_first_label_per_distance(sign):
+    """Two labels at one distance from the anchor: the one first in label
+    order is kept, whichever coordinate it has, and the distances fall."""
+    space = line_space([0.0, 0.5 * sign, -0.5 * sign, 0.25, 1.5, -0.125],
+                       ["x0", "q", "p", "r", "far", "s"])
+    ref = RefinementFamily(kind="accumulation", levels=(6,), spaces=(space,), anchor="x0")
+    cex = lip_counterexample(ref, 2)
+    assert cex.b_labels == ("p", "r", "s")
+    assert cex.t == (0.5, 0.25, 0.125)
+
+
+def test_the_first_blow_up_under_its_floor_is_named():
+    cex = lip_counterexample(build_refinement("accumulation", [4, 8]), 2)
+    floor = 1.0 / (2.0 * math.sqrt(cex.t[2]))
+    blow_up = cex.blow_up[:2] + (floor, 0.0) + cex.blow_up[4:]
+    with pytest.raises(InputError) as err:
+        dataclasses.replace(cex, blow_up=blow_up)
+    assert str(err.value) == f"blow-up 3 is {floor:.6g}, not above 1/(2*sqrt(t)) = {floor:.6g}"
+
+
 # ---------------------------------------------------------------------------
 # shrinking hats
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latticelab import metric
+from latticelab import envelopes, metric
 from latticelab.core import Carrier, LatticeElement
 from latticelab.envelopes import (
     ENVELOPE_TOL,
@@ -366,6 +366,57 @@ def test_line_rungs_sit_exactly_below_g_and_rise_exactly_with_n(g):
     stack = np.stack([r.g_n.values for r in inf_convolution_ladder(g, range(1, 21))])
     assert np.all(stack <= g.values)
     assert np.all(np.diff(stack, axis=0) >= 0.0)
+
+
+def per_index_line_ladder(space, gv, ns, need_alpha):
+    """The line ladder's two passes as a loop over point indices, each step
+    a fresh sum: the oracle of the row-view passes."""
+    order = space.line_order
+    rates = np.array(ns * (1 + need_alpha), dtype=np.float64)
+    h = np.stack([gv[order]] * len(ns) + [-gv[order]] * (len(ns) * need_alpha), axis=1)
+    with np.errstate(over="ignore"):
+        step = np.diff(space.coords[order, 0])[:, None] * rates[None, :]
+    for i in range(1, h.shape[0]):
+        np.minimum(h[i], h[i - 1] + step[i - 1], out=h[i])
+    for i in range(h.shape[0] - 2, -1, -1):
+        np.minimum(h[i], h[i + 1] + step[i], out=h[i])
+    env = np.empty((len(ns), space.n))
+    env[:, order] = h[:, :len(ns)].T
+    alpha = np.zeros(len(ns))
+    if need_alpha:
+        alpha = np.maximum(0.0, (-h[:, len(ns):] - gv[order][:, None]).max(axis=0))
+    return env, alpha
+
+
+#: near coordinates, and far ones whose gaps times 10**10 run past the float
+#: range; values with -0.0
+_far_points = st.lists(st.one_of(st.floats(-4.0, 4.0), st.floats(-1e299, 1e299)),
+                       min_size=1, max_size=40, unique=True)
+_line_values = st.one_of(st.floats(-300.0, 300.0), st.sampled_from([0.0, -0.0, 1.0]))
+
+
+_rungs = st.lists(st.sampled_from([1, 2, 3, 64, 10**10]) | st.integers(1, 10**12),
+                 min_size=1, max_size=5)
+
+
+@given(_far_points, st.data(), _rungs, st.booleans())
+def test_line_ladder_passes_equal_the_per_index_loop_bit_for_bit(xs, data, ns, need_alpha):
+    space = FiniteMetricSpace.from_coords(np.array(xs)[:, None])
+    gv = np.array(data.draw(st.lists(_line_values, min_size=len(xs), max_size=len(xs))))
+    got = envelopes._line_ladder(space, gv, ns, need_alpha)
+    want = per_index_line_ladder(space, gv, ns, need_alpha)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_line_ladder_passes_equal_the_per_index_loop_on_the_sqrt_ladder():
+    xs = np.concatenate(([0.0, 1e300], 1.0 / np.arange(1, 1201)))
+    space = FiniteMetricSpace.from_coords(xs[:, None])
+    gv = -np.minimum(np.sqrt(np.abs(xs)), 1.0)  # -0.0 at the anchor
+    ns = [1, 10**10, *range(2, 21)]
+    for a, b in zip(envelopes._line_ladder(space, gv, ns, True),
+                    per_index_line_ladder(space, gv, ns, True)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_sqrt_ladder_rungs_keep_their_exact_order_on_the_accumulation_line():

@@ -429,6 +429,93 @@ def test_write_csv_renders_floats_round_trip_exactly(tmp_path):
     assert float(lines[2].split(",")[1]) == 1.0 / 3.0
 
 
+def per_cell_csv(header, rows) -> bytes:
+    """The bytes of the per-cell CSV writer that rendered each cell on its
+    own, kept as the oracle of the column writer."""
+    def cell(v):
+        if type(v) is str:
+            return v
+        if isinstance(v, float):
+            return float.__repr__(v)
+        if isinstance(v, np.floating):
+            return repr(float(v))
+        return str(v)
+
+    lines = [",".join(map(str, header)), *(",".join(map(cell, row)) for row in rows), ""]
+    return "\n".join(lines).encode("utf-8")
+
+
+#: each edge of the forms orjson spells unlike repr, with its neighbours
+_CSV_EDGES = [y for x in (1e-9, 1e-5, 1e-4, 1e16)
+              for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+_csv_floats = st.one_of(
+    _float_bits.map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]),
+    st.sampled_from([*_CSV_EDGES, *(-x for x in _CSV_EDGES), 0.0, -0.0, 5e-324,
+                     math.inf, -math.inf, math.nan]),
+)
+#: the cells of one drawn column: floats (Python, numpy or both), labels,
+#: or any mix with float32, ints, int64 and bools
+_csv_columns = [
+    _csv_floats, _csv_floats.map(np.float64), st.one_of(_csv_floats, _csv_floats.map(np.float64)),
+    _texts,
+    st.one_of(_csv_floats, _texts, _csv_floats.map(np.float32), _ints,
+              st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans()),
+]
+
+
+@st.composite
+def _csv_tables(draw):
+    height = draw(st.integers(0, 6))
+    columns = [draw(st.lists(draw(st.sampled_from(_csv_columns)),
+                             min_size=height, max_size=height))
+               for _ in range(draw(st.integers(1, 4)))]
+    return draw(st.lists(_texts, min_size=1, max_size=4)), list(zip(*columns))
+
+
+@settings(max_examples=300)
+@given(_csv_tables())
+def test_write_csv_writes_the_bytes_of_the_per_cell_writer(tmp_path_factory, table):
+    header, rows = table
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    write_csv(path, header, iter(rows))
+    assert path.read_bytes() == per_cell_csv(header, rows)
+
+
+@pytest.mark.parametrize("rows", [[(1.0, 2.0), (3.0,)], [("a",), ("b", 0.5)]])
+def test_write_csv_refuses_a_ragged_row(tmp_path, rows):
+    path = tmp_path / "ragged.csv"
+    with pytest.raises(ValueError):
+        write_csv(path, ["x", "y"], rows)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("edge", [1e-9, 1e-5, 1e-4, 1e16])
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_blocks_skip_the_scan_only_where_it_would_change_nothing(tmp_path, edge, rows):
+    """Arrays whose values straddle an edge of the respelled forms, written a
+    few rows a block: the blocks numpy finds clean go out unscanned, and the
+    bytes are those of scanning every block."""
+    near = [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+    clean = [0.5, 1.0, 1.0 + 2**-52, 2.0]
+    x = np.array([*clean, *near, *clean, *(-v for v in near), *clean])
+    doc = {"flat": x, "rows": x.reshape(-1, 2), "ints": np.arange(len(x)), "bools": x > 1.0}
+    written, scanned = [], []
+    respelled = serialize._respelled
+    scan_all = lambda x, raw, start, end: serialize._respelled(raw, start, end)  # noqa: E731
+    for spelled in (serialize._spelled, scan_all):
+        path = tmp_path / f"{len(written)}.json"
+        calls = []
+        with mock.patch.object(serialize, "_block_rows", lambda x: rows), \
+                mock.patch.object(serialize, "_spelled", spelled), \
+                mock.patch.object(serialize, "_respelled",
+                                  lambda *a: calls.append(a) or respelled(*a)):
+            write_json(path, doc)
+        written.append(path.read_bytes())
+        scanned.append(len(calls))
+    assert written[0] == written[1] == oracle_json(doc).encode("utf-8")
+    assert scanned[0] < scanned[1]
+
+
 # ---------------------------------------------------------------------------
 # spaces
 
