@@ -237,13 +237,13 @@ def cmd_metric(args) -> int:
     delta = profile.delta
     pair = find_close_pair(space, excluded=(), eps=2.0 * delta)
     order = np.argsort(profile.radii, kind="stable").tolist()
-    # by column; the running minimum of the increasing radii is their first, delta
+    # by column; the running minimum of the increasing radii is delta, one text repeated
     _emit(args,
           ("isolation_profile.csv", ["label", "isolation_radius"],
            zip(profile.labels, profile.radii.tolist())),
           ("delta_trend.csv", ["rank", "label", "isolation_radius", "running_min"],
            zip(map(str, range(1, space.n + 1)), map(profile.labels.__getitem__, order),
-               profile.radii[order].tolist(), [delta] * space.n)),
+               profile.radii[order].tolist(), [float.__repr__(delta)] * space.n)),
           ("metric_report.json", serialize.record("metric", {
               "n": space.n, "discreteness_constant": delta, "closest_pair": list(pair)})))
     print(f"n={space.n} delta={delta!r}")

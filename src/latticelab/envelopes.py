@@ -426,10 +426,10 @@ def _line_ladder(space, gv, ns, need_alpha):
     h = np.stack(cols, axis=1)  # (points, columns): each step reads one row
     with np.errstate(over="ignore"):  # n * dx past the float range is inf, as it should be
         step = np.diff(space.coords[order, 0])[:, None] * rates[None, :]
-    rows, steps, carry = list(h), list(step), np.empty(h.shape[1])
-    for before, row, dx in zip(rows, rows[1:], steps):
+    carry = np.empty(h.shape[1])
+    for before, row, dx in zip(h, h[1:], step):
         np.minimum(row, np.add(before, dx, out=carry), out=row)
-    for after, row, dx in zip(rows[:0:-1], rows[-2::-1], steps[::-1]):
+    for after, row, dx in zip(h[:0:-1], h[-2::-1], step[::-1]):
         np.minimum(row, np.add(after, dx, out=carry), out=row)
     env = np.empty((k_count, space.n))
     env[:, order] = h[:, :k_count].T

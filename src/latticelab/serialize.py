@@ -300,7 +300,7 @@ def _column(values) -> list:
 
 def write_csv(path, header, rows) -> None:
     """One line per row under the header; a ragged row raises a ValueError."""
-    columns = map(_column, zip(*rows, strict=True))
+    columns = [_column(cells) for cells in zip(*rows, strict=True)]  # the rows are freed here
     lines = [",".join(map(str, header)), *map(",".join, zip(*columns)), ""]
     _write_whole(path, ["\n".join(lines).encode("utf-8")])
 
