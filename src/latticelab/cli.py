@@ -333,8 +333,9 @@ def cmd_witness(args) -> int:
 
 def cmd_generate(args) -> int:
     if args.scenario == "hats":
-        levels = _ints(args.levels, "--levels")
-        scenario = hat_scenario(build_refinement("accumulation", levels), args.depth)
+        scenario = hat_scenario(build_refinement("accumulation", _ints(args.levels, "--levels")),
+                                args.depth)
+        levels = list(scenario.refinement.levels)  # sorted, each once
         outputs = [("hat_family.json", serialize.family_to_json(scenario.families[-1]))]
         if len(levels) >= 3:
             outputs.append(("hat_escape.json",
@@ -343,8 +344,8 @@ def cmd_generate(args) -> int:
         print(f"hats: depth {args.depth} on levels {levels}")
         return EXIT_OK
     if args.scenario == "ladder":
-        levels = _ints(args.levels, "--levels")
-        refinement = build_refinement(args.kind, levels)
+        refinement = build_refinement(args.kind, _ints(args.levels, "--levels"))
+        levels = list(refinement.levels)  # sorted, each once
         cex = lip_counterexample(refinement, args.n_max)
         outputs = [
             ("ladder_family.json", serialize.family_to_json(cex.family)),

@@ -622,25 +622,6 @@ def dominating_element(family: SequenceFamily) -> LatticeElement:
 # order / uo / buo checks
 
 
-def _suffix_sup(diffs: np.ndarray) -> np.ndarray:
-    """Row m-1 holds sup over n >= m of diffs[n-1] (suffix running max)."""
-    return np.maximum.accumulate(diffs[::-1], axis=0)[::-1]
-
-
-def _diff_tails(family, candidate, upto):
-    if not family.carrier.is_index_set:
-        return None
-    c_tail = candidate.tail
-    return _each_distinct(lambda t: tail_abs(tail_sub(t, c_tail)), family.tails(upto))
-
-
-def _fold_suffix_tails(dtails, first):
-    """Suffix tail_max fold; entry m-1 covers members m..M."""
-    if dtails is None:
-        return None
-    return _running_max(dtails[::-1], first)[::-1]
-
-
 def _stuck(family, per_member, worst_idx, final) -> StuckCoordinate:
     trace = per_member[:, worst_idx]
     start = max(0, len(per_member) - TRACE_KEEP)
@@ -677,6 +658,19 @@ def _verdict(mode, outcome, cfg, upto, notes, **claims) -> ConvergenceVerdict:
                               horizon=upto, notes=tuple(notes), **claims)
 
 
+def _against(family, candidate, config):
+    """(cfg, upto, notes) of a check of ``family`` against ``candidate``:
+    the config, the members it reads and the horizon-cap note, if any."""
+    cfg = config or CheckConfig()
+    if not family.carrier.compatible(candidate.carrier):
+        raise InputError("candidate lives on a different carrier")
+    upto = family.prefix_count(cfg.horizon)
+    notes = []
+    if upto < family.horizon:
+        notes.append(f"checked {upto} of {family.horizon} members (horizon cap)")
+    return cfg, upto, notes
+
+
 def check_order_convergence(family: SequenceFamily, candidate: LatticeElement,
                             config: CheckConfig | None = None) -> ConvergenceVerdict:
     """Order convergence of x_n to the candidate, with the canonical regulator.
@@ -685,17 +679,15 @@ def check_order_convergence(family: SequenceFamily, candidate: LatticeElement,
     order-converges iff every coordinate regulator falls below the tolerance
     by the horizon.
     """
-    cfg = config or CheckConfig()
-    if not family.carrier.compatible(candidate.carrier):
-        raise InputError("candidate lives on a different carrier")
-    upto = family.prefix_count(cfg.horizon)
+    cfg, upto, notes = _against(family, candidate, config)
     diffs = np.abs(family.stacked(upto) - candidate.values[None, :])
-    notes = []
-    if upto < family.horizon:
-        notes.append(f"checked {upto} of {family.horizon} members (horizon cap)")
-    ztails = _fold_suffix_tails(_diff_tails(family, candidate, upto), family.carrier.size + 1)
-    last = None if ztails is None else ztails[-1]
-    final, stuck = _final_level(family, diffs, last, cfg.tolerance, upto)
+    ztails = None
+    if family.carrier.is_index_set:  # suffix tail_max fold: entry m-1 covers members m..upto
+        ztails = _running_max(_each_distinct(lambda t: tail_abs(tail_sub(t, candidate.tail)),
+                                             family.tails(upto))[::-1],
+                              family.carrier.size + 1)[::-1]
+    final, stuck = _final_level(family, diffs, None if ztails is None else ztails[-1],
+                                cfg.tolerance, upto)
     if stuck is not None:
         return _verdict("order", "fails", cfg, upto, notes, witness=stuck, limit=candidate)
     if final is None:
@@ -703,7 +695,7 @@ def check_order_convergence(family: SequenceFamily, candidate: LatticeElement,
         return _verdict("order", "inconclusive", cfg, upto, notes, limit=candidate)
 
     cert = OrderCertificate(
-        regulator_values=_suffix_sup(diffs),
+        regulator_values=np.maximum.accumulate(diffs[::-1], axis=0)[::-1],
         regulator_tails=tuple(ztails) if ztails is not None else None,
         thresholds=tuple(range(1, upto + 1)),
         final_sup=final,
@@ -740,15 +732,8 @@ def check_buo_convergence(family: SequenceFamily, candidate: LatticeElement,
                           config: CheckConfig | None = None) -> ConvergenceVerdict:
     """Buo: uo-convergence (truncated differences order-null against the
     probe set) plus order-boundedness of the family in its declared space."""
-    cfg = config or CheckConfig()
-    if not family.carrier.compatible(candidate.carrier):
-        raise InputError("candidate lives on a different carrier")
+    cfg, upto, notes = _against(family, candidate, config)
     meta = family.metadata
-    upto = family.prefix_count(cfg.horizon)
-    notes = []
-    if upto < family.horizon:
-        notes.append(f"checked {upto} of {family.horizon} members (horizon cap)")
-
     if meta.growth == "unbounded":
         trace = np.abs(family.stacked(upto)).max(axis=1)
         notes.append("declared unbounded growth rules out a common dominator")
@@ -769,12 +754,13 @@ def check_buo_convergence(family: SequenceFamily, candidate: LatticeElement,
     bound = sup_norm(y)
 
     diffs = np.abs(family.stacked(upto) - candidate.values[None, :])
-    dtails = _diff_tails(family, candidate, upto)
+    dtail = (tail_abs(tail_sub(family.tail(upto), candidate.tail))  # of the last member
+             if family.carrier.is_index_set else None)
     first = family.carrier.size + 1
     probe_sups = []
     tail_blocked = None
     for name, uvals, utail in _uo_probes(family, y, cfg.seed):
-        cut_tail = None if dtails is None else tail_min(dtails[-1], utail, first)
+        cut_tail = None if dtail is None else tail_min(dtail, utail, first)
         final, stuck = _final_level(family, np.minimum(diffs, uvals[None, :]), cut_tail,
                                     cfg.tolerance, upto)
         if stuck is not None:  # only a tail witness has an empty trace

@@ -594,7 +594,9 @@ def element_from_json(obj, carrier: Carrier, where: str) -> LatticeElement | Non
         raise InputError(
             f"{where}: {values.shape[0]} values for a carrier of size {carrier.size}"
         )
-    return LatticeElement(carrier, values, tail_from_json(obj.get("tail"), f"{where}.tail"))
+    tail = tail_from_json(obj.get("tail"), f"{where}.tail")
+    with _naming(where):
+        return LatticeElement(carrier, values, tail)
 
 
 def tag_from_json(obj, where: str) -> SpaceTag | None:
@@ -723,8 +725,9 @@ def family_from_json(obj: dict, where: str = "family json") -> SequenceFamily:
             if row.shape[0] != carrier.size:
                 raise InputError(f"{where}: member {i} has {row.shape[0]} values "
                                  f"for a carrier of size {carrier.size}")
-            LatticeElement(carrier, row, tail_from_json(tails[i - 1], f"{where}.tails[{i}]")
-                           if tails else None)
+            tail = tail_from_json(tails[i - 1], f"{where}.tails[{i}]") if tails else None
+            with _naming(f"{where}.members[{i}]"):
+                LatticeElement(carrier, row, tail)
     if tails:  # a tail document the same as the one before it (a true never passes
         # for the 1.0 there) reuses that one's Tail
         docs, tails = tails, []

@@ -187,6 +187,19 @@ def test_generate_ladder_writes_trend_tables(tmp_path):
     assert blowups[0] == "b_label,a_label,t,ratio,lower_bound"
 
 
+@pytest.mark.parametrize("argv, family, said", [
+    (["hats", "--levels", "5,5,5", "--depth", "5"], "hat_family.json", "on levels [5]"),
+    (["ladder", "--levels", "10,20,20", "--n-max", "3"], "ladder_family.json",
+     "on accumulation levels [10, 20]"),
+])
+def test_a_repeated_level_counts_once(argv, family, said, tmp_path, capsys):
+    # the escape report needs three distinct levels; repeats do not make them
+    assert main(["generate", *argv, "--out", str(tmp_path)]) == 0
+    assert said in capsys.readouterr().out
+    assert (tmp_path / family).exists()
+    assert not list(tmp_path.glob("*_escape.json"))
+
+
 def test_generate_steps_guards(tmp_path, capsys):
     assert main(["generate", "steps", "--size", "5", "--depth", "9",
                  "--out", str(tmp_path)]) == 2
@@ -424,13 +437,21 @@ def _hats(tmp_path) -> str:
      "order fails verdict re-verified"),
     ("hats", ["--mode", "order"], 1, "order fails verdict re-verified"),
     ("hats", ["--mode", "buo-cauchy"], 0, "certificate re-verified"),
+    # a metric-points family on which the order and Buo checks hold
+    ("small-hats", ["--mode", "order"], 0, "certificate re-verified"),
+    ("small-hats", ["--mode", "buo"], 0, "certificate re-verified"),
+    ("small-hats", ["--mode", "buo-equals-order"], 0, "paired verdict re-verified"),
 ], ids=["sampled-fails", "sampled-inconclusive", "buo", "paired", "order-zero",
-        "order-hats", "monotone"])
+        "order-hats", "monotone", "order-small-hats", "buo-small-hats", "paired-small-hats"])
 def test_verify_replays_every_report_kind(family, argv, code, said, family_file, tmp_path,
                                           capsys):
     if family == "steps":
         main(["generate", "steps", "--out", str(tmp_path / "s")])
         fam = str(tmp_path / "s" / "step_family.json")
+    elif family == "small-hats":
+        main(["generate", "hats", "--levels", "3,4,5", "--depth", "5",
+              "--out", str(tmp_path / "s")])
+        fam = str(tmp_path / "s" / "hat_family.json")
     else:
         fam = _hats(tmp_path) if family == "hats" else str(family_file)
     out = tmp_path / "r"
@@ -849,6 +870,13 @@ def test_a_size_too_large_to_allocate_exits_two(argv, tmp_path, capsys):
     (("metadata", "common_bound"), {"values": [1.0] * 30, "tail": {"kind": "constant",
                                                                    "value": "1"}},
      ".metadata.common_bound.tail.value: malformed value"),
+    # a non-finite value is named by its member or element (NaN and Infinity as json writes them)
+    (("members", 2, 1), math.nan, ".members[3]: non-finite value at coordinate 2"),
+    (("metadata", "limit"), {"values": [0.0, math.inf] + [0.0] * 28, "tail": {"kind": "zero"}},
+     ".metadata.limit: non-finite value at coordinate 2"),
+    (("metadata", "common_bound"), {"values": [1.0, math.nan] + [1.0] * 28,
+                                    "tail": {"kind": "zero"}},
+     ".metadata.common_bound: non-finite value at coordinate 2"),
 ])
 def test_a_damaged_family_file_exits_two_naming_the_field(path, value, field, tmp_path,
                                                           capsys):

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from latticelab import metric
+from latticelab.core import Carrier, LatticeElement, SpaceTag, member_of
 from latticelab.errors import InputError, MetricValidationError
 from latticelab.metric import (
     FiniteMetricSpace,
@@ -401,6 +402,21 @@ def test_max_slope_matches_brute_force(space, data):
     assert constant == oracle
     i, j = space.index(a), space.index(b)
     assert abs(values[i] - values[j]) / space.matrix[i, j] == constant
+
+
+@given(small_spaces(), st.booleans(), st.data())
+def test_lip_b_constant_is_at_most_twice_the_sup_over_the_discreteness(space, as_matrix, data):
+    # every pair has |x(a) - x(b)| <= 2 max|x| and d(a, b) >= delta; both
+    # sides round monotonically from the same computed distances, so the
+    # bound holds exactly in floats, on the line, coordinate and matrix routes
+    if as_matrix:
+        space = FiniteMetricSpace.from_matrix(space.matrix, space.labels)
+    x = np.array(data.draw(st.lists(st.floats(min_value=-1e300, max_value=1e300, width=64),
+                                    min_size=space.n, max_size=space.n)))
+    delta = discreteness_constant(space)
+    assert delta > 0
+    membership = member_of(LatticeElement(Carrier.points(space), x), SpaceTag.lip_b())
+    assert membership.data["constant"] <= 2 * np.abs(x).max() / delta
 
 
 @given(small_spaces())

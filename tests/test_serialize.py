@@ -619,7 +619,8 @@ def test_family_json_diagnostics():
     with pytest.raises(InputError, match="1 tails for 2 members"):
         family_from_json(dict(base, members=[[0.0, 0.0], [0.0, 0.0]],
                               tails=[{"kind": "zero"}]))
-    with pytest.raises(InputError, match="^non-finite value at coordinate 2$"):
+    with pytest.raises(InputError,
+                       match=r"^family json\.members\[2\]: non-finite value at coordinate 2$"):
         family_from_json(dict(base, members=[[0.0, 0.0], [0.0, float("nan")]]))
     # members are checked in order, each row before its tail and its values
     with pytest.raises(InputError, match=r"tails\[1\]: unknown tail kind 'weird'"):
