@@ -336,7 +336,7 @@ def cmd_generate(args) -> int:
         scenario = hat_scenario(build_refinement("accumulation", _ints(args.levels, "--levels")),
                                 args.depth)
         levels = list(scenario.refinement.levels)  # sorted, each once
-        outputs = [("hat_family.json", serialize.family_to_json(scenario.families[-1]))]
+        outputs = [("hat_family.json", serialize.family_to_json(scenario.family_at(levels[-1])))]
         if len(levels) >= 3:
             outputs.append(("hat_escape.json",
                             serialize.escape_report_to_json(verify_escape(scenario))))

@@ -14,6 +14,12 @@ Every generated object re-verifies the properties it advertises before it
 is returned; escape from a function class is always reported as a trend
 across refinement levels with a fitted rate, never as a boolean, because
 any bounded function on one finite space is Lipschitz there.
+
+A level that is the deepest space's leading points (its labels and
+coordinates, as in built-in refinements) has bitwise the same distances:
+it needs no nesting check by distance, and its hat limit is the deepest
+one on its labels, a restriction of a verified decreasing bounded family.
+Other levels are checked by distance and build and verify their own hats.
 """
 
 from __future__ import annotations
@@ -76,6 +82,7 @@ class RefinementFamily:
     spaces: tuple
     anchor: str | None = None
     pairs: tuple = ()
+    _leading: tuple = field(init=False, repr=False, compare=False)  # see _check_nesting
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(int(v) for v in self.levels))
@@ -92,7 +99,7 @@ class RefinementFamily:
             raise InputError(
                 f"{len(self.spaces)} spaces for {len(self.levels)} levels"
             )
-        _check_nesting(self.spaces)
+        object.__setattr__(self, "_leading", _check_nesting(self.spaces))
         if self.kind == "accumulation":
             if self.anchor is None:
                 raise InputError("accumulation refinements need an anchor label")
@@ -125,7 +132,7 @@ class RefinementFamily:
                 i = int(bad[0]) + 1
                 raise InputError(f"pair {i} sits at distance {gaps[i - 1]:.6g}, "
                                  f"not inside (0, 1/{i})")
-            _check_pair_separation(top, pairs)
+            _check_pair_separation(top, a, b)
 
     def space_at(self, level: int) -> FiniteMetricSpace:
         try:
@@ -147,8 +154,16 @@ class RefinementFamily:
         return discreteness_constant(self.space_at(level))
 
 
-def _check_nesting(spaces) -> None:
-    for small, large in zip(spaces, spaces[1:]):
+def _check_nesting(spaces) -> tuple:
+    """Check that each level's labels and distances persist in the next; return
+    per level whether it is the deepest's leading points (labels and coordinates)."""
+    deep = spaces[-1]
+    leading = tuple(s.coords is not None and deep.coords is not None
+                    and s.labels == deep.labels[:s.n]
+                    and np.array_equal(s.coords, deep.coords[:s.n]) for s in spaces)
+    for small, large, lead_s, lead_l in zip(spaces, spaces[1:], leading, leading[1:]):
+        if lead_s and lead_l and small.n <= large.n:
+            continue
         missing = set(small.labels) - set(large.labels)
         if missing:
             raise InputError(
@@ -162,18 +177,23 @@ def _check_nesting(spaces) -> None:
         sub_large = large.subspace(labels)
         if not np.array_equal(sub_small.matrix, sub_large.matrix):
             raise InputError("refinement levels disagree on shared distances")
+    return leading
 
 
-def _check_pair_separation(space, pairs) -> None:
-    labels = [lab for pair in pairs for lab in pair]
-    if len(labels) > NESTED_CHECK_LIMIT:
-        pairs = pairs[: NESTED_CHECK_LIMIT // 2]
-        labels = [lab for pair in pairs for lab in pair]
-    sub = space.subspace(labels)
-    m = sub.matrix
-    owner = np.repeat(np.arange(len(pairs)), 2)
-    cross = owner[:, None] != owner[None, :]
-    worst = float(m[cross].min()) if cross.any() else math.inf
+def _check_pair_separation(space, a, b) -> None:
+    """Points of different pairs (a[i], b[i]) lie >= 1 apart: every pair on the line,
+    where the closest sit adjacent in sorted order, else the first NESTED_CHECK_LIMIT."""
+    idx = np.column_stack([a, b]).reshape(-1)
+    owner = np.arange(idx.size) // 2
+    if space.line_order is not None:
+        order = np.argsort(space.coords[idx, 0], kind="stable")
+        x, owner = space.coords[idx[order], 0], owner[order]
+        gaps = np.diff(x)[owner[1:] != owner[:-1]]
+        worst = float(gaps.min()) if gaps.size else math.inf
+    else:
+        idx, owner = idx[:NESTED_CHECK_LIMIT], owner[:NESTED_CHECK_LIMIT]
+        cross = owner[:, None] != owner[None, :]
+        worst = float(space.distances(idx, idx)[cross].min()) if cross.any() else math.inf
     if worst < 1.0:
         raise InputError(
             f"points of different pairs come within {worst:.6g} < 1 of each other"
@@ -188,8 +208,9 @@ def build_refinement(kind: str, levels) -> RefinementFamily:
     internal gap 1/(i+1) (inside the required (0, 1/i) window) and at least
     1.5 away from every other cluster.
 
-    Custom geometries go through the RefinementFamily constructor directly,
-    which validates the same invariants on any spaces supplied.
+    Each shallower level is the subspace on the deepest level's leading
+    points.  Custom geometries go through the RefinementFamily constructor
+    directly, which validates the same invariants on any spaces supplied.
     """
     levels = sorted({int(v) for v in levels})
     if not levels:
@@ -199,28 +220,20 @@ def build_refinement(kind: str, levels) -> RefinementFamily:
     top = levels[-1]
     width = max(2, len(str(top)))
     if kind == "accumulation":
-        spaces = []
-        for n in levels:
-            coords = np.concatenate(([0.0], 1.0 / np.arange(1, n + 1)))
-            labels = ["x0"] + [f"p{k:0{width}d}" for k in range(1, n + 1)]
-            spaces.append(FiniteMetricSpace.from_coords(coords.reshape(-1, 1), labels))
-        return RefinementFamily(kind="accumulation", levels=tuple(levels),
-                                spaces=tuple(spaces), anchor="x0")
-    if kind == "pairs":
-        pair_labels = tuple(
-            (f"a{i:0{width}d}", f"b{i:0{width}d}") for i in range(1, top + 1)
-        )
-        spaces = []
-        for n in levels:
-            coords, labels = [], []
-            for i in range(1, n + 1):
-                coords.extend([2.0 * i, 2.0 * i + 1.0 / (i + 1)])
-                labels.extend(pair_labels[i - 1])
-            spaces.append(FiniteMetricSpace.from_coords(
-                np.asarray(coords).reshape(-1, 1), labels))
-        return RefinementFamily(kind="pairs", levels=tuple(levels),
-                                spaces=tuple(spaces), pairs=pair_labels)
-    raise InputError(f"unknown refinement kind {kind!r}")
+        coords = np.concatenate(([0.0], 1.0 / np.arange(1, top + 1)))
+        labels = ["x0"] + [f"p{k:0{width}d}" for k in range(1, top + 1)]
+        sizes, extra = [n + 1 for n in levels], {"anchor": "x0"}
+    elif kind == "pairs":
+        pairs = tuple((f"a{i:0{width}d}", f"b{i:0{width}d}") for i in range(1, top + 1))
+        i = np.arange(1, top + 1)
+        coords = np.column_stack([2.0 * i, 2.0 * i + 1.0 / (i + 1)]).reshape(-1)
+        labels = [lab for pair in pairs for lab in pair]
+        sizes, extra = [2 * n for n in levels], {"pairs": pairs}
+    else:
+        raise InputError(f"unknown refinement kind {kind!r}")
+    deep = FiniteMetricSpace.from_coords(coords.reshape(-1, 1), labels)
+    spaces = [deep.subspace(deep.labels[:size]) for size in sizes[:-1]] + [deep]
+    return RefinementFamily(kind=kind, levels=tuple(levels), spaces=tuple(spaces), **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -275,25 +288,33 @@ def running_meets(family: SequenceFamily) -> SequenceFamily:
     return SequenceFamily(members=members, metadata=meta)
 
 
-@dataclass(frozen=True)
 class HatScenario:
-    """Hat families built at every level of one refinement."""
+    """Hat families at every level of one refinement.  Without ``families``
+    a level's family is built by ``hat_family`` when first read."""
 
-    refinement: RefinementFamily
-    depth: int
-    families: tuple
+    def __init__(self, refinement: RefinementFamily, depth: int, families=None):
+        self.refinement, self.depth, self._given = refinement, depth, families is not None
+        self._families = list(families) if self._given else [None] * len(refinement.levels)
+
+    @property
+    def families(self) -> tuple:
+        return tuple(map(self.family_at, self.refinement.levels))
 
     def family_at(self, level: int) -> SequenceFamily:
-        return self.families[self.refinement.levels.index(int(level))]
+        i = self.refinement.levels.index(int(level))
+        if self._families[i] is None:
+            self._families[i] = hat_family(self.refinement.spaces[i], self.refinement.anchor,
+                                           self.depth)
+        return self._families[i]
 
 
 def hat_scenario(refinement: RefinementFamily, depth: int) -> HatScenario:
+    """Hats at every level; only the deepest family is built here."""
     if refinement.kind != "accumulation":
         raise InputError("hat scenarios need an accumulation refinement")
-    fams = tuple(
-        hat_family(space, refinement.anchor, depth) for space in refinement.spaces
-    )
-    return HatScenario(refinement=refinement, depth=depth, families=fams)
+    scenario = HatScenario(refinement=refinement, depth=depth)
+    scenario.family_at(refinement.levels[-1])
+    return scenario
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +534,22 @@ def verify_escape(obj, tag: SpaceTag | None = None) -> EscapeReport:
 
 
 def _oscillation_within(space: FiniteMetricSpace, values: np.ndarray, t: float) -> float:
-    """Largest |values(x) - values(y)| over pairs at distance <= t."""
+    """Largest |values(x) - values(y)| over pairs at distance <= t.  On the
+    line, the points from x on within t of x are a run of the sorted order
+    (|x_j - x_i| rounds monotonically), read by its range max and min."""
+    order = space.line_order
+    if order is not None and t >= 0.0:
+        x, v = space.coords[order, 0], values[order]
+        # run ends, settled by the tiles' test |x_j - x_i| <= t; none passes the NaN
+        xs, last = np.append(x, np.nan), np.searchsorted(x, x + t, side="right") - 1
+        while (out := ~(np.abs(xs[last] - x) <= t)).any():
+            last -= out
+        while (more := np.abs(xs[last + 1] - x) <= t).any():
+            last += more
+        ends = np.column_stack([np.arange(x.size), last + 1]).reshape(-1)
+        padded = np.append(v, 0.0)  # reduceat reads one entry at each run's end
+        top, bottom = (f.reduceat(padded, ends)[::2] for f in (np.maximum, np.minimum))
+        return float(max((top - v).max(), (v - bottom).max()))
     best = 0.0
     for lo, hi in space.block_rows():
         block = space.row_block(lo, hi)
@@ -534,11 +570,13 @@ def _require_levels(levels) -> None:
 def _hat_escape(scenario: HatScenario, tag: SpaceTag | None) -> EscapeReport:
     ref = scenario.refinement
     _require_levels(ref.levels)
+    deep = None if scenario._given else pointwise_limit(scenario.family_at(ref.levels[-1])).values
     rows = []
-    for level, space, fam in zip(ref.levels, ref.spaces, scenario.families):
-        limit = pointwise_limit(fam)
+    for level, space, leads in zip(ref.levels, ref.spaces, ref._leading):
+        limit = (deep[:space.n] if leads and deep is not None
+                 else pointwise_limit(scenario.family_at(level)).values)
         scale = ref.scale(level)
-        osc = _oscillation_within(space, limit.values, scale)
+        osc = _oscillation_within(space, limit, scale)
         rows.append(EscapeRow(level=level, scale=scale,
                               delta=discreteness_constant(space), value=osc))
     floor = min(r.value for r in rows)

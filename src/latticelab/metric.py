@@ -192,10 +192,12 @@ class FiniteMetricSpace:
         yield from row_windows(self.n, self.n)
 
     def subspace(self, labels) -> "FiniteMetricSpace":
-        idx = np.array([self.index(lab) for lab in labels], dtype=np.intp)
+        lead = tuple(labels) == self.labels[:len(labels)]  # leading points: a slice
+        idx = slice(0, len(labels)) if lead else [self.index(lab) for lab in labels]
         if self._coords is not None:
             return FiniteMetricSpace(labels, coords=self._coords[idx])
-        return FiniteMetricSpace(labels, matrix=self._matrix[np.ix_(idx, idx)])
+        rows = (idx, idx) if lead else np.ix_(idx, idx)
+        return FiniteMetricSpace(labels, matrix=self._matrix[rows])
 
     def same_points(self, other: "FiniteMetricSpace") -> bool:
         return self is other or self.labels == other.labels

@@ -5,6 +5,7 @@ import ast
 import pathlib
 import re
 import sys
+import warnings
 
 import pytest
 
@@ -64,3 +65,14 @@ def test_no_module_reads_a_private_name_of_another():
                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in bound and _private(node.attr)]
     assert found == []
+
+
+def test_a_deprecation_raised_from_the_package_fails_its_test():
+    """pyproject's filterwarnings makes a DeprecationWarning attributed to a
+    latticelab module an error."""
+    with pytest.raises(DeprecationWarning, match="an old route"):
+        warnings.warn_explicit("an old route", DeprecationWarning, "metric.py", 1,
+                               module="latticelab.metric")
+    filters = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))[
+        "tool"]["pytest"]["ini_options"]["filterwarnings"]
+    assert "error::DeprecationWarning:latticelab" in filters

@@ -177,6 +177,39 @@ def test_target_distances_and_oscillations_are_the_same_at_every_tile(monkeypatc
     at_each_tile(monkeypatch, scan)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_line_oscillations_equal_the_tiles_at_every_tile(seed, monkeypatch):
+    """The line route reads each point's run of sorted neighbours within t.
+    On a coarse decimal grid many pairs sit exactly at a drawn t, and half
+    the drawn t are distances d = y - x with x + d != y, where searchsorted
+    misplaces a run's end and the tiles' own test settles it; the tiles
+    read the matrix twin in index order."""
+    rng = np.random.default_rng(seed)
+    pts = np.unique(np.round(rng.uniform(-3.0, 3.0, 500), 2)) * (1.0, 0.1, 7.0, 1e-3)[seed]
+    rng.shuffle(pts)
+    # the coordinates themselves make the oscillation the largest distance
+    # <= t, which a run one point too short or too long changes
+    values = np.stack([rng.integers(0, 3, pts.size) * 0.5, rng.standard_normal(pts.size), pts])
+    lo, hi = np.triu_indices(pts.size, 1)
+    near, far = np.minimum(pts[lo], pts[hi]), np.maximum(pts[lo], pts[hi])
+    gaps = far - near
+    off = np.flatnonzero(near + gaps != far)  # x + t rounds past or short of the far point
+    picked = np.concatenate([rng.choice(off, 8), rng.integers(0, gaps.size, 8)])
+    ts = [0.0, -1.0, np.nan, np.inf, 1e-300] + gaps[picked].tolist()
+    line, dense = fresh_spaces(pts[:, None])
+    assert line.line_order is not None and dense.line_order is None
+
+    def scan():
+        return [[_oscillation_within(space, v, t) for v in values for t in ts]
+                for space in (line, dense)]
+
+    got = at_each_tile(monkeypatch, scan)
+    assert bits(got[0]) == bits(got[1])
+    # on the normal values, some drawn t sees less than t = inf, which sees all
+    drawn, everything = got[0][len(ts) + 5:], got[0][len(ts) + 3]
+    assert any(0.0 < r < everything for r in drawn)
+
+
 def test_lip_counterexample_is_the_same_at_every_tile(monkeypatch):
     # 300 approach points against 300 anchors: 90,000 target distances
     ref = build_refinement("pairs", [3, 40, 300])
