@@ -8,8 +8,6 @@ level's own family over the full-row tiles, and the pair separation checked
 on the first NESTED_CHECK_LIMIT // 2 pairs through a distance matrix.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,7 +190,7 @@ def test_given_families_keep_their_own_escape_rows():
 
 
 def dyadic(n):
-    """{0} ∪ {2**-k : k <= n}: every coordinate and distance is exact, so a
+    """{0} ∪ {2**-k : k < n}: every coordinate and distance is exact, so a
     level moved by a whole number keeps its distances bit for bit."""
     return (np.concatenate(([0.0], 2.0 ** -np.arange(n))),
             ["x0"] + [f"d{k:03d}" for k in range(n)])
@@ -269,15 +267,15 @@ def test_custom_verdicts_cover_both_outcomes_and_both_routes():
     assert verdicts["a point moved past the sample"] == "ok"
     assert verdicts["a vanished label"] == "labels ['x0'] vanish between refinement levels"
     assert verdicts["a level above the next"].startswith("labels ['p0005', 'p0006', 'p0007']")
-    placed = {name: list(_check_nesting(s)) for name, s in CUSTOM.items()
-              if verdicts[name] == "ok"}
-    assert placed["dyadic, as built"] == [True, True, True]
-    assert placed["dyadic, a translated level"] == [True, False, True]
-    assert placed["dyadic, a translated level with the anchor last"] == [True, False, True]
-    assert placed["a matrix-backed level"] == [True, False, True]
-    assert placed["a matrix-backed deepest level"] == [False, False, False]
-    assert placed["a level in reverse order"] == [True, False, True]
-    assert placed["a point moved past the sample"] == [True, False, True]
+    leading = {name: list(_check_nesting(s)) for name, s in CUSTOM.items()
+               if verdicts[name] == "ok"}
+    assert leading["dyadic, as built"] == [True, True, True]
+    assert leading["dyadic, a translated level"] == [True, False, True]
+    assert leading["dyadic, a translated level with the anchor last"] == [True, False, True]
+    assert leading["a matrix-backed level"] == [True, False, True]
+    assert leading["a matrix-backed deepest level"] == [False, False, False]
+    assert leading["a level in reverse order"] == [True, False, True]
+    assert leading["a point moved past the sample"] == [True, False, True]
 
 
 # ---------------------------------------------------------------------------
@@ -314,4 +312,3 @@ def test_line_pair_separation_matches_the_distance_matrix(close_after):
     assert got[0] == got[1] == ("ok" if worst >= 1.0 else
                                 f"points of different pairs come within {worst:.6g} < 1 "
                                 "of each other")
-    assert math.isfinite(worst)
