@@ -240,9 +240,9 @@ def cmd_metric(args) -> int:
     # by column; the running minimum of the increasing radii is delta, one text repeated
     _emit(args,
           ("isolation_profile.csv", ["label", "isolation_radius"],
-           zip(profile.labels, profile.radii.tolist())),
+           zip(space.labels, profile.radii.tolist())),
           ("delta_trend.csv", ["rank", "label", "isolation_radius", "running_min"],
-           zip(map(str, range(1, space.n + 1)), map(profile.labels.__getitem__, order),
+           zip(map(str, range(1, space.n + 1)), map(space.labels.__getitem__, order),
                profile.radii[order].tolist(), [float.__repr__(delta)] * space.n)),
           ("metric_report.json", serialize.record("metric", {
               "n": space.n, "discreteness_constant": delta, "closest_pair": list(pair)})))

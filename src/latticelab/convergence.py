@@ -76,7 +76,8 @@ __all__ = [
     "norm_bound",
 ]
 
-# most members a model family will materialize for a single check
+# most members a model family will materialize for a single check, and the
+# deepest hat family counterexamples.hat_family builds (depth x n values)
 MEMBER_MATERIALIZE_LIMIT = 100_000
 
 # how many trailing per-member values a failure witness keeps

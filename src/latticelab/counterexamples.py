@@ -15,11 +15,12 @@ is returned; escape from a function class is always reported as a trend
 across refinement levels with a fitted rate, never as a boolean, because
 any bounded function on one finite space is Lipschitz there.
 
-A level that is the deepest space's leading points (its labels and
-coordinates, as in built-in refinements) has bitwise the same distances:
-it needs no nesting check by distance, and its hat limit is the deepest
-one on its labels, a restriction of a verified decreasing bounded family.
-Other levels are checked by distance and build and verify their own hats.
+Every level of a refinement is the deepest level's leading points (its
+first labels, with its first coordinate rows or, matrix-backed, its
+distances), and a pairs level holds exactly its own pairs, so a level's
+hat limit and g are the first n values of the deepest ones.  A chain whose
+labels vanish, whose distances disagree, with a level that is not leading
+or a pairs level without exactly its own pairs, is refused.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convergence import FamilyMetadata, SequenceFamily, pointwise_limit
+from .convergence import MEMBER_MATERIALIZE_LIMIT, FamilyMetadata, SequenceFamily, pointwise_limit
 from .core import Carrier, LatticeElement, SpaceTag, meet, ones
 from .envelopes import ENVELOPE_TOL, EnvelopeResult, inf_convolution_ladder
 from .errors import InputError, InternalInvariantError
@@ -57,10 +58,6 @@ __all__ = [
     "verify_escape",
 ]
 
-#: Full nested-consistency and separation checks run below this point count;
-#: larger levels are spot-checked on a deterministic label sample.
-NESTED_CHECK_LIMIT = 512
-
 
 # ---------------------------------------------------------------------------
 # refinement families
@@ -70,11 +67,14 @@ NESTED_CHECK_LIMIT = 512
 class RefinementFamily:
     """A chain of growing finite metric spaces with shrinking separation.
 
+    Every level is the deepest level's leading points: its labels are the
+    deepest level's first labels and its coordinates the deepest level's
+    first rows (its distances, where either side is matrix-backed).
     kind "accumulation": every space contains the ``anchor`` label and the
     anchor's isolation radius strictly decreases along ``levels``.
-    kind "pairs": level L's space consists of the first L of ``pairs``,
-    with d(a_i, b_i) < 1/i and different pairs at least 1 apart (a finite
-    model of a discrete but not uniformly discrete space).
+    kind "pairs": level L's space consists of exactly the first L of
+    ``pairs``, with d(a_i, b_i) < 1/i and different pairs at least 1 apart
+    (a finite model of a discrete but not uniformly discrete space).
     """
 
     kind: str
@@ -82,7 +82,6 @@ class RefinementFamily:
     spaces: tuple
     anchor: str | None = None
     pairs: tuple = ()
-    _leading: tuple = field(init=False, repr=False, compare=False)  # see _check_nesting
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(int(v) for v in self.levels))
@@ -99,16 +98,14 @@ class RefinementFamily:
             raise InputError(
                 f"{len(self.spaces)} spaces for {len(self.levels)} levels"
             )
-        object.__setattr__(self, "_leading", _check_nesting(self.spaces))
+        _check_nesting(self.levels, self.spaces)
         if self.kind == "accumulation":
             if self.anchor is None:
                 raise InputError("accumulation refinements need an anchor label")
             radii = [isolation_radius(s, self.anchor) for s in self.spaces]
-            for i, r in enumerate(radii):
+            for level, r in zip(self.levels, radii):
                 if not (0.0 < r < math.inf):
-                    raise InputError(
-                        f"anchor is isolated or duplicated at level {self.levels[i]}"
-                    )
+                    raise InputError(f"anchor is isolated or duplicated at level {level}")
             if not all(b < a for a, b in zip(radii, radii[1:])):
                 raise InputError(
                     "the anchor's isolation radius must strictly decrease across levels"
@@ -124,6 +121,11 @@ class RefinementFamily:
                 raise InputError("pair labels must be distinct and non-overlapping")
             top, pairs = self.spaces[-1], self.pairs[: self.levels[-1]]
             a, b = (np.array([top.index(p[k]) for p in pairs], dtype=np.intp) for k in (0, 1))
+            # a leading level holds exactly the first L pairs when they reach no further
+            reach = np.maximum.accumulate(np.maximum(a, b))
+            for level, space in zip(self.levels, self.spaces):
+                if space.n != 2 * level or reach[level - 1] != 2 * level - 1:
+                    raise InputError(f"level {level} does not hold exactly the first {level} pairs")
             # each pair's gap on the diagonal of a distance block, in bounded memory
             gaps = np.concatenate([np.diagonal(top.distances(a[lo:hi], b[lo:hi]))
                                    for lo, hi in row_windows(len(pairs), len(pairs))])
@@ -154,35 +156,29 @@ class RefinementFamily:
         return discreteness_constant(self.space_at(level))
 
 
-def _check_nesting(spaces) -> tuple:
-    """Check that each level's labels and distances persist in the next; return
-    per level whether it is the deepest's leading points (labels and coordinates)."""
-    deep = spaces[-1]
-    leading = tuple(s.coords is not None and deep.coords is not None
-                    and s.labels == deep.labels[:s.n]
-                    and np.array_equal(s.coords, deep.coords[:s.n]) for s in spaces)
-    for small, large, lead_s, lead_l in zip(spaces, spaces[1:], leading, leading[1:]):
-        if lead_s and lead_l and small.n <= large.n:
+def _check_nesting(levels, spaces) -> None:
+    """Check that every level is the deepest level's leading points: its labels
+    lead the deepest's, and its coordinates are the deepest's first rows, or,
+    where either side is matrix-backed, its distances the deepest's."""
+    deep, ahead = spaces[-1], "is not the deepest level's leading points"
+    for level, space, larger in zip(levels, spaces, spaces[1:]):
+        if space.labels != deep.labels[:space.n] or space.n > larger.n:
+            missing = sorted(set(space.labels) - set(larger.labels))
+            raise InputError(f"labels {missing[:3]} vanish between refinement levels"
+                             if missing else f"level {level} {ahead}")
+        coords = space.coords is not None and deep.coords is not None
+        if coords and np.array_equal(space.coords, deep.coords[:space.n]):
             continue
-        missing = set(small.labels) - set(large.labels)
-        if missing:
-            raise InputError(
-                f"labels {sorted(missing)[:3]} vanish between refinement levels"
-            )
-        labels = small.labels
-        if len(labels) > NESTED_CHECK_LIMIT:
-            half = NESTED_CHECK_LIMIT // 2
-            labels = labels[:half] + labels[-half:]
-        sub_small = small.subspace(labels)
-        sub_large = large.subspace(labels)
-        if not np.array_equal(sub_small.matrix, sub_large.matrix):
+        if not all(np.array_equal(space.row_block(lo, hi), deep.row_block(lo, hi)[:, :space.n])
+                   for lo, hi in row_windows(space.n, deep.n)):
             raise InputError("refinement levels disagree on shared distances")
-    return leading
+        if coords:  # the deepest distances at other coordinates
+            raise InputError(f"level {level} {ahead}")
 
 
 def _check_pair_separation(space, a, b) -> None:
-    """Points of different pairs (a[i], b[i]) lie >= 1 apart: every pair on the line,
-    where the closest sit adjacent in sorted order, else the first NESTED_CHECK_LIMIT."""
+    """Points of different pairs (a[i], b[i]) lie >= 1 apart: on the line the
+    closest sit adjacent in sorted order, else every distance is read."""
     idx = np.column_stack([a, b]).reshape(-1)
     owner = np.arange(idx.size) // 2
     if space.line_order is not None:
@@ -190,10 +186,11 @@ def _check_pair_separation(space, a, b) -> None:
         x, owner = space.coords[idx[order], 0], owner[order]
         gaps = np.diff(x)[owner[1:] != owner[:-1]]
         worst = float(gaps.min()) if gaps.size else math.inf
-    else:
-        idx, owner = idx[:NESTED_CHECK_LIMIT], owner[:NESTED_CHECK_LIMIT]
-        cross = owner[:, None] != owner[None, :]
-        worst = float(space.distances(idx, idx)[cross].min()) if cross.any() else math.inf
+    else:  # every cross-pair distance, a row window at a time
+        worst = math.inf
+        for lo, hi in row_windows(idx.size, idx.size):
+            block = space.distances(idx[lo:hi], idx)
+            worst = min(worst, float(np.where(owner[lo:hi, None] != owner, block, math.inf).min()))
     if worst < 1.0:
         raise InputError(
             f"points of different pairs come within {worst:.6g} < 1 of each other"
@@ -209,8 +206,11 @@ def build_refinement(kind: str, levels) -> RefinementFamily:
     1.5 away from every other cluster.
 
     Each shallower level is the subspace on the deepest level's leading
-    points.  Custom geometries go through the RefinementFamily constructor
-    directly, which validates the same invariants on any spaces supplied.
+    points, the contract of RefinementFamily.  Custom geometries go through
+    the RefinementFamily constructor directly, which checks that contract
+    exactly on any spaces supplied and refuses a level that vanishes,
+    disagrees on distances, is not the deepest level's leading points or,
+    for pairs, does not hold exactly its own pairs.
     """
     levels = sorted({int(v) for v in levels})
     if not levels:
@@ -250,6 +250,8 @@ def hat_family(space: FiniteMetricSpace, x0: str, depth: int) -> SequenceFamily:
     """
     if depth < 1:
         raise InputError(f"hat depth must be >= 1, got {depth}")
+    if depth > MEMBER_MATERIALIZE_LIMIT:
+        raise InputError(f"hat depth {depth} exceeds the limit {MEMBER_MATERIALIZE_LIMIT}")
     row = space.row(space.index(x0))
     carrier = Carrier.points(space)
     values = np.maximum(0.0, 1.0 - np.arange(1, depth + 1)[:, None] * row)
@@ -289,23 +291,21 @@ def running_meets(family: SequenceFamily) -> SequenceFamily:
 
 
 class HatScenario:
-    """Hat families at every level of one refinement.  Without ``families``
-    a level's family is built by ``hat_family`` when first read."""
+    """Hat families at every level of one refinement; a level's family is
+    built by ``hat_family`` when first read."""
 
-    def __init__(self, refinement: RefinementFamily, depth: int, families=None):
-        self.refinement, self.depth, self._given = refinement, depth, families is not None
-        self._families = list(families) if self._given else [None] * len(refinement.levels)
+    def __init__(self, refinement: RefinementFamily, depth: int):
+        self.refinement, self.depth, self._families = refinement, depth, {}
 
     @property
     def families(self) -> tuple:
         return tuple(map(self.family_at, self.refinement.levels))
 
     def family_at(self, level: int) -> SequenceFamily:
-        i = self.refinement.levels.index(int(level))
-        if self._families[i] is None:
-            self._families[i] = hat_family(self.refinement.spaces[i], self.refinement.anchor,
-                                           self.depth)
-        return self._families[i]
+        level, space = int(level), self.refinement.space_at(level)
+        if level not in self._families:
+            self._families[level] = hat_family(space, self.refinement.anchor, self.depth)
+        return self._families[level]
 
 
 def hat_scenario(refinement: RefinementFamily, depth: int) -> HatScenario:
@@ -386,11 +386,8 @@ def lip_counterexample(refinement: RefinementFamily, n_max: int) -> LipCounterex
     if n_max < 1:
         raise InputError(f"n_max must be >= 1, got {n_max}")
     space = refinement.spaces[-1]
-    if refinement.kind == "accumulation":
-        a_labels = (refinement.anchor,)
-    else:
-        top = refinement.levels[-1]
-        a_labels = tuple(a for a, _ in refinement.pairs[:top])
+    a_labels = ((refinement.anchor,) if refinement.kind == "accumulation"
+                else tuple(a for a, _ in refinement.pairs[:refinement.levels[-1]]))
 
     dist = dist_to_set_all(space, a_labels)
     b_labels, t = _approach_points(refinement, space, a_labels, dist)
@@ -416,17 +413,11 @@ def lip_counterexample(refinement: RefinementFamily, n_max: int) -> LipCounterex
     blow_up = np.abs(g.values[b_idx] - g.values[a_idx[near_a]]) / near_d
     blow_pairs = [(b, a_labels[j]) for b, j in zip(b_labels, near_a)]
 
-    rows = []
-    for level, lv_space in zip(refinement.levels, refinement.spaces):
-        if refinement.kind == "accumulation":
-            lv_a = (refinement.anchor,)
-        else:
-            lv_a = tuple(a for a, _ in refinement.pairs[:level])
-        lv_dist = dist_to_set_all(lv_space, lv_a)
-        lv_g = np.minimum(np.sqrt(lv_dist), 1.0)
-        slope, _ = max_slope(lv_space, lv_g)
-        rows.append((level, refinement.scale(level), discreteness_constant(lv_space),
-                     slope))
+    # a level's g is the deepest g on its points: each point's nearest A-point is the
+    # anchor, or its own pair's a-point (less than 1 away, every other pair at least 1)
+    rows = [(level, refinement.scale(level), discreteness_constant(lv_space),
+             max_slope(lv_space, g.values[:lv_space.n])[0])
+            for level, lv_space in zip(refinement.levels, refinement.spaces)]
 
     envelopes = tuple(inf_convolution_ladder(g, list(range(1, n_max + 1))))
     ach = [res.achieved_error for res in envelopes]
@@ -570,30 +561,18 @@ def _require_levels(levels) -> None:
 def _hat_escape(scenario: HatScenario, tag: SpaceTag | None) -> EscapeReport:
     ref = scenario.refinement
     _require_levels(ref.levels)
-    deep = None if scenario._given else pointwise_limit(scenario.family_at(ref.levels[-1])).values
+    # a level's limit is the deepest limit on its leading points
+    limit = pointwise_limit(scenario.family_at(ref.levels[-1])).values
     rows = []
-    for level, space, leads in zip(ref.levels, ref.spaces, ref._leading):
-        limit = (deep[:space.n] if leads and deep is not None
-                 else pointwise_limit(scenario.family_at(level)).values)
+    for level, space in zip(ref.levels, ref.spaces):
         scale = ref.scale(level)
-        osc = _oscillation_within(space, limit, scale)
-        rows.append(EscapeRow(level=level, scale=scale,
-                              delta=discreteness_constant(space), value=osc))
-    floor = min(r.value for r in rows)
-    if floor == 0.0:
-        statement = (
-            "no escape detected: the limit's oscillation vanishes at the "
-            "refinement scale on some level"
-        )
-    else:
-        statement = (
-            f"the limit oscillates by at least {floor:g} at the refinement "
-            f"scale on every one of {len(rows)} levels; its modulus of "
-            "continuity has no decay to inherit"
-        )
+        rows.append(EscapeRow(level=level, scale=scale, delta=discreteness_constant(space),
+                              value=_oscillation_within(space, limit[:space.n], scale)))
     return EscapeReport(kind="hats", tag=tag, quantity="oscillation at scale",
-                        rows=tuple(rows), scale_fit=None, delta_fit=None,
-                        statement=statement)
+                        rows=tuple(rows), scale_fit=None, delta_fit=None, statement=(
+                            f"the limit oscillates by at least {min(r.value for r in rows):g} "
+                            f"at the refinement scale on every one of {len(rows)} levels; "
+                            "its modulus of continuity has no decay to inherit"))
 
 
 def _lip_escape(cex: LipCounterexample, tag: SpaceTag | None) -> EscapeReport:

@@ -332,12 +332,12 @@ def validate_matrix(matrix: np.ndarray) -> None:
 class IsolationProfile:
     """Per-point isolation radii together with their minimum."""
 
-    labels: tuple[str, ...]
+    space: FiniteMetricSpace
     radii: np.ndarray
     delta: float
 
     def radius(self, label: str) -> float:
-        return float(self.radii[self.labels.index(label)])
+        return float(self.radii[self.space.index(label)])
 
 
 def isolation_radii(space: FiniteMetricSpace) -> np.ndarray:
@@ -447,7 +447,7 @@ def isolation_radius(space: FiniteMetricSpace, label: str) -> float:
 
 def isolation_profile(space: FiniteMetricSpace) -> IsolationProfile:
     radii = isolation_radii(space)
-    return IsolationProfile(space.labels, radii, float(radii.min()))
+    return IsolationProfile(space, radii, float(radii.min()))
 
 
 def discreteness_constant(space: FiniteMetricSpace) -> float:

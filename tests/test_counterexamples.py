@@ -8,10 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticelab.convergence import FamilyMetadata, SequenceFamily, pointwise_limit
+from latticelab.convergence import (
+    MEMBER_MATERIALIZE_LIMIT,
+    FamilyMetadata,
+    SequenceFamily,
+    pointwise_limit,
+)
 from latticelab.core import Carrier, LatticeElement, ones
 from latticelab.counterexamples import (
-    HatScenario,
     RefinementFamily,
     build_refinement,
     hat_family,
@@ -216,6 +220,15 @@ def test_hat_family_rejects_bad_depth():
         hat_family(ref.spaces[0], "x0", 0)
 
 
+def test_hat_family_refuses_a_depth_past_the_member_limit():
+    ref = build_refinement("accumulation", [3, 4, 5])
+    depth = MEMBER_MATERIALIZE_LIMIT + 1
+    with pytest.raises(InputError, match=rf"^hat depth {depth} exceeds the limit 100000$"):
+        hat_family(ref.spaces[0], "x0", depth)
+    with pytest.raises(InputError, match=rf"^hat depth {depth} exceeds"):
+        hat_scenario(ref, depth)
+
+
 def test_running_meets_is_identity_on_decreasing_families():
     ref = build_refinement("accumulation", [6])
     fam = hat_family(ref.spaces[0], "x0", 5)
@@ -362,14 +375,6 @@ def test_hat_escape_reports_a_flat_oscillation_floor():
     assert rep.rows[1].scale == 0.2
     assert "oscillates by at least 1 at the refinement scale" in rep.statement
     assert "no decay to inherit" in rep.statement
-
-
-def test_hat_escape_vanishing_floor_is_reported_as_no_escape():
-    ref = build_refinement("accumulation", [3, 5, 9])
-    flat = HatScenario(refinement=ref, depth=2,
-                       families=tuple(const_ones_family(s) for s in ref.spaces))
-    rep = verify_escape(flat)
-    assert "no escape detected" in rep.statement
 
 
 def test_lip_escape_fits_the_inverse_square_root_law():

@@ -213,6 +213,12 @@ def test_profile_delta_is_the_minimum_radius():
     assert prof.delta == float(prof.radii.min())
     assert prof.radius("x0") == isolation_radius(space, "x0")
     assert prof.delta == discreteness_constant(space)
+    assert prof.space is space
+
+
+def test_profile_radius_of_an_unknown_label_names_it():
+    with pytest.raises(InputError, match=r"^unknown label 'zz'$"):
+        isolation_profile(harmonic_space(4)).radius("zz")
 
 
 # ---------------------------------------------------------------------------
