@@ -37,6 +37,7 @@ from .errors import InputError, InternalInvariantError
 from .metric import (
     FiniteMetricSpace,
     discreteness_constant,
+    dist_to_points,
     dist_to_set_all,
     isolation_radius,
     max_slope,
@@ -82,6 +83,8 @@ class RefinementFamily:
     spaces: tuple
     anchor: str | None = None
     pairs: tuple = ()
+    # the pairs' a- and b-point positions on the deepest level, so on every level
+    _pair_at: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(int(v) for v in self.levels))
@@ -135,6 +138,7 @@ class RefinementFamily:
                 raise InputError(f"pair {i} sits at distance {gaps[i - 1]:.6g}, "
                                  f"not inside (0, 1/{i})")
             _check_pair_separation(top, a, b)
+            object.__setattr__(self, "_pair_at", (a, b))
 
     def space_at(self, level: int) -> FiniteMetricSpace:
         try:
@@ -148,8 +152,7 @@ class RefinementFamily:
         space = self.space_at(level)
         if self.kind == "accumulation":
             return isolation_radius(space, self.anchor)
-        a, b = self.pairs[int(level) - 1]
-        return space.distance(space.index(a), space.index(b))
+        return space.distance(*(int(at[int(level) - 1]) for at in self._pair_at))
 
     def delta(self, level: int) -> float:
         """Uniform discreteness constant of the level's space."""
@@ -388,13 +391,12 @@ def lip_counterexample(refinement: RefinementFamily, n_max: int) -> LipCounterex
     space = refinement.spaces[-1]
     a_labels = ((refinement.anchor,) if refinement.kind == "accumulation"
                 else tuple(a for a, _ in refinement.pairs[:refinement.levels[-1]]))
-
-    dist = dist_to_set_all(space, a_labels)
-    b_labels, t = _approach_points(refinement, space, a_labels, dist)
+    a_idx = (refinement._pair_at[0] if refinement.kind == "pairs"
+             else np.array([space.index(refinement.anchor)]))
+    dist = dist_to_points(space, a_idx)
+    b_labels, b_idx, t = _approach_points(refinement, space, a_idx, dist)
     g = LatticeElement(Carrier.points(space), np.minimum(np.sqrt(dist), 1.0))
 
-    a_idx = np.array([space.index(a) for a in a_labels], dtype=np.intp)
-    b_idx = np.array([space.index(b) for b in b_labels], dtype=np.intp)
     t_arr = np.asarray(t)
     near_a = np.empty(b_idx.size, dtype=np.intp)  # position in A order
     near_d = np.empty(b_idx.size)
@@ -447,19 +449,19 @@ def lip_counterexample(refinement: RefinementFamily, n_max: int) -> LipCounterex
     )
 
 
-def _approach_points(refinement, space, a_labels, dist):
+def _approach_points(refinement, space, a_idx, dist):
     if refinement.kind == "pairs":
-        labs = [b for _, b in refinement.pairs[:refinement.levels[-1]]]
-        return tuple(labs), tuple(float(dist[space.index(b)]) for b in labs)
-    inside = (dist > 0.0) & (dist < 1.0)
-    inside[[space.index(a) for a in a_labels]] = False
-    if not inside.any():
-        raise InputError("no approach points: every candidate sits at distance >= 1")
-    # by label, then stably by distance down: ties stay in label order
-    idx = np.array(sorted(np.flatnonzero(inside).tolist(), key=space.labels.__getitem__))
-    idx = idx[np.argsort(-dist[idx], kind="stable")]
-    idx = idx[np.r_[True, np.diff(dist[idx]) != 0.0]]  # strict decrease: first label per distance
-    return tuple(map(space.labels.__getitem__, idx.tolist())), tuple(dist[idx].tolist())
+        idx = refinement._pair_at[1]
+    else:
+        inside = (dist > 0.0) & (dist < 1.0)
+        inside[a_idx] = False
+        if not inside.any():
+            raise InputError("no approach points: every candidate sits at distance >= 1")
+        # by label, then stably by distance down: ties stay in label order
+        idx = np.array(sorted(np.flatnonzero(inside).tolist(), key=space.labels.__getitem__))
+        idx = idx[np.argsort(-dist[idx], kind="stable")]
+        idx = idx[np.r_[True, np.diff(dist[idx]) != 0.0]]  # strict decrease: first per distance
+    return tuple(map(space.labels.__getitem__, idx.tolist())), idx, tuple(dist[idx].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 `modulus_of_continuity` measures the largest oscillation of a function over
 point pairs within each distance threshold.  `inf_convolution` builds the
-largest n-Lipschitz minorant g_n(x) = min_y (g(y) + n*d(x, y)) and packages
-it with its error bound alpha_n = sup_t (omega(t) - n*t).
+largest n-Lipschitz minorant g_n(x) = min_y (g(y) + n*d(x, y)) with its error
+bound alpha_n = sup_t (omega(t) - n*t); a ladder reads each pair once.
 
 alpha_n evaluated on a threshold grid alone undershoots the true supremum
 between samples.  Curves built from the exact distinct pair distances close
@@ -317,8 +317,8 @@ def inf_convolution_ladder(g: LatticeElement, ns, modulus: ModulusCurve | None =
     """Envelopes g_n for every n in ``ns`` in one sweep.
 
     Line spaces run an exact two-pass distance transform; elsewhere each
-    distance block is visited once and serves all parameters.  Either way
-    the ladder costs one sweep plus one batched Lipschitz scan.  Without a
+    pair is read once, from its point of larger g, for all parameters.  Either
+    way the ladder costs one sweep plus one batched Lipschitz scan.  Without a
     supplied modulus, alpha_n is the exact pairwise supremum
     max(|g(x)-g(y)| - n*d), obtained in the same sweep.
     """
@@ -383,18 +383,21 @@ def _distinct_rows(stack):
 
 
 def _dense_ladder(space, gv, ns, need_alpha):
-    """Envelopes and raw alphas from one pass over the distance row blocks."""
+    """Envelopes and raw alphas, bitwise those of the full distance rows,
+    from the lower triangle with the points sorted by g (README)."""
     env = np.empty((len(ns), space.n))
     alpha_raw = np.zeros(len(ns))
+    order = np.argsort(gv, kind="stable")
+    gs = gv[order]
     with np.errstate(over="ignore"):  # n * d past the float range is inf, as it should be
         for lo, hi in space.block_rows():
-            block = space.row_block(lo, hi)
+            block = space.distances(order[lo:hi], order[:hi])
             buf = np.empty_like(block)
-            gaps = np.abs(gv[lo:hi, None] - gv[None, :]) if need_alpha else None
+            gaps = np.abs(gs[lo:hi, None] - gs[None, :hi]) if need_alpha else None
             for k, n in enumerate(ns):
                 np.multiply(block, float(n), out=buf)
-                buf += gv[None, :]
-                env[k, lo:hi] = buf.min(axis=1)
+                buf += gs[None, :hi]
+                env[k, order[lo:hi]] = buf.min(axis=1)
                 if need_alpha:
                     np.multiply(block, float(n), out=buf)
                     np.subtract(gaps, buf, out=buf)

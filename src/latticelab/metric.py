@@ -77,6 +77,7 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_matrix(cls, matrix, labels=None, *, validate: bool = True):
+        """Unvalidated, the matrix must still be symmetric with a zero diagonal."""
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise InputError(f"distance matrix must be square, got shape {matrix.shape}")
@@ -296,19 +297,18 @@ def validate_matrix(matrix: np.ndarray) -> None:
                     "scan; supply coordinates instead"
                 )
             tol = TRIANGLE_RTOL * float(matrix.max(initial=0.0))
-            # best[i, k] = min over pivots j of d(i,j) + d(j,k), plus tol: as
-            # fl(x + tol) is monotone in x, some triple breaks the bound below
-            # exactly when the smallest sum does, so the pivot loop that names
-            # the triples runs only then.  A sum past the float range is inf,
-            # and the true sum does bound the entry.
+            # min_j d(i,j) + d(k,j), k >= i, is that of d(i,j) + d(j,k) on this
+            # symmetric matrix; plus tol it bounds d(i,k) and d(k,i).  As
+            # fl(x + tol) is monotone, a triple breaks the bound exactly when the
+            # smallest sum does, and only then the pivot loop names the triples.
+            # A sum past the float range is inf; the true sum does bound the entry.
             with np.errstate(over="ignore"):
-                best = np.full_like(matrix, np.inf)
-                through = np.empty_like(matrix)
-                for j in range(n):
-                    np.add.outer(matrix[:, j], matrix[j, :], out=through)
-                    np.minimum(best, through, out=best)
-                best += tol
-                if not np.any(matrix > best):
+                sums = np.empty((n, n))
+                for i in range(n):
+                    best = np.add(matrix[i], matrix[i:], out=sums[i:]).min(axis=1)
+                    if np.any(matrix[i, i:] > best + tol):
+                        break
+                else:
                     return
                 for j in range(n):
                     through = matrix[:, j][:, None] + matrix[j, :][None, :]
@@ -468,7 +468,10 @@ def dist_to_set_all(space: FiniteMetricSpace, targets) -> np.ndarray:
     targets = list(targets)
     if not targets:
         raise InputError("dist_to_set needs a non-empty target set")
-    idx = np.array([space.index(t) for t in targets], dtype=np.intp)
+    return dist_to_points(space, np.array([space.index(t) for t in targets], dtype=np.intp))
+
+
+def dist_to_points(space: FiniteMetricSpace, idx: np.ndarray) -> np.ndarray:
     if space.line_order is not None:
         # the nearest target is the one just below or just above each point
         ts = np.sort(space.coords[idx, 0])

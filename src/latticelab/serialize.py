@@ -13,10 +13,10 @@ repr (0.00001, 1e-7 and 1e16 for 1e-05, 1e-07 and 1e+16), a long array a
 block of rows at a time.  A pre-walk names the first non-finite number, and
 json writes what orjson refuses or would spell otherwise: float32 values,
 wide ints, lone surrogates.  A failed write leaves the old file whole.
-``write_csv`` renders a table by column: a float64 column in one orjson
-call, str cells as they are, any other cell as repr or str spells it.  The
-one respell scans a float column or array block only where numpy finds a
-value orjson spells unlike repr, 0 < |x| < 1e-4 or |x| >= 1e16.
+``write_csv`` renders a block of rows at a time by column: a float64 column
+in one orjson call, str cells as they are, any other cell as repr or str
+spells it.  The one respell scans a float column or array block only where
+numpy finds a value orjson spells unlike repr, 0 < |x| < 1e-4 or |x| >= 1e16.
 
 JSON files are read by ``read_json``, which returns json's document: orjson,
 whose correctly rounded number parser gives json's floats bit for bit in a
@@ -48,6 +48,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -129,6 +130,8 @@ _BARE_EXPONENT = re.compile(rb"e(?<=\de)(?=\d+,?\n)")  # 1e16
 _RESPELL_CHUNK = 1 << 16
 #: the bytes read from a file at a time
 _READ_BLOCK = 1 << 20
+#: the rows of a CSV table rendered at a time
+_CSV_ROWS = 512
 
 
 def _non_finite(x) -> InputError:
@@ -300,9 +303,13 @@ def _column(values) -> list:
 
 def write_csv(path, header, rows) -> None:
     """One line per row under the header; a ragged row raises a ValueError."""
-    columns = [_column(cells) for cells in zip(*rows, strict=True)]  # the rows are freed here
-    lines = [",".join(map(str, header)), *map(",".join, zip(*columns)), ""]
-    _write_whole(path, ["\n".join(lines).encode("utf-8")])
+    def texts(rows=iter(rows), first=None):
+        yield ",".join(map(str, header)) + "\n"
+        while block := list(itertools.islice(rows, _CSV_ROWS)):
+            first = block[0] if first is None else first  # zipped in, so that blocks agree
+            columns = [_column(cells[1:]) for cells in zip(first, *block, strict=True)]
+            yield "".join(f"{line}\n" for line in map(",".join, zip(*columns)))
+    _write_whole(path, (text.encode("utf-8") for text in texts()))
 
 
 def sha256_of(path) -> str:

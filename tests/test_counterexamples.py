@@ -325,6 +325,25 @@ def test_lip_counterexample_on_pairs():
     assert cex.blow_up_pairs[0] == ("b01", "a01")
 
 
+def test_lip_counterexample_reads_the_pair_positions_of_the_refinement(monkeypatch):
+    ref = build_refinement("pairs", [3, 40, 300])
+    deep = ref.spaces[-1]
+    assert [list(at) for at in ref._pair_at] == [
+        [deep.index(p[k]) for p in ref.pairs[:300]] for k in (0, 1)]
+    calls = []
+    index = FiniteMetricSpace.index
+    monkeypatch.setattr(FiniteMetricSpace, "index",
+                        lambda space, label: calls.append(label) or index(space, label))
+    cex = lip_counterexample(ref, 2)
+    # only the record's own check of g resolves its A labels
+    assert calls == list(cex.a_labels)
+    assert cex.b_labels == tuple(b for _, b in ref.pairs[:300])
+    monkeypatch.undo()
+    # a level's scale reads the deepest positions on that level's own space
+    assert [r[1] for r in cex.level_rows] == [
+        ref.space_at(level).distance(*ref.pairs[level - 1]) for level in ref.levels]
+
+
 def test_lip_counterexample_input_guards():
     ref = build_refinement("accumulation", [4, 8])
     with pytest.raises(InputError, match="n_max must be >= 1, got 0"):

@@ -92,7 +92,8 @@ def triangle_loop(matrix):
     tol = metric.TRIANGLE_RTOL * float(matrix.max(initial=0.0))
     viols, truncated = [], False
     for j in range(matrix.shape[0]):
-        through = matrix[:, j][:, None] + matrix[j, :][None, :]
+        with np.errstate(over="ignore"):  # a sum past the float range is inf
+            through = matrix[:, j][:, None] + matrix[j, :][None, :]
         for i, k in np.argwhere(matrix > through + tol):
             if i > k:
                 continue
@@ -119,15 +120,51 @@ def triangle_cases():
     at_tol[0, 2] = at_tol[2, 0] = 2.0 + metric.TRIANGLE_RTOL * 4.0  # d(0,1) + d(1,2) + tol
     above_tol[0, 2] = above_tol[2, 0] = np.nextafter(at_tol[0, 2], np.inf)
     many = np.triu(rng.uniform(1.0, 10.0, size=(40, 40)), 1)
-    return {"valid": valid, "planted": planted, "at-tol": at_tol,
-            "above-tol": above_tol, "many": many + many.T}
+    cases = {"valid": valid, "planted": planted, "at-tol": at_tol,
+             "above-tol": above_tol, "many": many + many.T}
+    for seed in range(3):
+        cases.update(drawn_triangle_cases(np.random.default_rng(100 + seed), seed))
+    return cases
 
 
-@pytest.mark.parametrize("case", ["valid", "planted", "at-tol", "above-tol", "many"])
+def drawn_triangle_cases(rng, seed):
+    """Drawn symmetric matrices: a breach planted at a drawn (i, k) as given
+    and at (k, i), one in the first and one in the last row; a drawn pair
+    set exactly at its smallest pivot sum plus tol and one ulp above; and
+    entries in [0.9e308, 1.75e308), whose pivot sums all overflow, valid and
+    with one breach from a short detour."""
+    n = int(rng.integers(6, 50))
+    m = FiniteMetricSpace.from_coords(rng.uniform(size=(n, 2))).row_block(0, n)
+    i, k = rng.choice(n, size=2, replace=False)
+    lower, edges = m.copy(), m.copy()
+    lower[k, i] = lower[i, k] = 3.0 * m.max()
+    edges[0, 1] = edges[1, 0] = edges[n - 2, n - 1] = edges[n - 1, n - 2] = 2.5 * m.max()
+    i, k = sorted(rng.choice(n, size=2, replace=False))
+    tol = metric.TRIANGLE_RTOL * float(m.max())
+    at_tol = m.copy()
+    pivots = [j for j in range(n) if j not in (i, k)]
+    at_tol[i, k] = at_tol[k, i] = min(m[i, pivots] + m[pivots, k]) + tol
+    above_tol = at_tol.copy()
+    above_tol[i, k] = above_tol[k, i] = np.nextafter(at_tol[i, k], np.inf)
+    assert at_tol.max() == m.max()  # the planted entry leaves tol as it was
+    huge = np.triu(rng.uniform(0.9, 1.75, size=(n, n)) * 1e308, 1)
+    huge += huge.T
+    detour = huge.copy()
+    detour[0, 1] = detour[1, 0] = detour[1, 2] = detour[2, 1] = 1.0
+    return {f"drawn-{seed}-" + name: x for name, x in (
+        ("planted", lower), ("edges", edges), ("at-tol", at_tol), ("above-tol", above_tol),
+        ("overflow-valid", huge), ("overflow-detour", detour))}
+
+
+VALID_CASES = {"valid", "at-tol"} | {f"drawn-{s}-{name}" for s in range(3)
+                                     for name in ("at-tol", "overflow-valid")}
+
+
+@pytest.mark.parametrize("case", list(triangle_cases()))
 def test_the_gated_triangle_check_reports_what_the_pivot_loop_does(case):
     m = triangle_cases()[case]
     want, truncated = triangle_loop(m)
-    assert bool(want) == (case not in ("valid", "at-tol"))
+    assert bool(want) == (case not in VALID_CASES)
     assert truncated == (case == "many")
     if not want:
         validate_matrix(m)

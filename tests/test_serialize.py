@@ -473,20 +473,38 @@ def _csv_tables(draw):
 
 
 @settings(max_examples=300)
-@given(_csv_tables())
-def test_write_csv_writes_the_bytes_of_the_per_cell_writer(tmp_path_factory, table):
+@given(_csv_tables(), st.sampled_from([1, 2, 3, serialize._CSV_ROWS]))
+def test_write_csv_writes_the_bytes_of_the_per_cell_writer(tmp_path_factory, table, block):
+    """Blocks of a few rows split the drawn columns, so a block of a mixed
+    column may hold only floats, and another only labels."""
     header, rows = table
     path = tmp_path_factory.getbasetemp() / "table.csv"
-    write_csv(path, header, iter(rows))
+    with mock.patch.object(serialize, "_CSV_ROWS", block):
+        write_csv(path, header, iter(rows))
     assert path.read_bytes() == per_cell_csv(header, rows)
 
 
-@pytest.mark.parametrize("rows", [[(1.0, 2.0), (3.0,)], [("a",), ("b", 0.5)]])
+@pytest.mark.parametrize("rows", [
+    [(1.0, 2.0), (3.0,)], [("a",), ("b", 0.5)],
+    # across blocks of two rows: shorter, longer, and after rows of no cells
+    [(1.0, 2.0), (3.0, 4.0), (5.0,)], [(1.0,), ("a",), (2.0, 3.0)], [(), (), (1.0,)],
+])
 def test_write_csv_refuses_a_ragged_row(tmp_path, rows):
     path = tmp_path / "ragged.csv"
-    with pytest.raises(ValueError):
+    with mock.patch.object(serialize, "_CSV_ROWS", 2), pytest.raises(ValueError):
         write_csv(path, ["x", "y"], rows)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_write_csv_holds_a_block_of_rows_not_the_table(tmp_path):
+    rows = [(i, 1.0 / (i + 1), f"c{i}") for i in range(20_000)]
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "long.csv", ["n", "x", "label"], rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the whole table rendered at once peaks near 7.8 MB
 
 
 @pytest.mark.parametrize("edge", [1e-9, 1e-5, 1e-4, 1e16])

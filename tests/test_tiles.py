@@ -160,6 +160,50 @@ def test_envelope_ladders_are_the_same_at_every_tile(need_alpha, monkeypatch):
     at_each_tile(monkeypatch, scan)
 
 
+def full_row_ladder(space, gv, ns, need_alpha):
+    """The ladder over every ordered pair, a block of full distance rows at a time."""
+    env = np.empty((len(ns), space.n))
+    alpha_raw = np.zeros(len(ns))
+    with np.errstate(over="ignore"):
+        for lo, hi in space.block_rows():
+            block = space.row_block(lo, hi)
+            buf = np.empty_like(block)
+            gaps = np.abs(gv[lo:hi, None] - gv[None, :]) if need_alpha else None
+            for k, n in enumerate(ns):
+                np.multiply(block, float(n), out=buf)
+                buf += gv[None, :]
+                env[k, lo:hi] = buf.min(axis=1)
+                if need_alpha:
+                    np.multiply(block, float(n), out=buf)
+                    np.subtract(gaps, buf, out=buf)
+                    alpha_raw[k] = max(alpha_raw[k], float(buf.max()))
+    return env, alpha_raw
+
+
+@pytest.mark.parametrize("need_alpha", [True, False])
+def test_the_g_ordered_ladder_is_bitwise_the_full_row_ladder(need_alpha, monkeypatch):
+    """Integer values tie often, so the sort's stable order and every tie
+    straddle tile seams; zeros of both signs meet at the diagonal; values
+    near 1e307 and rungs of 1e300 and 1e308 take n*d past the float range."""
+    pts = lattice_cloud(5)
+    n = pts.shape[0]
+    rng = np.random.default_rng(5)
+    ints = rng.integers(-3, 4, size=n).astype(np.float64)
+    zeros = np.where(rng.uniform(size=n) < 0.5, -0.0, 0.0)
+    stack = [ints, np.where(ints == 0.0, zeros, ints), zeros,
+             np.where(ints > 0.0, 1e307 * ints, zeros), rng.standard_normal(n)]
+    ns = [1, 3, 10**300, 10**308]
+    got = at_each_tile(monkeypatch, lambda: [
+        _dense_ladder(space, gv, ns, need_alpha)
+        for space in fresh_spaces(pts) for gv in stack])
+    monkeypatch.setattr(metric, "BLOCK_ENTRIES", 100)
+    want = [full_row_ladder(space, gv, ns, need_alpha)
+            for space in fresh_spaces(pts) for gv in stack]
+    assert bits(got) == bits(want)
+    with np.errstate(over="ignore"):
+        assert np.isinf(float(ns[-1]) * fresh_spaces(pts)[0].row_block(0, n)).any()
+
+
 def test_target_distances_and_oscillations_are_the_same_at_every_tile(monkeypatch):
     pts = lattice_cloud(3)
     rng = np.random.default_rng(3)
